@@ -164,9 +164,6 @@ class DenseOperator:
             raise DimensionMismatchError("operator/state dimensions differ")
         return StateVector(state.num_qubits, self.matrix @ state.amplitudes)
 
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.matrix @ other.matrix)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DenseOperator(dim={self.dim})"
 
@@ -247,7 +244,13 @@ class TimeDependentHamiltonian:
         return tuple(sorted(qubits)) if qubits else (0,)
 
     def _local_pieces(self):
-        """Static matrix and drive thunks over the support subspace."""
+        """Support, static local matrix and the time-dependent drives.
+
+        static_z drives are constant and are folded into the static matrix.
+        Every other drive comes with its target's four embedded 2x2 matrix
+        units, flattened to shape (4, dim*dim) and built once, so that
+        evaluating the drive at time t is one small product (`_h_at`).
+        """
         support = self.support()
         pos = {q: i for i, q in enumerate(support)}
         s = len(support)
@@ -263,33 +266,36 @@ class TimeDependentHamiltonian:
             static += term.coefficient * prod
         drives = []
         for drv in self.drive_terms:
-            left = 2 ** pos[drv.target_qubit]
-            right = dim // (2 * left)
-            embed = lambda op, l=left, r=right: np.kron(
-                np.kron(np.eye(l), op), np.eye(r)
+            left = np.eye(2 ** pos[drv.target_qubit])
+            right = np.eye(dim // (2 * len(left)))
+            if drv.form == "static_z":
+                static += np.kron(np.kron(left, drv.operator_at(0.0)), right)
+                continue
+            units = np.array(
+                [np.kron(np.kron(left, unit), right).reshape(-1)
+                 for unit in np.eye(4).reshape(4, 2, 2)],
+                dtype=complex,
             )
-            drives.append((drv, embed))
+            drives.append((drv, units))
         return support, static, drives
 
     def local_matrix(self, t: float) -> tuple[tuple[int, ...], np.ndarray]:
         """H(t) restricted to its support qubits."""
         support, static, drives = self._local_pieces()
-        h = static.copy()
-        for drv, embed in drives:
-            h += embed(drv.operator_at(t))
-        return support, h
+        return support, _h_at(static, drives, t)
 
     def matrix(self, t: float) -> np.ndarray:
         """Dense 2^n x 2^n matrix of H(t)."""
         support, local = self.local_matrix(t)
         return embed_matrix(local, support, self.num_qubits)
 
-    def max_nonhermiticity(self, times: Sequence[float]) -> float:
-        worst = 0.0
-        for t in times:
-            _, h = self.local_matrix(t)
-            worst = max(worst, float(np.max(np.abs(h - h.conj().T))))
-        return worst
+
+def _h_at(static: np.ndarray, drives, t: float) -> np.ndarray:
+    """Local H(t): the static matrix plus each drive's embedded operator."""
+    h = static
+    for drv, units in drives:
+        h = h + (drv.operator_at(t).reshape(4) @ units).reshape(static.shape)
+    return h
 
 
 def embed_matrix(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
@@ -339,32 +345,12 @@ def _merge_support(block: np.ndarray, order: Sequence[int], num_qubits: int):
     return tensor.transpose(inverse).reshape(-1)
 
 
-def _static_local(static: np.ndarray, drives) -> np.ndarray | None:
-    """Full local matrix when H is time independent, else None."""
-    h = static.copy()
-    for drv, embed in drives:
-        if drv.form != "static_z":
-            return None
-        h += embed(drv.operator_at(0.0))
-    return h
-
-
-def _integrate_local(
-    static: np.ndarray,
-    drives,
-    y0: np.ndarray,
-    duration: float,
-    tol: float,
-    t_eval=None,
-):
-    """Integrate dY/dt = -i H(t) Y with Y of shape (dim, cols)."""
-    dim, cols = y0.shape
+def _integrate(static: np.ndarray, drives, t_eval: np.ndarray, tol: float):
+    """Adaptive DOP853 solution of dU/dt = -i H(t) U, U(0) = I, at t_eval > 0."""
+    dim = static.shape[0]
 
     def rhs(t, y):
-        h = static
-        for drv, embed in drives:
-            h = h + embed(drv.operator_at(t))
-        return (-1j * h @ y.reshape(dim, cols)).reshape(-1)
+        return (-1j * _h_at(static, drives, t) @ y.reshape(dim, dim)).reshape(-1)
 
     # Integrate a couple of decades below the requested accuracy so that
     # accumulated norm drift stays within the 1e-9 budget.
@@ -372,17 +358,125 @@ def _integrate_local(
     atol = max(tol * 1e-4, 1e-14)
     sol = solve_ivp(
         rhs,
-        (0.0, duration),
-        y0.reshape(-1).astype(complex),
+        (0.0, float(t_eval[-1])),
+        np.eye(dim, dtype=complex).reshape(-1),
         method="DOP853",
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
-        dense_output=False,
     )
     if not sol.success:  # pragma: no cover
         raise NormDriftError(f"integrator failed: {sol.message}")
-    return sol
+    return np.moveaxis(sol.y.reshape(dim, dim, -1), -1, 0)
+
+
+def _eigh_propagators(h: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+    """exp(-i t H) for each t into out, from one eigendecomposition of H."""
+    energies, vectors = np.linalg.eigh(h)
+    phases = np.exp(-1j * np.outer(times, energies))
+    np.matmul(vectors * phases[:, None, :], vectors.conj().T, out=out)
+
+
+def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
+    """U(t) = U(t mod T) U(T)^floor(t/T) into out, for a drive of period T.
+
+    Only [0, min(T, t_max)] is integrated, with output at the distinct
+    phases t mod T (Shirley, Phys. Rev. 138, B979, 1965).
+    """
+    period = 2.0 * math.pi / abs(drives[0][0].angular_frequency)
+    turns, phase = np.divmod(times, period)
+    # n whole periods are U(T) U(T)^(n-1), so that every phase is positive.
+    whole = phase == 0
+    turns[whole] -= 1
+    phase[whole] = period
+    grid = np.unique(np.append(phase, min(period, times[-1])))
+    within = _integrate(static, drives, grid, tol)
+    index = np.searchsorted(grid, phase)
+    power, done = np.eye(len(static), dtype=complex), 0
+    for count in np.unique(turns):
+        power = np.linalg.matrix_power(within[-1], int(count - done)) @ power
+        done = count
+        rows = turns == count
+        out[rows] = within[index[rows]] @ power
+
+
+def _local_propagators(
+    hamiltonian: TimeDependentHamiltonian,
+    times,
+    tol: float,
+    method: str = "auto",
+    num_qubits: int | None = None,
+):
+    """Support of H and its local propagators U(t_i), shape (len(times), d, d).
+
+    This is the one propagation engine and the one place its inputs are
+    checked.  Under method "auto" the method follows from H:
+
+    * no time-dependent drive: one matrix exponential for a single time,
+      one eigendecomposition for several;
+    * one rotating drive whose target number operator N commutes with the
+      static part: the exact rotating frame,
+      U(t) = exp(-/+ i w t N) exp(-i t (H_s + A/2 X -/+ w N));
+    * one cosine drive with w != 0: Floquet, integrating one period;
+    * anything else: the adaptive integrator over [0, t_max].
+
+    method "ode" forces the integrator.  num_qubits, when given, is the
+    register size of the state the propagators will act on.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    # Strictly increasing from >= 0 to < inf also rules out NaN anywhere.
+    if times.ndim != 1 or not (
+        times.size and 0 <= times[0] and times[-1] < math.inf
+        and np.all(times[1:] > times[:-1])
+    ):
+        raise ValueError("times must be finite, non-negative and strictly increasing")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if method not in ("auto", "ode"):
+        raise ValueError(f"unknown method {method!r}")
+    if num_qubits is not None and num_qubits != hamiltonian.num_qubits:
+        raise DimensionMismatchError("state and Hamiltonian register sizes differ")
+    support, static, drives = hamiltonian._local_pieces()
+    out = np.empty((times.size,) + static.shape, dtype=complex)
+    start = int(times[0] == 0)
+    if start:
+        out[0] = np.eye(len(static))
+    t, rest = times[start:], out[start:]
+    if t.size == 0:
+        return support, out
+    drv, units = drives[0] if len(drives) == 1 else (None, None)
+    rotating = drv is not None and drv.form.startswith("rotating")
+    if rotating:
+        number = units[3].reshape(static.shape).diagonal().real
+        rotating = not np.any(static[number[:, None] != number[None, :]])
+    periodic = drv is not None and drv.form == "cosine_x" and drv.angular_frequency != 0
+    if method == "auto" and not drives:
+        if t.size == 1:
+            rest[:] = expm(-1j * float(t[0]) * static)
+        else:
+            _eigh_propagators(static, t, rest)
+    elif method == "auto" and rotating:
+        w = drv.angular_frequency * (1.0 if drv.form == "rotating_plus" else -1.0)
+        _eigh_propagators(_h_at(static, drives, 0.0) - w * np.diag(number), t, rest)
+        rest *= np.exp(-1j * w * np.outer(t, number))[:, :, None]
+    elif method == "auto" and periodic:
+        _floquet(static, drives, t, tol, rest)
+    else:
+        rest[:] = _integrate(static, drives, t, tol)
+    return support, out
+
+
+def _evolved_states(state: StateVector, support, local: np.ndarray):
+    """Apply each local propagator to `state`, checking the norm of each."""
+    n = state.num_qubits
+    block, order = _split_support(state.amplitudes, support, n)
+    tensor = (local @ block).reshape((len(local),) + (2,) * n)
+    amplitudes = tensor.transpose(0, *(1 + np.argsort(order))).reshape(len(local), -1)
+    norms = np.linalg.norm(amplitudes, axis=1)
+    worst = np.argmax(np.abs(norms - 1.0))
+    if abs(norms[worst] - 1.0) > NORM_FAIL:
+        raise NormDriftError(f"norm drifted to {norms[worst]}")
+    return [StateVector(n, amps) for amps in amplitudes]
 
 
 def evolve(
@@ -394,33 +488,14 @@ def evolve(
 ) -> StateVector:
     """Solve the Schrodinger equation from t = 0 to t = duration.
 
-    method "auto" uses a single matrix exponential when H is time
-    independent and the adaptive integrator otherwise; "ode" forces the
+    method "auto" picks an exact method from the form of H where one
+    exists and the adaptive integrator otherwise; "ode" forces the
     integrator (useful for convergence studies).
     """
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if state.num_qubits != hamiltonian.num_qubits:
-        raise DimensionMismatchError("state and Hamiltonian register sizes differ")
-    if duration == 0:
-        return state.copy()
-    support, static, drives = hamiltonian._local_pieces()
-    block, order = _split_support(state.amplitudes, support, state.num_qubits)
-    if method not in ("auto", "ode"):
-        raise ValueError(f"unknown method {method!r}")
-    h_const = _static_local(static, drives) if method == "auto" else None
-    if h_const is not None:
-        out = expm(-1j * duration * h_const) @ block
-    else:
-        sol = _integrate_local(static, drives, block, duration, tol)
-        out = sol.y[:, -1].reshape(block.shape)
-    amplitudes = _merge_support(out, order, state.num_qubits)
-    norm = np.linalg.norm(amplitudes)
-    if abs(norm - 1.0) > NORM_FAIL:
-        raise NormDriftError(f"norm drifted to {norm}")
-    return StateVector(state.num_qubits, amplitudes)
+    support, local = _local_propagators(
+        hamiltonian, duration, tol, method, state.num_qubits
+    )
+    return _evolved_states(state, support, local)[0]
 
 
 def evolve_sampled(
@@ -430,66 +505,21 @@ def evolve_sampled(
     tol: float = 1e-9,
 ) -> list[StateVector]:
     """States at the requested instants of one continuous evolution from t=0."""
-    times = np.asarray(times, dtype=float)
-    if times.size < 1 or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be non-negative and strictly increasing")
-    if state.num_qubits != hamiltonian.num_qubits:
-        raise DimensionMismatchError("state and Hamiltonian register sizes differ")
-    support, static, drives = hamiltonian._local_pieces()
-    block, order = _split_support(state.amplitudes, support, state.num_qubits)
-    h_const = _static_local(static, drives)
-    outputs = []
-    if h_const is not None:
-        energies, vectors = np.linalg.eigh(h_const)
-        coeffs = vectors.conj().T @ block
-        for t in times:
-            out = vectors @ (np.exp(-1j * energies * t)[:, None] * coeffs)
-            outputs.append(out)
-    else:
-        t_eval = times if times[0] > 0 else times[1:]
-        sol = _integrate_local(static, drives, block, float(times[-1]), tol,
-                               t_eval=t_eval)
-        idx = 0
-        for t in times:
-            if t == 0.0:
-                outputs.append(block)
-            else:
-                outputs.append(sol.y[:, idx].reshape(block.shape))
-                idx += 1
-    states = []
-    for out in outputs:
-        amplitudes = _merge_support(out, order, state.num_qubits)
-        norm = np.linalg.norm(amplitudes)
-        if abs(norm - 1.0) > NORM_FAIL:
-            raise NormDriftError(f"norm drifted to {norm}")
-        states.append(StateVector(state.num_qubits, amplitudes))
-    return states
+    support, local = _local_propagators(
+        hamiltonian, times, tol, "auto", state.num_qubits
+    )
+    return _evolved_states(state, support, local)
 
 
 def propagator(
     hamiltonian: TimeDependentHamiltonian,
     duration: float,
     tol: float = 1e-9,
+    method: str = "auto",
 ) -> DenseOperator:
-    """Time-ordered propagator over the full register."""
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = hamiltonian.num_qubits
-    if duration == 0:
-        return DenseOperator.identity(2**n)
-    support, static, drives = hamiltonian._local_pieces()
-    dim = 2 ** len(support)
-    h_const = _static_local(static, drives)
-    if h_const is not None:
-        local = expm(-1j * duration * h_const)
-    else:
-        sol = _integrate_local(
-            static, drives, np.eye(dim, dtype=complex), duration, tol
-        )
-        local = sol.y[:, -1].reshape(dim, dim)
-    full = DenseOperator(embed_matrix(local, support, n))
+    """Time-ordered propagator over the full register (methods as in evolve)."""
+    support, local = _local_propagators(hamiltonian, duration, tol, method)
+    full = DenseOperator(embed_matrix(local[0], support, hamiltonian.num_qubits))
     full.assert_unitary()
     return full
 
@@ -519,11 +549,7 @@ def piecewise_constant_propagator(
     dt = duration / steps
     u = np.eye(dim, dtype=complex)
     for i in range(steps):
-        t_mid = (i + 0.5) * dt
-        h = static.copy()
-        for drv, embed in drives:
-            h += embed(drv.operator_at(t_mid))
-        u = expm(-1j * dt * h) @ u
+        u = expm(-1j * dt * _h_at(static, drives, (i + 0.5) * dt)) @ u
     return DenseOperator(embed_matrix(u, support, hamiltonian.num_qubits))
 
 

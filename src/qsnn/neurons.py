@@ -507,15 +507,15 @@ def record_trajectory(
     flipped = core.apply_gate(psi0, "not_x", 2)
     times = np.linspace(0.0, local.tau, samples)
     states = core.evolve_sampled(psi0, hamiltonian, times, tol)
-    out_x = np.empty(samples)
-    out_z = np.empty(samples)
-    in_f = np.empty(samples)
-    for i, state in enumerate(states):
-        out_x[i] = core.expectation(state, "X", 2)
-        out_z[i] = core.expectation(state, "Z", 2)
-        in_f[i] = (
-            abs(psi0.overlap(state)) ** 2 + abs(flipped.overlap(state)) ** 2
-        )
+    amps = np.array([state.amplitudes for state in states])
+    # The output is qubit 2, the least significant index bit.
+    down, up = amps[:, 0::2], amps[:, 1::2]
+    out_x = 2.0 * np.sum(down.conj() * up, axis=1).real
+    out_z = np.sum(np.abs(up) ** 2 - np.abs(down) ** 2, axis=1)
+    in_f = (
+        np.abs(amps @ psi0.amplitudes.conj()) ** 2
+        + np.abs(amps @ flipped.amplitudes.conj()) ** 2
+    )
     return Trajectory(times, out_x, out_z, np.clip(in_f, 0.0, None))
 
 

@@ -210,7 +210,8 @@ def tune(
     """Simplex tuning of the continuous constraint parameters.
 
     Maximizes the subspace average fidelity against the ideal unitary of
-    the *initial* (integer) parameters, within a ±2% box around the start.
+    the *initial* (integer) parameters, within a ±2% box around the start
+    that, for the phase neuron, is cut off at the hierarchy floors.
     Deterministic given the seed (the search itself is deterministic; the
     seed is accepted for interface uniformity and recorded by callers).
     """
@@ -220,10 +221,17 @@ def tune(
         x0 = np.array([initial.m, initial.n], dtype=float)
         relax = lambda x: replace(initial, m=float(x[0]), n=float(x[1]),
                                   relaxed=True)
+
+        def feasible(x):
+            # A box around a floor start crosses 4m >= floor_4m or
+            # 2n >= ratio_floor * 4m; raise m, then n, back onto the floor.
+            m = max(x[0], initial.floor_4m / 4)
+            return np.array([m, max(x[1], initial.ratio_floor * 4 * m / 2)])
     elif kind == "excitation":
         x0 = np.array([initial.k, initial.l], dtype=float)
         relax = lambda x: replace(initial, k=float(x[0]), l=float(x[1]),
                                   relaxed=True)
+        feasible = lambda x: x
     else:
         raise InvalidParamsError(f"tuning is not defined for kind {kind!r}")
     lo, hi = x0 * (1 - TUNE_BOX_FRACTION), x0 * (1 + TUNE_BOX_FRACTION)
@@ -231,7 +239,7 @@ def tune(
 
     def objective(x):
         nonlocal count
-        clipped = np.clip(x, lo, hi)
+        clipped = feasible(np.clip(x, lo, hi))
         penalty = float(np.sum((x - clipped) ** 2))
         count += 1
         return -_neuron_fidelity(kind, relax(clipped)) + penalty
@@ -245,7 +253,7 @@ def tune(
             "xatol": 1e-6, "fatol": 1e-9, "adaptive": False,
         },
     )
-    best_x = np.clip(result.x, lo, hi)
+    best_x = feasible(np.clip(result.x, lo, hi))
     best_f = _neuron_fidelity(kind, relax(best_x))
     if best_f < f0:
         best_x, best_f = x0, f0

@@ -20,6 +20,32 @@ def _h_exc(k=8, l=17):
     return neurons.build_exc_hamiltonian(parameters.solve_exc(k, l))
 
 
+def _h_final(variant, drive_mode):
+    omega = 50.0 if drive_mode == "local_field" else None
+    params = parameters.make_final_params(
+        variant, 29, 15, 0, drive_mode=drive_mode, omega=omega
+    )
+    return neurons.build_final_hamiltonian(params)
+
+
+def _max_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+@pytest.fixture
+def integrated_spans(monkeypatch):
+    """End times of every adaptive-integrator run while the test runs."""
+    spans = []
+    integrate = core._integrate
+
+    def spy(static, drives, t_eval, tol):
+        spans.append(float(t_eval[-1]))
+        return integrate(static, drives, t_eval, tol)
+
+    monkeypatch.setattr(core, "_integrate", spy)
+    return spans
+
+
 class TestStateVector:
     def test_normalization_enforced(self):
         with pytest.raises(errors.NormDriftError):
@@ -157,6 +183,153 @@ class TestPropagator:
             moved = u.matrix @ bell_with_output(label, 0).amplitudes
             target = bell_with_output(label, 0).amplitudes
             assert abs(np.vdot(target, moved)) >= 0.999
+
+
+class TestFastPaths:
+    """Each exact method against the adaptive integrator at tol = 1e-11."""
+
+    @pytest.mark.parametrize("k, l", [(3, 5), (8, 17), (9, 41)])
+    def test_floquet_excitation(self, k, l, integrated_spans):
+        ham = _h_exc(k, l)
+        fast = core.propagator(ham, TAU_EXC, tol=1e-11).matrix
+        # tau is k drive periods; only one period is integrated.
+        assert integrated_spans == [pytest.approx(math.pi / k)]
+        ode = core.propagator(ham, TAU_EXC, tol=1e-11, method="ode").matrix
+        assert _max_diff(fast, ode) <= 1e-9
+
+    @pytest.mark.parametrize("variant", ["detect_upup", "detect_downdown"])
+    @pytest.mark.parametrize("drive_mode", ["rotating", "local_field"])
+    def test_final_layers(self, variant, drive_mode, integrated_spans):
+        ham = _h_final(variant, drive_mode)
+        fast = core.propagator(ham, TAU_EXC, tol=1e-11).matrix
+        if drive_mode == "rotating":
+            assert integrated_spans == []
+        else:
+            period = 2 * math.pi / abs(ham.drive_terms[0].angular_frequency)
+            assert integrated_spans == [pytest.approx(period)]
+        ode = core.propagator(ham, TAU_EXC, tol=1e-11, method="ode").matrix
+        assert _max_diff(fast, ode) <= 1e-9
+
+    def test_partial_period(self, rng):
+        # tau/3 is 8/3 drive periods at (8,17): two whole periods and a rest.
+        ham = _h_exc(8, 17)
+        fast = core.propagator(ham, TAU_EXC / 3, tol=1e-11).matrix
+        ode = core.propagator(ham, TAU_EXC / 3, tol=1e-11, method="ode").matrix
+        assert _max_diff(fast, ode) <= 1e-9
+        state = random_state(3, rng)
+        evolved = core.evolve(state, ham, TAU_EXC / 3, tol=1e-11)
+        assert _max_diff(evolved.amplitudes, ode @ state.amplitudes) <= 1e-9
+
+    @pytest.mark.parametrize("ham, tau", [
+        (_h_exc(6, 10), TAU_EXC),
+        (_h_final("detect_downdown", "rotating"), TAU_EXC),
+        (neurons.build_phase_hamiltonian(parameters.solve_phase(3, 82)),
+         math.pi / 2),
+    ])
+    def test_sampled_thousand_times(self, ham, tau):
+        times = np.linspace(0.0, tau, 1000)
+        _, ode = core._local_propagators(ham, times, 1e-11, "ode")
+        state = bell_with_output("Phi+", 0)
+        states = core.evolve_sampled(state, ham, times, tol=1e-11)
+        amplitudes = np.array([s.amplitudes for s in states])
+        assert _max_diff(amplitudes, ode @ state.amplitudes) <= 1e-9
+
+    def test_rotating_drive_with_transverse_static_term(self, integrated_spans):
+        # X on the drive's target does not commute with its number operator,
+        # so there is no exact rotating frame.
+        ham = core.TimeDependentHamiltonian(
+            2,
+            static_terms=(
+                core.StaticTerm(0.7, ((0, "Z"), (1, "Z"))),
+                core.StaticTerm(0.4, ((1, "X"),)),
+            ),
+            drive_terms=(core.DriveTerm(1.0, 8.0, 1, "rotating_plus"),),
+        )
+        self._check_fallback(ham, integrated_spans)
+
+    def test_two_drive_terms(self, integrated_spans):
+        ham = core.TimeDependentHamiltonian(
+            2,
+            static_terms=(core.StaticTerm(0.7, ((0, "Z"), (1, "Z"))),),
+            drive_terms=(
+                core.DriveTerm(1.0, 8.0, 0, "cosine_x"),
+                core.DriveTerm(0.8, 8.0, 1, "rotating_minus"),
+            ),
+        )
+        self._check_fallback(ham, integrated_spans)
+
+    @staticmethod
+    def _check_fallback(ham, integrated_spans):
+        # The drives' period pi/4 is shorter than the duration, so a Floquet
+        # or other fast path would integrate over less than [0, 1].
+        auto = core.propagator(ham, 1.0, tol=1e-11).matrix
+        assert integrated_spans == [1.0]
+        ode = core.propagator(ham, 1.0, tol=1e-11, method="ode").matrix
+        assert np.array_equal(auto, ode)
+        oracle = core.piecewise_constant_propagator(ham, 1.0, step=1e-4).matrix
+        assert _max_diff(auto, oracle) < 1e-6
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_auto_matches_ode(self, data):
+        # Two qubits, the drive on qubit 1.  Half the draws keep the static
+        # part diagonal on qubit 1, so rotating drives reach their exact
+        # frame; the others fall back to the integrator.
+        form = data.draw(st.sampled_from(core.DRIVE_FORMS))
+        target_axes = "IZ" if data.draw(st.booleans()) else "IXYZ"
+        factors = st.tuples(
+            st.sampled_from("IXYZ"), st.sampled_from(target_axes)
+        ).filter(lambda axes: axes != ("I", "I"))
+        terms = data.draw(st.lists(
+            st.tuples(st.floats(-2.0, 2.0), factors), min_size=1, max_size=4
+        ))
+        static = tuple(
+            core.StaticTerm(
+                c, tuple((q, a) for q, a in enumerate(axes) if a != "I")
+            )
+            for c, axes in terms
+        )
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        drive = core.DriveTerm(
+            data.draw(st.floats(0.2, 2.0)),
+            sign * data.draw(st.floats(0.5, 8.0)),
+            1,
+            form,
+        )
+        ham = core.TimeDependentHamiltonian(2, static, (drive,))
+        duration = data.draw(st.floats(0.1, 2.5))
+        auto = core.propagator(ham, duration, tol=1e-11).matrix
+        ode = core.propagator(ham, duration, tol=1e-11, method="ode").matrix
+        assert _max_diff(auto, ode) <= 1e-9
+
+
+class TestValidation:
+    """Inputs are checked once, at the engine, for every wrapper."""
+
+    def test_evolve(self):
+        state = core.StateVector.all_down(3)
+        for bad in ({"duration": -1.0}, {"duration": math.nan},
+                    {"tol": 0.0}, {"tol": -1e-9}, {"method": "rk4"}):
+            with pytest.raises(ValueError):
+                core.evolve(state, _h_exc(), **{"duration": 1.0, **bad})
+
+    def test_evolve_sampled(self):
+        state = core.StateVector.all_down(3)
+        for times in ([], [-0.5, 1.0], [0.0, 1.0, 1.0], [1.0, 0.5],
+                      [0.0, math.inf]):
+            with pytest.raises(ValueError):
+                core.evolve_sampled(state, _h_exc(), times)
+        for tol in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                core.evolve_sampled(state, _h_exc(), [0.0, 1.0], tol=tol)
+        with pytest.raises(errors.DimensionMismatchError):
+            core.evolve_sampled(core.StateVector.all_down(2), _h_exc(), [1.0])
+
+    def test_propagator(self):
+        for bad in ({"duration": -1.0}, {"duration": math.inf},
+                    {"tol": 0.0}, {"method": "rk4"}):
+            with pytest.raises(ValueError):
+                core.propagator(_h_exc(), **{"duration": 1.0, **bad})
 
 
 class TestTensorEmbed:

@@ -291,6 +291,23 @@ class TestTrajectories:
         traj = neurons.record_trajectory(exc_spec, "Psi+", samples=200)
         assert traj.output_z[-1] <= -0.99
 
+    def test_matches_per_sample_loop(self, exc_spec):
+        # Reference: one expectation/overlap call per sampled state.
+        traj = neurons.record_trajectory(exc_spec, "Phi+", samples=64)
+        psi0 = bell_with_output("Phi+", 0)
+        flipped = bell_with_output("Phi+", 1)
+        states = core.evolve_sampled(
+            psi0, neurons.build_hamiltonian(exc_spec, 3), traj.times
+        )
+        for i, state in enumerate(states):
+            assert traj.output_x[i] == pytest.approx(
+                core.expectation(state, "X", 2), abs=1e-12)
+            assert traj.output_z[i] == pytest.approx(
+                core.expectation(state, "Z", 2), abs=1e-12)
+            assert traj.input_fidelity[i] == pytest.approx(
+                abs(psi0.overlap(state)) ** 2 + abs(flipped.overlap(state)) ** 2,
+                abs=1e-12)
+
     def test_sample_count_and_monotone_times(self, phase_spec):
         traj = neurons.record_trajectory(phase_spec, "Phi-", samples=150)
         assert len(traj.times) == 150

@@ -166,3 +166,15 @@ class TestTune:
     def test_zero_budget_rejected(self, exc_8_17):
         with pytest.raises(errors.InvalidParamsError):
             parameters.tune(exc_8_17, "excitation", budget=0)
+
+    @pytest.mark.parametrize("m, n", [(2, 20), (3, 30), (6, 60)])
+    def test_hierarchy_floor_start(self, m, n):
+        # The +-2% box around a start on 4m = floor_4m or 2n = 5*4m reaches
+        # invalid parameters; the tuner keeps its candidates valid instead.
+        start = parameters.solve_phase(m, n)
+        result = parameters.tune(start, "phase", budget=100)
+        assert isinstance(result, parameters.TuneResult)
+        assert result.final_fidelity >= result.initial_fidelity
+        tuned = result.tuned_params
+        assert 4 * tuned.m >= start.floor_4m
+        assert 2 * tuned.n >= start.ratio_floor * 4 * tuned.m
