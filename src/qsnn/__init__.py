@@ -59,6 +59,7 @@ from .neurons import (
     Trajectory,
     apply_neuron,
     build_hamiltonian,
+    fidelity_report,
     ideal_unitary,
     make_spec,
     neuron_unitary,

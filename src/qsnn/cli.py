@@ -18,7 +18,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import fidelity as fidelity_mod
 from . import network as network_mod
 from . import neurons, parameters
 from .core import BELL_LABELS, measure
@@ -70,21 +69,6 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _fidelity_section(kind: str, params) -> dict:
-    spec = neurons.make_spec(kind, params, (0, 1), 2)
-    report = fidelity_mod.average_fidelity(
-        neurons.neuron_unitary(spec),
-        neurons.ideal_unitary(kind, params),
-        neurons.protocol_subspace(kind, params),
-    )
-    return {
-        "f_avg": report.f_avg,
-        "leakage": report.leakage,
-        "per_state": list(report.per_state),
-        "subspace_dim": report.subspace_dim,
-    }
-
-
 _LABEL_SLUGS = {
     "Phi+": "phi_plus", "Phi-": "phi_minus",
     "Psi+": "psi_plus", "Psi-": "psi_minus",
@@ -132,7 +116,7 @@ def _neuron_report(
         "command": command,
         "seed": seed,
         "parameters": dataclasses.asdict(params),
-        "fidelity": _fidelity_section(kind, params),
+        "fidelity": neurons.fidelity_report(kind, params),
     }
     if tune:
         report["tune"] = _tune_section(kind, params, budget, seed)
@@ -245,15 +229,12 @@ def network() -> None:
     """Build and run Bell-state comparison networks."""
 
 
-def _load_network(template, spec_file, mode):
+def _load_network(template, spec_file):
     if (template is None) == (spec_file is None):
         raise InvalidParamsError("provide exactly one of --template/--spec")
     if spec_file is not None:
-        spec = network_mod.from_json(Path(spec_file).read_text())
-        if mode and mode != spec.run_mode:
-            spec = dataclasses.replace(spec, run_mode=mode)
-        return spec
-    return network_mod.template(template, run_mode=mode or "embedded_unitary")
+        return network_mod.from_json(Path(spec_file).read_text())
+    return network_mod.template(template)
 
 
 def _parse_input(text: str) -> tuple:
@@ -272,19 +253,17 @@ def _parse_input(text: str) -> tuple:
               dir_okay=False), default=None)
 @click.option("--input", "input_text", default="Phi+,Phi+",
               show_default=True, help='Two Bell labels, e.g. "Phi+,Psi-".')
-@click.option("--mode", type=click.Choice(list(network_mod.RUN_MODES)),
-              default=None)
 @click.option("--truth-table", is_flag=True,
               help="Also run all 16 pure Bell-pair input combinations.")
 @click.option("--back-action", "do_back_action", is_flag=True,
               help="Report conditional input-branch overlaps per outcome.")
 @click.option("--output", type=click.Path(dir_okay=False))
-def network_run(template, spec_file, input_text, mode, truth_table,
+def network_run(template, spec_file, input_text, truth_table,
                 do_back_action, output):
     """Run a comparison network and report the output-qubit distribution."""
     started = time.perf_counter()
     try:
-        spec = _load_network(template, spec_file, mode)
+        spec = _load_network(template, spec_file)
         inputs = _parse_input(input_text)
         final = network_mod.run(spec, inputs)
         result = measure(final, spec.output_qubit)
@@ -293,7 +272,6 @@ def network_run(template, spec_file, input_text, mode, truth_table,
             "command": "network run",
             "template": template,
             "spec_file": spec_file,
-            "run_mode": spec.run_mode,
             "input": input_text,
             "p_up": result.p_up,
             "p_down": result.p_down,
@@ -451,13 +429,11 @@ def params_detuning(kind, k, l, m, n, s, variant, drive_mode, omega):
         if kind == "exc":
             if k is None or l is None:
                 raise InvalidParamsError("exc detuning needs --k and --l")
-            p = parameters.solve_exc(k, l)
-            spec = neurons.make_spec("excitation", p, (0, 1), 2)
+            kind, p = "excitation", parameters.solve_exc(k, l)
         elif kind == "phase":
             if m is None or n is None:
                 raise InvalidParamsError("phase detuning needs --m and --n")
             p = parameters.solve_phase(m, n)
-            spec = neurons.make_spec("phase", p, (0, 1), 2)
         else:
             if l is None or s is None:
                 raise InvalidParamsError("final detuning needs --l and --s")
@@ -465,10 +441,9 @@ def params_detuning(kind, k, l, m, n, s, variant, drive_mode, omega):
                 variant, l=l, s=s, parity_k=0, drive_mode=drive_mode,
                 omega=omega,
             )
-            kind_name = ("final_upup" if variant == "detect_upup"
-                         else "final_downdown")
-            spec = neurons.make_spec(kind_name, p, (0, 1), 2)
-        report = parameters.detuning_report(spec)
+            kind = ("final_upup" if variant == "detect_upup"
+                    else "final_downdown")
+        report = parameters.detuning_report(neurons.make_spec(kind, p, (0, 1), 2))
         click.echo(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "kind": report.kind,

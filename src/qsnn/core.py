@@ -148,9 +148,6 @@ class DenseOperator:
     def identity(cls, dim: int) -> "DenseOperator":
         return cls(np.eye(dim, dtype=complex))
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T)
-
     def is_unitary(self, tol: float = UNITARITY_TOL) -> bool:
         delta = self.matrix.conj().T @ self.matrix - np.eye(self.dim)
         return bool(np.max(np.abs(delta)) < tol)

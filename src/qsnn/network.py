@@ -17,6 +17,7 @@ equal to +1, so superposition inputs that differ in both properties
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core, neurons, parameters
-from .core import BELL_LABELS, BELL_VECTORS, DenseOperator, StateVector
+from .core import BELL_LABELS, BELL_VECTORS, StateVector
 from .errors import (
     DegenerateOutcomeError,
     DimensionMismatchError,
@@ -41,9 +42,10 @@ from .neurons import (
     PhaseNeuronParams,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 AMPLITUDE_NORM_TOL = 1e-9
-RUN_MODES = ("embedded_unitary", "full_dynamics")
+# Largest register a spec may declare; the full template needs 11 qubits.
+MAX_QUBITS = 16
 
 # Default parameter points for the templates.  Excitation neurons use the
 # reference demonstration point.  Phase neurons use (m=4, n=164): the
@@ -87,12 +89,9 @@ class BellAmplitudes:
     def pure(cls, label: str) -> "BellAmplitudes":
         if label not in BELL_LABELS:
             raise InvalidParamsError(f"unknown Bell label {label!r}")
-        kwargs = dict.fromkeys(
-            ("a_phi_plus", "a_phi_minus", "a_psi_plus", "a_psi_minus"), 0.0
-        )
-        key = "a_" + label.lower().replace("+", "_plus").replace("-", "_minus")
-        kwargs[key] = 1.0
-        return cls(**kwargs)
+        amps = [0.0] * 4
+        amps[BELL_LABELS.index(label)] = 1.0
+        return cls(*amps)
 
     @classmethod
     def from_sequence(cls, amps: Sequence[complex]) -> "BellAmplitudes":
@@ -116,25 +115,32 @@ class NetworkSpec:
     schedule: tuple[NeuronSpec, ...]
     input_qubits: tuple[int, int, int, int]
     output_qubit: int
-    run_mode: str = "embedded_unitary"
 
     def __post_init__(self):
-        if self.run_mode not in RUN_MODES:
-            raise NetworkValidationError([f"unknown run_mode {self.run_mode!r}"])
         violations = validate(self)
         if violations:
             raise NetworkValidationError(violations)
 
 
 def validate(spec) -> list[str]:
-    """Structural checks; returns a list of violations (empty = ok)."""
-    errors: list[str] = []
+    """Structural checks; returns a list of violations (empty = ok).
+
+    The register size and index types (int, not bool or float) are checked
+    first, so a spec that fails them is reported before anything reads or
+    allocates its register.
+    """
     n = spec.num_qubits
-    if n < 3:
-        errors.append(f"register of {n} qubits cannot hold a neuron")
-    if len(set(spec.input_qubits)) != len(spec.input_qubits):
-        errors.append("network input qubits must be distinct")
-    for q in (*spec.input_qubits, spec.output_qubit):
+    if type(n) is not int or not 3 <= n <= MAX_QUBITS:
+        return [f"num_qubits must be an integer from 3 to {MAX_QUBITS}, "
+                f"got {n!r}"]
+    network_qubits = (*spec.input_qubits, spec.output_qubit)
+    if any(type(q) is not int for q in network_qubits):
+        return [f"network qubit indices must be integers, got "
+                f"{network_qubits!r}"]
+    errors: list[str] = []
+    if len(set(spec.input_qubits)) != 4:
+        errors.append("network needs 4 distinct input qubits")
+    for q in network_qubits:
         if not 0 <= q < n:
             errors.append(f"network qubit index {q} outside register of {n}")
     written: set[int] = set()
@@ -144,8 +150,6 @@ def validate(spec) -> list[str]:
             if not 0 <= q < n:
                 errors.append(f"schedule entry {i} targets qubit {q} "
                               f"outside register of {n}")
-        if len(set(entry.targets)) != 3:
-            errors.append(f"schedule entry {i} reuses a qubit within one neuron")
         for q in entry.input_qubits:
             fresh = q not in spec.input_qubits and q not in written
             if fresh and q in writers[i + 1:]:
@@ -175,7 +179,6 @@ def template(
     exc_params: ExcNeuronParams | None = None,
     phase_params: PhaseNeuronParams | None = None,
     final_params: FinalLayerParams | None = None,
-    run_mode: str = "embedded_unitary",
 ) -> NetworkSpec:
     """Build the full (11-qubit) or reduced (7-qubit) comparison network.
 
@@ -200,7 +203,7 @@ def template(
             neurons.make_spec("excitation", exc, (5, 7), 9),
             neurons.make_spec("final_upup", final, (8, 9), 10),
         )
-        return NetworkSpec(11, schedule, (0, 1, 2, 3), 10, run_mode)
+        return NetworkSpec(11, schedule, (0, 1, 2, 3), 10)
     if kind == "reduced":
         final = final_params or parameters.make_final_params(
             "detect_downdown", **DEFAULT_FINAL
@@ -220,7 +223,7 @@ def template(
             ),
             neurons.make_spec("final_downdown", final, (4, 5), 6),
         )
-        return NetworkSpec(7, schedule, (0, 1, 2, 3), 6, run_mode)
+        return NetworkSpec(7, schedule, (0, 1, 2, 3), 6)
     raise InvalidParamsError(f"unknown template kind {kind!r}")
 
 
@@ -279,21 +282,15 @@ def _apply_local(state: StateVector, u8: np.ndarray, targets) -> StateVector:
 def run(spec: NetworkSpec, inputs, tol: float = 1e-9) -> StateVector:
     """Execute the schedule by sequential neuron activation.
 
-    embedded_unitary computes each distinct neuron's 8-dim corrected
-    unitary once and applies it on the neuron's qubit triple (exact under
-    the sequential-activation idealization); full_dynamics evolves the
-    whole register through each activation.
+    Each distinct neuron's 8-dim corrected unitary is computed once and
+    applied on the neuron's qubit triple: every neuron Hamiltonian acts
+    only on that triple, so this is exact under the sequential-activation
+    idealization.
     """
     state = initial_state(spec, inputs)
-    if spec.run_mode == "embedded_unitary":
-        for entry in spec.schedule:
-            u8 = _cached_unitary(
-                entry.kind, entry.params, entry.corrections, tol
-            )
-            state = _apply_local(state, u8, entry.targets)
-    else:
-        for entry in spec.schedule:
-            state = neurons.apply_neuron(state, entry, tol)
+    for entry in spec.schedule:
+        u8 = _cached_unitary(entry.kind, entry.params, entry.corrections, tol)
+        state = _apply_local(state, u8, entry.targets)
     drift = abs(state.norm() - 1.0)
     if drift > core.NORM_FAIL:
         raise NormDriftError(f"norm drifted by {drift:.3e} during the run")
@@ -355,17 +352,9 @@ def back_action(
         )
     rho = reduced_density_matrix(post, spec.input_qubits)
     overlaps = {
-        "matched": math.sqrt(
-            max(float(np.real(MATCHED_BRANCH.conj() @ rho @ MATCHED_BRANCH)), 0.0)
-        ),
-        "mismatched": math.sqrt(
-            max(
-                float(
-                    np.real(MISMATCHED_BRANCH.conj() @ rho @ MISMATCHED_BRANCH)
-                ),
-                0.0,
-            )
-        ),
+        name: math.sqrt(max(float(np.real(branch.conj() @ rho @ branch)), 0.0))
+        for name, branch in (("matched", MATCHED_BRANCH),
+                             ("mismatched", MISMATCHED_BRANCH))
     }
     return BackActionReport(outcome, probability, rho, overlaps)
 
@@ -381,8 +370,7 @@ def simulated_bell_kernel(
     spec: NetworkSpec, a: BellAmplitudes, b: BellAmplitudes, tol: float = 1e-9
 ) -> float:
     """The kernel as actually measured: run the network, read p_up."""
-    final = run(spec, (a, b), tol)
-    return core.measure(final, spec.output_qubit).p_up
+    return output_excitation_probability(spec, (a, b), tol)
 
 
 def output_excitation_probability(
@@ -395,54 +383,75 @@ def output_excitation_probability(
 # ---------------------------------------------------------------------------
 # Serialization
 
-
-def _params_to_dict(kind: str, params) -> dict:
-    if kind == "excitation":
-        return {
-            "k": params.k, "l": params.l, "gamma": params.gamma,
-            "drive_amplitude": params.drive_amplitude,
-            "j_sign": params.j_sign, "relaxed": params.relaxed,
-            "detuning_floor": params.detuning_floor,
-        }
-    if kind == "phase":
-        return {
-            "m": params.m, "n": params.n, "gamma": params.gamma,
-            "drive_amplitude": params.drive_amplitude,
-            "relaxed": params.relaxed, "floor_4m": params.floor_4m,
-            "ratio_floor": params.ratio_floor,
-        }
-    return {
-        "variant": params.variant, "l": params.l, "s": params.s,
-        "parity_k": params.parity_k, "gamma": params.gamma,
-        "drive_amplitude": params.drive_amplitude,
-        "drive_mode": params.drive_mode, "omega": params.omega,
-        "beta": params.beta, "coupling_j": params.coupling_j,
-    }
+_FIELDS = {"schema_version", "num_qubits", "input_qubits", "output_qubit",
+           "schedule"}
+# Schema 1 also named the executor; both of its values now mean the one
+# executor, so the field is read and ignored.
+_V1_FIELD, _V1_EXECUTORS = "run_mode", ("embedded_unitary", "full_dynamics")
+_ENTRY_FIELDS = {"kind", "inputs", "output", "corrections", "params"}
+_JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
+               "str": (str,), "float | None": (int, float, type(None))}
+# Per parameter class: {field: accepted JSON types}, and the fields
+# without default.
+_PARAM_FIELDS = {
+    cls: {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
+    for cls in (ExcNeuronParams, PhaseNeuronParams, FinalLayerParams)
+}
+_PARAM_REQUIRED = {
+    cls: {f.name for f in dataclasses.fields(cls)
+          if f.default is dataclasses.MISSING}
+    for cls in _PARAM_FIELDS
+}
 
 
-def _params_from_dict(kind: str, data: dict):
-    cls = {
-        "excitation": ExcNeuronParams,
-        "phase": PhaseNeuronParams,
-        "final_upup": FinalLayerParams,
-        "final_downdown": FinalLayerParams,
-    }.get(kind)
-    if cls is None:
+def _check_fields(data, allowed, required, what: str) -> None:
+    if not isinstance(data, dict):
+        raise InvalidParamsError(f"{what} must be an object")
+    keys = data.keys()
+    if not keys <= allowed or not keys >= required:
+        raise InvalidParamsError(f"{what}: unknown fields "
+                                 f"{sorted(keys - allowed)}, missing fields "
+                                 f"{sorted(required - keys)}")
+
+
+def _params_from_dict(kind: str, data):
+    cls = neurons.PARAMS_TYPES[kind]
+    types = _PARAM_FIELDS[cls]
+    _check_fields(data, types.keys(), _PARAM_REQUIRED[cls], "params")
+    for name, value in data.items():
+        t = type(value)
+        if t not in types[name] or t is float and not math.isfinite(value):
+            raise InvalidParamsError(
+                f"parameter {name!r} must be a finite "
+                f"{' or '.join(t.__name__ for t in types[name])}, got {value!r}"
+            )
+    try:
+        return cls(**data)
+    except ArithmeticError as exc:
+        raise InvalidParamsError(f"{kind} parameters out of range: {exc}") from None
+
+
+def _entry_from_dict(entry) -> NeuronSpec:
+    _check_fields(entry, _ENTRY_FIELDS, _ENTRY_FIELDS - {"corrections"}, "entry")
+    kind, inputs = entry["kind"], entry["inputs"]
+    gates = entry.get("corrections", [])
+    if not isinstance(kind, str) or kind not in neurons.PARAMS_TYPES:
         raise InvalidParamsError(f"unknown neuron kind {kind!r}")
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(data) - allowed
-    if unknown:
-        raise InvalidParamsError(
-            f"unknown {kind} parameter fields: {sorted(unknown)}"
-        )
-    return cls(**data)
+    if not isinstance(inputs, list) or not isinstance(gates, list) or not all(
+        isinstance(gate, list) for gate in gates
+    ):
+        raise InvalidParamsError("inputs and corrections must be lists")
+    return neurons.make_spec(
+        kind, _params_from_dict(kind, entry["params"]), tuple(inputs),
+        entry["output"],
+        tuple(map(tuple, gates)) if "corrections" in entry else None,
+    )
 
 
 def to_json(spec: NetworkSpec, indent: int | None = 2) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "num_qubits": spec.num_qubits,
-        "run_mode": spec.run_mode,
         "input_qubits": list(spec.input_qubits),
         "output_qubit": spec.output_qubit,
         "schedule": [
@@ -451,7 +460,7 @@ def to_json(spec: NetworkSpec, indent: int | None = 2) -> str:
                 "inputs": list(entry.input_qubits),
                 "output": entry.output_qubit,
                 "corrections": [list(gate) for gate in entry.corrections],
-                "params": _params_to_dict(entry.kind, entry.params),
+                "params": dataclasses.asdict(entry.params),
             }
             for entry in spec.schedule
         ],
@@ -459,55 +468,33 @@ def to_json(spec: NetworkSpec, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent)
 
 
-_TOP_LEVEL_FIELDS = {
-    "schema_version", "num_qubits", "run_mode", "input_qubits",
-    "output_qubit", "schedule",
-}
-_ENTRY_FIELDS = {"kind", "inputs", "output", "corrections", "params"}
-
-
 def from_json(text: str) -> NetworkSpec:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise NetworkValidationError(["document root must be an object"])
-    unknown = set(doc) - _TOP_LEVEL_FIELDS
-    if unknown:
-        raise NetworkValidationError(
-            [f"unknown top-level fields: {sorted(unknown)}"]
-        )
-    missing = _TOP_LEVEL_FIELDS - set(doc)
-    if missing:
-        raise NetworkValidationError(
-            [f"missing top-level fields: {sorted(missing)}"]
-        )
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise NetworkValidationError(
-            [f"unsupported schema_version {doc['schema_version']!r}"]
-        )
-    schedule = []
-    for i, entry in enumerate(doc["schedule"]):
-        unknown = set(entry) - _ENTRY_FIELDS
-        if unknown:
-            raise NetworkValidationError(
-                [f"schedule entry {i}: unknown fields {sorted(unknown)}"]
-            )
-        params = _params_from_dict(entry["kind"], entry["params"])
-        corrections = (
-            tuple(tuple(gate) for gate in entry["corrections"])
-            if "corrections" in entry
-            else None
-        )
-        schedule.append(
-            neurons.make_spec(
-                entry["kind"], params,
-                tuple(entry["inputs"]), entry["output"],
-                corrections=corrections,
-            )
-        )
-    return NetworkSpec(
-        num_qubits=doc["num_qubits"],
-        schedule=tuple(schedule),
-        input_qubits=tuple(doc["input_qubits"]),
-        output_qubit=doc["output_qubit"],
-        run_mode=doc["run_mode"],
-    )
+    """Read a NetworkSpec document of schema 2 or 1.
+
+    Every malformed document raises NetworkValidationError.
+    """
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise InvalidParamsError("document root must be an object")
+        version = doc.get("schema_version")
+        if type(version) is not int or version not in (1, SCHEMA_VERSION):
+            raise InvalidParamsError(f"unsupported schema_version {version!r}")
+        fields = _FIELDS | {_V1_FIELD} if version == 1 else _FIELDS
+        _check_fields(doc, fields, fields, "document")
+        if version == 1 and doc[_V1_FIELD] not in _V1_EXECUTORS:
+            raise InvalidParamsError(f"unknown {_V1_FIELD} {doc[_V1_FIELD]!r}")
+        if not isinstance(doc["schedule"], list) or not isinstance(
+            doc["input_qubits"], list
+        ):
+            raise InvalidParamsError("schedule and input_qubits must be lists")
+        schedule = []
+        for i, entry in enumerate(doc["schedule"]):
+            try:
+                schedule.append(_entry_from_dict(entry))
+            except InvalidParamsError as exc:
+                raise InvalidParamsError(f"schedule entry {i}: {exc}") from None
+    except (json.JSONDecodeError, InvalidParamsError) as exc:
+        raise NetworkValidationError([str(exc)]) from None
+    return NetworkSpec(doc["num_qubits"], tuple(schedule),
+                       tuple(doc["input_qubits"]), doc["output_qubit"])

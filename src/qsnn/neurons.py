@@ -10,12 +10,12 @@ flip it only for one designated computational input pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import core
+from . import core, fidelity
 from .core import (
     BELL_LABELS,
     DenseOperator,
@@ -41,6 +41,12 @@ DEFAULT_OMEGA_FLOOR = 20.0
 DEFAULT_TRAJECTORY_SAMPLES = 1000
 
 NEURON_KINDS = ("excitation", "phase", "final_upup", "final_downdown")
+
+# Correction gates on the output qubit, by the number of angles they take.
+# The "evolution" marker separates pre- from post-evolution gates.
+EVOLUTION = ("evolution",)
+GATE_ARITY = {"evolution": 0, "hadamard": 0, "not_x": 0, "phase": 1,
+              "z_rotation": 1}
 
 
 def _is_integer(x: float, tol: float = PYTHAGOREAN_TOL) -> bool:
@@ -90,10 +96,6 @@ class ExcNeuronParams:
     def tau(self) -> float:
         return math.pi / self.drive_amplitude
 
-    @property
-    def drive_frequency(self) -> float:
-        return 2.0 * self.beta
-
     def detuning_ratios(self) -> dict[str, float]:
         """Detuning-to-drive ratios for the three suppressed transitions."""
         a = self.drive_amplitude
@@ -103,10 +105,6 @@ class ExcNeuronParams:
             "delta_minus": abs(2 * self.beta - 2 * root) / a,
             "delta_plus": abs(2 * self.beta + 2 * root) / a,
         }
-
-    @property
-    def detuning_warning(self) -> bool:
-        return min(self.detuning_ratios().values()) < self.detuning_floor
 
 
 @dataclass(frozen=True)
@@ -205,6 +203,14 @@ class FinalLayerParams:
         return math.pi / self.drive_amplitude
 
 
+PARAMS_TYPES = {
+    "excitation": ExcNeuronParams,
+    "phase": PhaseNeuronParams,
+    "final_upup": FinalLayerParams,
+    "final_downdown": FinalLayerParams,
+}
+
+
 @dataclass(frozen=True)
 class NeuronSpec:
     """A neuron kind, its parameters, wiring, and correction gates."""
@@ -219,18 +225,19 @@ class NeuronSpec:
         if self.kind not in NEURON_KINDS:
             raise InvalidParamsError(f"unknown neuron kind {self.kind!r}")
         indices = (*self.input_qubits, self.output_qubit)
+        if tuple(map(type, indices)) != (int, int, int):
+            raise InvalidParamsError(
+                f"neuron needs two input and one output integer qubit "
+                f"index, got {indices!r}"
+            )
         if len(set(indices)) != 3:
             raise InvalidParamsError(f"neuron indices must be distinct: {indices}")
-        expected = {
-            "excitation": ExcNeuronParams,
-            "phase": PhaseNeuronParams,
-            "final_upup": FinalLayerParams,
-            "final_downdown": FinalLayerParams,
-        }[self.kind]
+        expected = PARAMS_TYPES[self.kind]
         if not isinstance(self.params, expected):
             raise InvalidParamsError(
                 f"{self.kind} neuron requires {expected.__name__}"
             )
+        _check_corrections(self.corrections)
 
     @property
     def targets(self) -> tuple[int, int, int]:
@@ -239,6 +246,39 @@ class NeuronSpec:
     @property
     def tau(self) -> float:
         return self.params.tau
+
+    @property
+    def gates(self) -> tuple[tuple, tuple]:
+        """The correction gates before and after the evolution marker."""
+        if not self.corrections:
+            return (), ()
+        i = self.corrections.index(EVOLUTION)
+        return self.corrections[:i], self.corrections[i + 1:]
+
+
+def _check_corrections(corrections) -> None:
+    """Known gates with finite real angles, and one evolution marker.
+
+    An empty sequence means bare evolution.
+    """
+    if not isinstance(corrections, tuple):
+        raise InvalidParamsError("corrections must be a tuple of gates")
+    for gate in corrections:
+        name = gate[0] if type(gate) is tuple and gate else None
+        arity = GATE_ARITY.get(name) if type(name) is str else None
+        # Every gate takes at most one angle.
+        if arity is None or len(gate) != arity + 1 or arity and not (
+            isinstance(gate[1], (int, float)) and type(gate[1]) is not bool
+            and math.isfinite(gate[1])
+        ):
+            raise InvalidParamsError(
+                f"invalid correction gate {gate!r}; gates and their number "
+                f"of angles: {GATE_ARITY}"
+            )
+    if corrections and corrections.count(EVOLUTION) != 1:
+        raise InvalidParamsError(
+            "correction sequence must contain exactly one 'evolution' marker"
+        )
 
 
 def default_corrections(kind: str, params) -> tuple:
@@ -250,18 +290,16 @@ def default_corrections(kind: str, params) -> tuple:
     the Hadamard basis changes around the evolution; in a correction tuple
     the marker "evolution" separates pre- and post-evolution gates.
     """
-    if kind == "excitation":
-        return (("evolution",), ("phase", math.pi / 2),)
     if kind == "phase":
         m = int(round(params.m))
         return (
             ("hadamard",),
-            ("evolution",),
+            EVOLUTION,
             ("hadamard",),
             ("phase", -math.pi / 2 + m * math.pi),
         )
-    # Final layers: same pi/2 z-phase structure as the excitation neuron.
-    return (("evolution",), ("phase", math.pi / 2),)
+    # Excitation and final layers: the same pi/2 z-phase structure.
+    return (EVOLUTION, ("phase", math.pi / 2),)
 
 
 def make_spec(
@@ -361,45 +399,38 @@ def build_hamiltonian(
 def apply_neuron(
     state: StateVector, spec: NeuronSpec, tol: float = 1e-9
 ) -> StateVector:
-    """Run one full neuron protocol: evolution plus correction gates."""
+    """Run one full neuron protocol on a register: gates, evolution, gates.
+
+    This evolves the state through the neuron's Hamiltonian on its own
+    qubits; it is the reference the tests hold network.run against.
+    """
     for q in spec.targets:
         if not 0 <= q < state.num_qubits:
             raise OutOfBoundsError(f"neuron qubit {q} outside register")
+    pre, post = spec.gates
+    for gate in pre:
+        state = core.apply_gate(state, gate, spec.output_qubit)
     hamiltonian = build_hamiltonian(spec, state.num_qubits)
-    seq = spec.corrections if spec.corrections else (("evolution",),)
-    if sum(1 for g in seq if g[0] == "evolution") != 1:
-        raise InvalidParamsError(
-            "correction sequence must contain exactly one 'evolution' marker"
-        )
-    for gate in seq:
-        if gate[0] == "evolution":
-            state = core.evolve(state, hamiltonian, spec.tau, tol)
-        else:
-            state = core.apply_gate(state, gate, spec.output_qubit)
+    state = core.evolve(state, hamiltonian, spec.tau, tol)
+    for gate in post:
+        state = core.apply_gate(state, gate, spec.output_qubit)
     return state
+
+
+def _output_gates(gates) -> np.ndarray:
+    """A gate sequence on the output qubit (qubit 2) as an 8-dim matrix."""
+    m = np.eye(2, dtype=complex)
+    for gate in gates:
+        m = core._gate_matrix(gate) @ m
+    return np.kron(np.eye(4, dtype=complex), m)
 
 
 def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9) -> DenseOperator:
     """The corrected neuron's 8-dim unitary on (input1, input2, output)."""
-    local = NeuronSpec(
-        spec.kind, spec.params, (0, 1), 2, corrections=spec.corrections
-    )
-    hamiltonian = build_hamiltonian(local, 3)
-    u = core.propagator(hamiltonian, local.tau, tol).matrix
-    seq = local.corrections if local.corrections else (("evolution",),)
-    pre = np.eye(8, dtype=complex)
-    post = np.eye(8, dtype=complex)
-    before = True
-    for gate in seq:
-        if gate[0] == "evolution":
-            before = False
-            continue
-        g = core.embed_matrix(core._gate_matrix(gate), (2,), 3)
-        if before:
-            pre = g @ pre
-        else:
-            post = g @ post
-    op = DenseOperator(post @ u @ pre)
+    hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
+    u = core.propagator(hamiltonian, spec.tau, tol).matrix
+    pre, post = spec.gates
+    op = DenseOperator(_output_gates(post) @ u @ _output_gates(pre))
     op.assert_unitary()
     return op
 
@@ -476,6 +507,18 @@ def ideal_unitary(kind: str, params) -> DenseOperator:
     return op
 
 
+def fidelity_report(
+    kind: str, params, tol: float = 1e-9
+) -> fidelity.FidelityReport:
+    """Fidelity of the default-corrected neuron on its protocol subspace."""
+    spec = make_spec(kind, params, (0, 1), 2)
+    return fidelity.average_fidelity(
+        neuron_unitary(spec, tol),
+        ideal_unitary(kind, params),
+        protocol_subspace(kind, params),
+    )
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled bare-evolution observables for one Bell input."""
@@ -501,11 +544,10 @@ def record_trajectory(
         raise InvalidParamsError("samples must be at least 2")
     if input_label not in BELL_LABELS:
         raise InvalidParamsError(f"unknown Bell label {input_label!r}")
-    local = NeuronSpec(spec.kind, spec.params, (0, 1), 2, spec.corrections)
-    hamiltonian = build_hamiltonian(local, 3)
+    hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
     psi0 = bell_state(input_label).tensor(StateVector.all_down(1))
     flipped = core.apply_gate(psi0, "not_x", 2)
-    times = np.linspace(0.0, local.tau, samples)
+    times = np.linspace(0.0, spec.tau, samples)
     states = core.evolve_sampled(psi0, hamiltonian, times, tol)
     amps = np.array([state.amplitudes for state in states])
     # The output is qubit 2, the least significant index bit.
@@ -547,8 +589,7 @@ def spectrum_report(spec: NeuronSpec, safety: float = 1.2) -> SpectrumReport:
     (values quoted for the J-coefficient Heisenberg convention this
     package uses).
     """
-    local = NeuronSpec(spec.kind, spec.params, (0, 1), 2, spec.corrections)
-    hamiltonian = build_hamiltonian(local, 3)
+    hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
     static_only = TimeDependentHamiltonian(3, hamiltonian.static_terms, ())
     numerical = np.sort(np.linalg.eigvalsh(static_only.matrix(0.0)))
     p = spec.params
@@ -560,15 +601,12 @@ def spectrum_report(spec: NeuronSpec, safety: float = 1.2) -> SpectrumReport:
         bound = d**2 / (4 * j) * safety
         deviation = float(np.max(np.abs(numerical - predicted)))
         return SpectrumReport(numerical, predicted, deviation, False, bound)
-    if spec.kind == "excitation":
-        predicted = _closed_form_exc(p.coupling_j, p.gamma, p.beta)
-    else:
-        predicted = _closed_form_exc(p.coupling_j, p.gamma, p.beta)
-        if p.drive_mode == "local_field":
-            # the Ω/2 σ₃^z term splits each doublet by ±Ω/2
-            base = _closed_form_exc(p.coupling_j, p.gamma, p.beta)[::2]
-            predicted = np.sort(
-                np.concatenate([base - p.omega / 2, base + p.omega / 2])
-            )
+    predicted = _closed_form_exc(p.coupling_j, p.gamma, p.beta)
+    if spec.kind != "excitation" and p.drive_mode == "local_field":
+        # the Ω/2 σ₃^z term splits each doublet by ±Ω/2
+        base = predicted[::2]
+        predicted = np.sort(
+            np.concatenate([base - p.omega / 2, base + p.omega / 2])
+        )
     deviation = float(np.max(np.abs(numerical - predicted)))
     return SpectrumReport(numerical, predicted, deviation, True, 1e-10)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from . import fidelity as _fidelity
 from . import neurons
 from .errors import (
     InvalidParamsError,
@@ -196,22 +195,17 @@ class TuneResult:
             raise InvalidParamsError("tuner must never return a worse point")
 
 
-def _neuron_fidelity(kind: str, params) -> float:
-    spec = neurons.make_spec(kind, params, (0, 1), 2)
-    u_actual = neurons.neuron_unitary(spec)
-    u_ideal = neurons.ideal_unitary(kind, params)
-    subspace = neurons.protocol_subspace(kind, params)
-    return _fidelity.average_fidelity(u_actual, u_ideal, subspace).f_avg
-
-
 def tune(
     initial, kind: str, budget: int = 300, seed: int | None = None
 ) -> TuneResult:
     """Simplex tuning of the continuous constraint parameters.
 
-    Maximizes the subspace average fidelity against the ideal unitary of
-    the *initial* (integer) parameters, within a ±2% box around the start
-    that, for the phase neuron, is cut off at the hierarchy floors.
+    Maximizes the subspace average fidelity of each candidate against the
+    ideal unitary of that candidate's own (relaxed) parameters, within a
+    ±2% box around the start that, for the phase neuron, is cut off at the
+    hierarchy floors.  The phase neuron's ideal depends on round(m), so it
+    differs from the start's only where the box crosses a half-integer m
+    (m ≥ 25).
     Deterministic given the seed (the search itself is deterministic; the
     seed is accepted for interface uniformity and recorded by callers).
     """
@@ -242,9 +236,9 @@ def tune(
         clipped = feasible(np.clip(x, lo, hi))
         penalty = float(np.sum((x - clipped) ** 2))
         count += 1
-        return -_neuron_fidelity(kind, relax(clipped)) + penalty
+        return -neurons.fidelity_report(kind, relax(clipped)).f_avg + penalty
 
-    f0 = _neuron_fidelity(kind, relax(x0))
+    f0 = neurons.fidelity_report(kind, relax(x0)).f_avg
     count = 0
     result = minimize(
         objective, x0, method="Nelder-Mead",
@@ -254,7 +248,7 @@ def tune(
         },
     )
     best_x = feasible(np.clip(result.x, lo, hi))
-    best_f = _neuron_fidelity(kind, relax(best_x))
+    best_f = neurons.fidelity_report(kind, relax(best_x)).f_avg
     if best_f < f0:
         best_x, best_f = x0, f0
     return TuneResult(

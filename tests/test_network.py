@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnn import core, errors, network, neurons, parameters
+from qsnn.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +83,7 @@ class TestValidation:
         spec = neurons.make_spec("excitation", exc_8_17, (0, 1), 2)
         bad = network.NetworkSpec.__new__(network.NetworkSpec)
         with pytest.raises(errors.NetworkValidationError):
-            network.NetworkSpec(2, (spec,), (0, 1), 2, "embedded_unitary")
+            network.NetworkSpec(2, (spec,), (0, 1), 2)
 
     def test_causality_violation(self, exc_8_17):
         # The second neuron reads qubit 3 before anything writes it — fine;
@@ -85,18 +93,40 @@ class TestValidation:
         first = neurons.make_spec("excitation", exc_8_17, (0, 3), 2)
         second = neurons.make_spec("excitation", exc_8_17, (0, 1), 3)
         with pytest.raises(errors.NetworkValidationError) as err:
-            network.NetworkSpec(4, (first, second), (0, 1), 3, "embedded_unitary")
+            network.NetworkSpec(4, (first, second), (0, 1), 3)
         assert "before" in str(err.value)
 
     def test_final_entry_must_write_output(self, exc_8_17):
         spec = neurons.make_spec("excitation", exc_8_17, (0, 1), 2)
         with pytest.raises(errors.NetworkValidationError):
-            network.NetworkSpec(4, (spec,), (0, 1), 3, "embedded_unitary")
+            network.NetworkSpec(4, (spec,), (0, 1), 3)
 
-    def test_unknown_run_mode(self, exc_8_17):
-        spec = neurons.make_spec("excitation", exc_8_17, (0, 1), 2)
+    def test_unknown_run_mode(self, reduced):
+        # Schema-1 documents named one of two executors; nothing else loads.
+        data = json.loads(network.to_json(reduced))
+        data.update(schema_version=1, run_mode="lindblad")
         with pytest.raises(errors.NetworkValidationError):
-            network.NetworkSpec(3, (spec,), (0, 1), 2, "lindblad")
+            network.from_json(json.dumps(data))
+
+    def test_register_size_capped(self, reduced):
+        # Rejected by validate() alone, before any register is allocated.
+        for n in (network.MAX_QUBITS + 1, 64, 7.0, True):
+            wide = SimpleNamespace(
+                num_qubits=n, schedule=reduced.schedule,
+                input_qubits=reduced.input_qubits,
+                output_qubit=reduced.output_qubit,
+            )
+            assert len(network.validate(wide)) == 1
+            with pytest.raises(errors.NetworkValidationError):
+                network.NetworkSpec(n, reduced.schedule, reduced.input_qubits,
+                                    reduced.output_qubit)
+        wide.num_qubits = network.MAX_QUBITS
+        assert network.validate(wide) == []
+
+    def test_integer_indices_required(self, reduced):
+        for inputs, output in (((0, 1, 2, 3), 6.0), ((False, True, 2, 3), 6)):
+            with pytest.raises(errors.NetworkValidationError):
+                network.NetworkSpec(7, reduced.schedule, inputs, output)
 
 
 class TestTruthTable:
@@ -119,19 +149,27 @@ class TestTruthTable:
                 assert p <= 0.05, (a, b, p)
 
 
+def _apply_neuron_loop(spec, inputs) -> core.StateVector:
+    """The schedule evolved through each neuron's dynamics on the register."""
+    state = network.initial_state(spec, inputs)
+    for entry in spec.schedule:
+        state = neurons.apply_neuron(state, entry)
+    return state
+
+
 class TestRunModes:
+    """network.run against the apply_neuron oracle over the schedule."""
+
     def test_reduced_mode_equivalence(self, reduced):
-        dynamic = network.template("reduced", run_mode="full_dynamics")
         for a, b in itertools.product(core.BELL_LABELS, repeat=2):
             fast = network.run(reduced, (_pure(a), _pure(b)))
-            slow = network.run(dynamic, (_pure(a), _pure(b)))
+            slow = _apply_neuron_loop(reduced, (_pure(a), _pure(b)))
             assert abs(fast.overlap(slow)) >= 0.999
 
     def test_full_mode_equivalence_spot_checks(self, full):
-        dynamic = network.template("full", run_mode="full_dynamics")
         for a, b in (("Phi+", "Phi+"), ("Phi-", "Psi+"), ("Psi-", "Psi-")):
             fast = network.run(full, (_pure(a), _pure(b)))
-            slow = network.run(dynamic, (_pure(a), _pure(b)))
+            slow = _apply_neuron_loop(full, (_pure(a), _pure(b)))
             assert abs(fast.overlap(slow)) >= 0.995
 
     def test_norm_preserved(self, reduced):
@@ -245,3 +283,172 @@ class TestSerialization:
         data["schema_version"] = 999
         with pytest.raises(errors.NetworkValidationError):
             network.from_json(json.dumps(data))
+
+    def test_round_trip_keeps_every_param_field(self):
+        final = dataclasses.replace(
+            parameters.make_final_params(
+                "detect_downdown", 29, 15, 0, drive_mode="local_field",
+                omega=50.0,
+            ),
+            omega_floor=30.0,
+        )
+        spec = network.template("reduced", final_params=final)
+        assert network.from_json(network.to_json(spec)) == spec
+
+    @pytest.mark.parametrize("executor", ["embedded_unitary", "full_dynamics"])
+    def test_schema_1_document_loads(self, reduced, executor):
+        v2 = json.loads(network.to_json(reduced))
+        v1 = copy.deepcopy(v2)
+        v1.update(schema_version=1, run_mode=executor)
+        # Schema-1 writers left out the final layer's omega_floor.
+        del v1["schedule"][-1]["params"]["omega_floor"]
+        assert network.from_json(json.dumps(v1)) == reduced
+        assert network.from_json(json.dumps(v2)) == reduced
+
+
+def _reduced_doc() -> dict:
+    return json.loads(network.to_json(network.template("reduced")))
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _as_v1(doc, corrections):
+    doc.update(schema_version=1, run_mode="embedded_unitary")
+    doc["schedule"][2]["corrections"] = corrections
+
+
+MALFORMED = {
+    "not_json": None,
+    "missing_kind": lambda d: d["schedule"][0].pop("kind"),
+    "entry_not_object": lambda d: _set(d, ("schedule", 0), 3),
+    "schedule_not_list": lambda d: _set(d, ("schedule",), 5),
+    "string_param": lambda d: _set(d, ("schedule", 0, "params", "m"), "4"),
+    "missing_param": lambda d: d["schedule"][0]["params"].pop("m"),
+    "float_output_qubit": lambda d: _set(d, ("output_qubit",), 6.0),
+    "bool_input_qubits": lambda d: _set(d, ("input_qubits",),
+                                        [False, True, 2, 3]),
+    "float_entry_output": lambda d: _set(d, ("schedule", 0, "output"), 4.0),
+    "register_64": lambda d: _set(d, ("num_qubits",), 64),
+    "unknown_gate": lambda d: _set(d, ("schedule", 2, "corrections"),
+                                   [["bogus"], ["evolution"]]),
+    "phase_without_angle": lambda d: _set(d, ("schedule", 2, "corrections"),
+                                          [["evolution"], ["phase"]]),
+    "v1_no_evolution_marker": lambda d: _as_v1(d, [["phase", 1.5707963]]),
+    "v1_two_evolution_markers": lambda d: _as_v1(
+        d, [["evolution"], ["evolution"], ["phase", 1.5707963]]),
+    "v1_unknown_run_mode": lambda d: d.update(schema_version=1,
+                                              run_mode="lindblad"),
+    "v2_with_run_mode": lambda d: d.update(run_mode="embedded_unitary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_rejected(case, tmp_path):
+    doc = _reduced_doc()
+    if MALFORMED[case] is None:
+        text = "{not json"
+    else:
+        MALFORMED[case](doc)
+        text = json.dumps(doc)
+    with pytest.raises(errors.NetworkValidationError):
+        network.from_json(text)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)
+    for command in ("validate", "run"):
+        result = CliRunner().invoke(
+            main, ["network", command, "--spec", str(spec_file)]
+        )
+        assert result.exit_code == 2, (command, result.output)
+        assert isinstance(result.exception, SystemExit)
+
+
+_BASE_DOC = _reduced_doc()
+
+
+def _paths(node, prefix=()):
+    """Every path (dict keys and list indices) into a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_ALL_PATHS = list(_paths(_BASE_DOC))
+_KEY_PATHS = [p for p in _ALL_PATHS if isinstance(p[-1], str)]
+_INDEX_PATHS = [p for p in _ALL_PATHS if p[-1] == "output_qubit"
+                or p[-1] == "output" or "input_qubits" in p or "inputs" in p]
+_VALUES = [None, "4", [1], {}, True, 1.5, 7, -3]
+_GATE_LISTS = [
+    [], [["evolution"]], [["evolution"], ["evolution"]], [["phase", 0.5]],
+    [["evolution"], ["phase"]], [["bogus"], ["evolution"]],
+    [["hadamard"], ["evolution"], ["hadamard"]], [["evolution"], ["not_x"]],
+    [["evolution"], ["z_rotation", 1.0, 2.0]], "evolution", [[]],
+]
+_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_KEY_PATHS)),
+    st.tuples(st.just("retype"), st.sampled_from(_ALL_PATHS),
+              st.sampled_from(_VALUES)),
+    st.tuples(st.just("index"), st.sampled_from(_INDEX_PATHS),
+              st.integers(-2, 12)),
+    st.tuples(st.just("gates"), st.integers(0, 4), st.sampled_from(_GATE_LISTS)),
+    st.tuples(st.just("swap"), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.just("num_qubits"),
+              st.sampled_from([-1, 0, 2, 3, 6, 8, 16, 17, 64, 7.0, True])),
+)
+
+
+def _mutate(doc, mutation):
+    """Apply one mutation; one that no longer finds its target is skipped."""
+    kind, *args = mutation
+    try:
+        if kind == "drop":
+            parent = doc
+            for key in args[0][:-1]:
+                parent = parent[key]
+            del parent[args[0][-1]]
+        elif kind in ("retype", "index"):
+            _set(doc, args[0], args[1])
+        elif kind == "gates":
+            doc["schedule"][args[0]]["corrections"] = copy.deepcopy(args[1])
+        elif kind == "swap":
+            a, b = doc["schedule"][args[0]], doc["schedule"][args[1]]
+            a["corrections"], b["corrections"] = b["corrections"], a["corrections"]
+        else:
+            doc["num_qubits"] = args[0]
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_documents_run_or_are_rejected(mutations):
+    doc = copy.deepcopy(_BASE_DOC)
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    text = json.dumps(doc)
+    try:
+        spec = network.from_json(text)
+    except errors.QsnnError:
+        spec = None
+    if spec is not None:
+        try:
+            final = network.run(spec, (_pure("Phi+"), _pure("Psi-")))
+        except errors.QsnnError:
+            pass
+        else:
+            assert abs(final.norm() - 1.0) < 1e-9
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("spec.json").write_text(text)
+        result = runner.invoke(main, ["network", "validate", "--spec",
+                                      "spec.json"])
+    assert result.exit_code == (0 if spec is not None else 2), result.output

@@ -355,9 +355,51 @@ class TestSpecValidation:
         with pytest.raises(errors.InvalidParamsError):
             neurons.make_spec("excitation", exc_8_17, (0, 1), 1)
 
+    @pytest.mark.parametrize("corrections", [
+        (("bogus",), ("evolution",)),
+        (("evolution",), ("phase",)),
+        (("evolution",), ("z_rotation", 0.1, 0.2)),
+        (("evolution",), ("hadamard", 1.0)),
+        (("evolution",), ("phase", math.inf)),
+        (("evolution",), ("phase", True)),
+        (("evolution",), "not_x"),
+        (("phase", math.pi / 2),),
+        (("evolution",), ("evolution",), ("phase", math.pi / 2)),
+        [("evolution",)],
+    ])
+    def test_invalid_corrections_rejected(self, exc_8_17, corrections):
+        with pytest.raises(errors.InvalidParamsError):
+            neurons.make_spec("excitation", exc_8_17, (0, 1), 2, corrections)
+
+    def test_empty_corrections_mean_bare_evolution(self, exc_8_17):
+        bare = neurons.make_spec("excitation", exc_8_17, (0, 1), 2, ())
+        marked = neurons.make_spec("excitation", exc_8_17, (0, 1), 2,
+                                   (("evolution",),))
+        assert np.array_equal(neurons.neuron_unitary(bare).matrix,
+                              neurons.neuron_unitary(marked).matrix)
+
+    @pytest.mark.parametrize("wiring", [((0, 1), 2.0), ((0, True), 2),
+                                        ((0, 1, 3), 2)])
+    def test_integer_wiring_required(self, exc_8_17, wiring):
+        with pytest.raises(errors.InvalidParamsError):
+            neurons.make_spec("excitation", exc_8_17, *wiring)
+
     def test_default_corrections_present(self, exc_8_17, phase_3_82):
         exc_seq = neurons.default_corrections("excitation", exc_8_17)
         assert any(g[0] == "evolution" for g in exc_seq)
         phase_seq = neurons.default_corrections("phase", phase_3_82)
         names = [g[0] for g in phase_seq]
         assert names.count("hadamard") == 2
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("excitation", parameters.solve_exc(8, 17)),
+    ("phase", parameters.solve_phase(3, 82)),
+    ("final_upup", parameters.make_final_params("detect_upup", 29, 15, 0)),
+    ("final_downdown",
+     parameters.make_final_params("detect_downdown", 29, 15, 0)),
+])
+def test_fidelity_report_matches_acceptance_helper(kind, params):
+    from test_acceptance import _neuron_report
+
+    assert neurons.fidelity_report(kind, params) == _neuron_report(kind, params)
