@@ -429,7 +429,8 @@ def params_detuning(kind, k, l, m, n, s, variant, drive_mode, omega):
         if kind == "exc":
             if k is None or l is None:
                 raise InvalidParamsError("exc detuning needs --k and --l")
-            kind, p = "excitation", parameters.solve_exc(k, l)
+            kind = "excitation"
+            p = parameters.solve_exc(k, l)
         elif kind == "phase":
             if m is None or n is None:
                 raise InvalidParamsError("phase detuning needs --m and --n")
@@ -443,7 +444,8 @@ def params_detuning(kind, k, l, m, n, s, variant, drive_mode, omega):
             )
             kind = ("final_upup" if variant == "detect_upup"
                     else "final_downdown")
-        report = parameters.detuning_report(neurons.make_spec(kind, p, (0, 1), 2))
+        spec = neurons.make_spec(kind, p, (0, 1), 2)
+        report = parameters.detuning_report(spec)
         click.echo(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "kind": report.kind,

@@ -109,14 +109,8 @@ class StateVector:
             raise DimensionMismatchError("register sizes differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.overlap(other)) ** 2
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StateVector(num_qubits={self.num_qubits})"
@@ -276,15 +270,10 @@ class TimeDependentHamiltonian:
             drives.append((drv, units))
         return support, static, drives
 
-    def local_matrix(self, t: float) -> tuple[tuple[int, ...], np.ndarray]:
-        """H(t) restricted to its support qubits."""
-        support, static, drives = self._local_pieces()
-        return support, _h_at(static, drives, t)
-
     def matrix(self, t: float) -> np.ndarray:
         """Dense 2^n x 2^n matrix of H(t)."""
-        support, local = self.local_matrix(t)
-        return embed_matrix(local, support, self.num_qubits)
+        support, static, drives = self._local_pieces()
+        return embed_matrix(_h_at(static, drives, t), support, self.num_qubits)
 
 
 def _h_at(static: np.ndarray, drives, t: float) -> np.ndarray:

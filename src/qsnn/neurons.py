@@ -53,6 +53,41 @@ def _is_integer(x: float, tol: float = PYTHAGOREAN_TOL) -> bool:
     return abs(x - round(x)) <= tol
 
 
+def _is_finite_real(x) -> bool:
+    """An int or float (not a bool) that is finite as a float."""
+    if type(x) is bool or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# The values a parameter field accepts, by its annotation.
+_ACCEPTS = {
+    "float": (_is_finite_real, "a finite real number"),
+    "int": (lambda x: type(x) is int, "an int"),
+    "bool": (lambda x: type(x) is bool, "a bool"),
+    "str": (lambda x: type(x) is str, "a str"),
+    "float | None": (lambda x: x is None or _is_finite_real(x),
+                     "a finite real number or None"),
+}
+
+
+def _check_fields(params) -> None:
+    """Checks every neuron's parameters share: field types, drive sign."""
+    for f in params.__dataclass_fields__.values():
+        accepts, what = _ACCEPTS[f.type]
+        value = getattr(params, f.name)
+        if not accepts(value):
+            raise InvalidParamsError(
+                f"{type(params).__name__}.{f.name} must be {what}, "
+                f"got {value!r}"
+            )
+    if params.drive_amplitude <= 0:
+        raise InvalidParamsError("drive amplitude must be positive")
+
+
 @dataclass(frozen=True)
 class ExcNeuronParams:
     """Excitation-parity neuron parameters (beta = kA, J = ±sqrt(l²−k²)A)."""
@@ -66,10 +101,9 @@ class ExcNeuronParams:
     detuning_floor: float = DEFAULT_EXC_DETUNING_FLOOR
 
     def __post_init__(self):
+        _check_fields(self)
         if not self.l > self.k > 0:
             raise InvalidParamsError(f"need l > k > 0, got k={self.k}, l={self.l}")
-        if self.drive_amplitude <= 0:
-            raise InvalidParamsError("drive amplitude must be positive")
         if self.j_sign not in (1, -1):
             raise InvalidParamsError("j_sign must be +1 or -1")
         if not self.relaxed:
@@ -120,10 +154,9 @@ class PhaseNeuronParams:
     ratio_floor: float = DEFAULT_PHASE_RATIO_FLOOR
 
     def __post_init__(self):
+        _check_fields(self)
         if not self.n > self.m > 0:
             raise InvalidParamsError(f"need n > m > 0, got m={self.m}, n={self.n}")
-        if self.drive_amplitude <= 0:
-            raise InvalidParamsError("drive amplitude must be positive")
         if not self.relaxed and not (_is_integer(self.m) and _is_integer(self.n)):
             raise InvalidParamsError(
                 "constraint mode requires integer m and n; set relaxed=True "
@@ -170,25 +203,23 @@ class FinalLayerParams:
     drive_mode: str = "rotating"  # or "local_field"
     omega: float | None = None
     omega_floor: float = DEFAULT_OMEGA_FLOOR
-    # beta and coupling_j are filled by parameters.solve_final_beta
-    beta: float = field(default=math.nan)
-    coupling_j: float = field(default=math.nan)
+    # beta and coupling_j come from parameters.solve_final_beta
+    beta: float = field(kw_only=True)
+    coupling_j: float = field(kw_only=True)
 
     def __post_init__(self):
+        _check_fields(self)
         if self.variant not in ("detect_upup", "detect_downdown"):
             raise InvalidParamsError(f"unknown final-layer variant {self.variant!r}")
         if self.drive_mode not in ("rotating", "local_field"):
             raise InvalidParamsError(f"unknown drive mode {self.drive_mode!r}")
-        if self.drive_amplitude <= 0:
-            raise InvalidParamsError("drive amplitude must be positive")
         disc = self.l**2 * (1 + self.gamma**2) - (2 * self.s - self.l) ** 2
         if disc < 0:
             raise InvalidParamsError(
                 f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
             )
-        if not math.isnan(self.beta):
-            if abs(self.beta) > abs(self.l * self.drive_amplitude) + 1e-9:
-                raise InvalidParamsError("|beta| exceeds |l·A|")
+        if abs(self.beta) > abs(self.l * self.drive_amplitude) + 1e-9:
+            raise InvalidParamsError("|beta| exceeds |l·A|")
         if self.drive_mode == "local_field":
             if self.omega is None:
                 raise InvalidParamsError("local_field mode requires omega")
@@ -266,14 +297,14 @@ def _check_corrections(corrections) -> None:
     for gate in corrections:
         name = gate[0] if type(gate) is tuple and gate else None
         arity = GATE_ARITY.get(name) if type(name) is str else None
-        # Every gate takes at most one angle.
-        if arity is None or len(gate) != arity + 1 or arity and not (
-            isinstance(gate[1], (int, float)) and type(gate[1]) is not bool
-            and math.isfinite(gate[1])
-        ):
+        if arity is None or len(gate) != arity + 1:
             raise InvalidParamsError(
                 f"invalid correction gate {gate!r}; gates and their number "
                 f"of angles: {GATE_ARITY}"
+            )
+        if not all(map(_is_finite_real, gate[1:])):
+            raise InvalidParamsError(
+                f"correction gate {gate!r} needs a finite real angle"
             )
     if corrections and corrections.count(EVOLUTION) != 1:
         raise InvalidParamsError(
@@ -360,10 +391,6 @@ def build_final_hamiltonian(
     params: FinalLayerParams, num_qubits: int = 3, targets: Sequence[int] = (0, 1, 2)
 ) -> TimeDependentHamiltonian:
     """Static Heisenberg + βZ₂Z₃ plus the variant's selective output drive."""
-    if math.isnan(params.beta) or math.isnan(params.coupling_j):
-        raise InvalidParamsError(
-            "final-layer params lack beta/J; build them via solve_final_beta"
-        )
     q1, q2, q3 = targets
     j, g, b, a = params.coupling_j, params.gamma, params.beta, params.drive_amplitude
     static = (
@@ -507,13 +534,11 @@ def ideal_unitary(kind: str, params) -> DenseOperator:
     return op
 
 
-def fidelity_report(
-    kind: str, params, tol: float = 1e-9
-) -> fidelity.FidelityReport:
+def fidelity_report(kind: str, params) -> fidelity.FidelityReport:
     """Fidelity of the default-corrected neuron on its protocol subspace."""
     spec = make_spec(kind, params, (0, 1), 2)
     return fidelity.average_fidelity(
-        neuron_unitary(spec, tol),
+        neuron_unitary(spec),
         ideal_unitary(kind, params),
         protocol_subspace(kind, params),
     )

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .neurons import ExcNeuronParams, FinalLayerParams, NeuronSpec, PhaseNeuronParams
 
-BETA_CHECK_TOL = 1e-10
 TUNE_BOX_FRACTION = 0.02
 
 

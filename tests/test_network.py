@@ -295,6 +295,14 @@ class TestSerialization:
         spec = network.template("reduced", final_params=final)
         assert network.from_json(network.to_json(spec)) == spec
 
+    def test_round_trip_of_signed_and_tuned_params(self):
+        exc = dataclasses.replace(parameters.solve_exc(8, 17, j_sign=-1),
+                                  k=8.01, relaxed=True)
+        phase = dataclasses.replace(parameters.solve_phase(4, 164), m=4.02,
+                                    relaxed=True)
+        spec = network.template("full", exc_params=exc, phase_params=phase)
+        assert network.from_json(network.to_json(spec)) == spec
+
     @pytest.mark.parametrize("executor", ["embedded_unitary", "full_dynamics"])
     def test_schema_1_document_loads(self, reduced, executor):
         v2 = json.loads(network.to_json(reduced))
@@ -343,6 +351,14 @@ MALFORMED = {
     "v1_unknown_run_mode": lambda d: d.update(schema_version=1,
                                               run_mode="lindblad"),
     "v2_with_run_mode": lambda d: d.update(run_mode="embedded_unitary"),
+    "huge_angle": lambda d: _set(d, ("schedule", 2, "corrections"),
+                                 [["evolution"], ["phase", 10**400]]),
+    "huge_gamma": lambda d: _set(d, ("schedule", 0, "params", "gamma"),
+                                 10**400),
+    "huge_drive_amplitude": lambda d: _set(
+        d, ("schedule", 2, "params", "drive_amplitude"), 10**400),
+    "missing_beta": lambda d: d["schedule"][4]["params"].pop("beta"),
+    "float_final_l": lambda d: _set(d, ("schedule", 4, "params", "l"), 29.0),
 }
 
 
@@ -386,7 +402,7 @@ _ALL_PATHS = list(_paths(_BASE_DOC))
 _KEY_PATHS = [p for p in _ALL_PATHS if isinstance(p[-1], str)]
 _INDEX_PATHS = [p for p in _ALL_PATHS if p[-1] == "output_qubit"
                 or p[-1] == "output" or "input_qubits" in p or "inputs" in p]
-_VALUES = [None, "4", [1], {}, True, 1.5, 7, -3]
+_VALUES = [None, "4", [1], {}, True, 1.5, 7, -3, 10**400]
 _GATE_LISTS = [
     [], [["evolution"]], [["evolution"], ["evolution"]], [["phase", 0.5]],
     [["evolution"], ["phase"]], [["bogus"], ["evolution"]],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -383,6 +384,30 @@ class TestSpecValidation:
     def test_integer_wiring_required(self, exc_8_17, wiring):
         with pytest.raises(errors.InvalidParamsError):
             neurons.make_spec("excitation", exc_8_17, *wiring)
+
+    @pytest.mark.parametrize("params,field,value", [
+        (parameters.solve_exc(8, 17), "j_sign", -1.0),
+        (parameters.solve_exc(8, 17), "k", "8"),
+        (parameters.solve_exc(8, 17), "gamma", 10**400),
+        (parameters.solve_exc(8, 17), "relaxed", 1),
+        (parameters.solve_phase(3, 82), "m", True),
+        (parameters.solve_phase(3, 82), "floor_4m", math.nan),
+        (parameters.solve_phase(3, 82), "drive_amplitude", -1.0),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "l", 29.0),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "beta",
+         math.nan),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "omega",
+         "50"),
+    ], ids=["exc-j_sign", "exc-k", "exc-gamma", "exc-relaxed", "phase-m",
+            "phase-floor_4m", "phase-drive_amplitude", "final-l",
+            "final-beta", "final-omega"])
+    def test_params_reject_wrong_types(self, params, field, value):
+        with pytest.raises(errors.InvalidParamsError):
+            dataclasses.replace(params, **{field: value})
+
+    def test_final_params_need_beta_and_j(self):
+        with pytest.raises(TypeError):
+            neurons.FinalLayerParams("detect_upup", 29, 15, 0)
 
     def test_default_corrections_present(self, exc_8_17, phase_3_82):
         exc_seq = neurons.default_corrections("excitation", exc_8_17)
