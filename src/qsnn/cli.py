@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,11 +45,6 @@ def _fail(exc: Exception) -> None:
     sys.exit(code)
 
 
-def _default_seed() -> int | None:
-    raw = os.environ.get("QSNN_SEED")
-    return int(raw) if raw else None
-
-
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2, default=_json_default)
     if output:
@@ -83,13 +77,9 @@ def _write_trajectories(kind: str, params, traj_dir: str) -> list[str]:
     for label in BELL_LABELS:
         traj = neurons.record_trajectory(spec, label)
         path = directory / f"trajectory_{_LABEL_SLUGS[label]}.csv"
-        lines = [TRAJ_HEADER]
-        for i in range(len(traj.times)):
-            lines.append(
-                f"{traj.times[i]:.17g},{traj.output_x[i]:.17g},"
-                f"{traj.output_z[i]:.17g},{traj.input_fidelity[i]:.17g}"
-            )
-        path.write_text("\n".join(lines) + "\n")
+        columns = (traj.times, traj.output_x, traj.output_z, traj.input_fidelity)
+        np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=TRAJ_HEADER, comments="")
         paths.append(str(path))
     return paths
 
@@ -128,7 +118,17 @@ def _neuron_report(
     _emit(report, output)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; every command's QsnnError ends here."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except QsnnError as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Simulator for spiking quantum neurons and Bell-comparison networks."""
 
@@ -145,7 +145,7 @@ def _neuron_options(fn):
         click.option("--tune", "do_tune", is_flag=True,
                      help="Run the simplex tuner from this start point."),
         click.option("--budget", type=int, default=300, show_default=True),
-        click.option("--seed", type=int, default=None,
+        click.option("--seed", type=int, default=None, envvar="QSNN_SEED",
                      help="Default taken from QSNN_SEED."),
         click.option("--traj", type=click.Path(file_okay=False),
                      help="Directory for per-Bell-input trajectory CSVs."),
@@ -168,16 +168,12 @@ def _neuron_options(fn):
 def neuron_exc(k, l, gamma_mode, s, j_sign, drive_amplitude, do_tune,
                budget, seed, traj, output):
     """Excitation-parity neuron at the (k, l) constraint point."""
-    seed = seed if seed is not None else _default_seed()
-    try:
-        params = parameters.solve_exc(
-            k, l, drive_amplitude, gamma_mode=gamma_mode, s=s,
-            j_sign=int(j_sign),
-        )
-        _neuron_report("excitation", params, do_tune, budget, seed, traj,
-                       output, f"neuron exc --k {k} --l {l}")
-    except QsnnError as exc:
-        _fail(exc)
+    params = parameters.solve_exc(
+        k, l, drive_amplitude, gamma_mode=gamma_mode, s=s,
+        j_sign=int(j_sign),
+    )
+    _neuron_report("excitation", params, do_tune, budget, seed, traj,
+                   output, f"neuron exc --k {k} --l {l}")
 
 
 @neuron.command("phase")
@@ -186,13 +182,9 @@ def neuron_exc(k, l, gamma_mode, s, j_sign, drive_amplitude, do_tune,
 @_neuron_options
 def neuron_phase(m, n, drive_amplitude, do_tune, budget, seed, traj, output):
     """Relative-phase neuron at the (m, n) constraint point."""
-    seed = seed if seed is not None else _default_seed()
-    try:
-        params = parameters.solve_phase(m, n, drive_amplitude)
-        _neuron_report("phase", params, do_tune, budget, seed, traj, output,
-                       f"neuron phase --m {m} --n {n}")
-    except QsnnError as exc:
-        _fail(exc)
+    params = parameters.solve_phase(m, n, drive_amplitude)
+    _neuron_report("phase", params, do_tune, budget, seed, traj, output,
+                   f"neuron phase --m {m} --n {n}")
 
 
 @neuron.command("final")
@@ -211,17 +203,14 @@ def neuron_phase(m, n, drive_amplitude, do_tune, budget, seed, traj, output):
 def neuron_final(variant, l, s, k_parity, gamma, drive_mode, omega,
                  drive_amplitude, output):
     """Final-layer detector neuron."""
-    try:
-        params = parameters.make_final_params(
-            variant, l=l, s=s, parity_k=0 if k_parity == "even" else 1,
-            gamma=gamma, drive_amplitude=drive_amplitude,
-            drive_mode=drive_mode, omega=omega,
-        )
-        kind = "final_upup" if variant == "detect_upup" else "final_downdown"
-        _neuron_report(kind, params, False, 0, None, None, output,
-                       f"neuron final --variant {variant} --l {l} --s {s}")
-    except QsnnError as exc:
-        _fail(exc)
+    params = parameters.make_final_params(
+        variant, l=l, s=s, parity_k=0 if k_parity == "even" else 1,
+        gamma=gamma, drive_amplitude=drive_amplitude,
+        drive_mode=drive_mode, omega=omega,
+    )
+    kind = "final_upup" if variant == "detect_upup" else "final_downdown"
+    _neuron_report(kind, params, False, 0, None, None, output,
+                   f"neuron final --variant {variant} --l {l} --s {s}")
 
 
 @main.group()
@@ -262,50 +251,47 @@ def network_run(template, spec_file, input_text, truth_table,
                 do_back_action, output):
     """Run a comparison network and report the output-qubit distribution."""
     started = time.perf_counter()
-    try:
-        spec = _load_network(template, spec_file)
-        inputs = _parse_input(input_text)
-        final = network_mod.run(spec, inputs)
-        result = measure(final, spec.output_qubit)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "network run",
-            "template": template,
-            "spec_file": spec_file,
-            "input": input_text,
-            "p_up": result.p_up,
-            "p_down": result.p_down,
-        }
-        if do_back_action:
-            branches = {}
-            for outcome, p in (("up", result.p_up), ("down", result.p_down)):
-                if p < 1e-12:
-                    branches[outcome] = None
-                    continue
-                ba = network_mod.back_action(final, spec, outcome)
-                branches[outcome] = {
-                    "probability": ba.probability,
-                    "branch_overlaps": ba.branch_overlaps,
-                }
-            report["back_action"] = branches
-        if truth_table:
-            rows = []
-            for b1 in BELL_LABELS:
-                for b2 in BELL_LABELS:
-                    pair = (network_mod.BellAmplitudes.pure(b1),
-                            network_mod.BellAmplitudes.pure(b2))
-                    rows.append({
-                        "input_1": b1,
-                        "input_2": b2,
-                        "p_up": network_mod.output_excitation_probability(
-                            spec, pair
-                        ),
-                    })
-            report["truth_table"] = rows
-        report["timing_seconds"] = time.perf_counter() - started
-        _emit(report, output)
-    except QsnnError as exc:
-        _fail(exc)
+    spec = _load_network(template, spec_file)
+    inputs = _parse_input(input_text)
+    final = network_mod.run(spec, inputs)
+    result = measure(final, spec.output_qubit)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "network run",
+        "template": template,
+        "spec_file": spec_file,
+        "input": input_text,
+        "p_up": result.p_up,
+        "p_down": result.p_down,
+    }
+    if do_back_action:
+        branches = {}
+        for outcome, p in (("up", result.p_up), ("down", result.p_down)):
+            if p < 1e-12:
+                branches[outcome] = None
+                continue
+            ba = network_mod.back_action(final, spec, outcome)
+            branches[outcome] = {
+                "probability": ba.probability,
+                "branch_overlaps": ba.branch_overlaps,
+            }
+        report["back_action"] = branches
+    if truth_table:
+        rows = []
+        for b1 in BELL_LABELS:
+            for b2 in BELL_LABELS:
+                pair = (network_mod.BellAmplitudes.pure(b1),
+                        network_mod.BellAmplitudes.pure(b2))
+                rows.append({
+                    "input_1": b1,
+                    "input_2": b2,
+                    "p_up": network_mod.output_excitation_probability(
+                        spec, pair
+                    ),
+                })
+        report["truth_table"] = rows
+    report["timing_seconds"] = time.perf_counter() - started
+    _emit(report, output)
 
 
 @network.command("export-template")
@@ -314,11 +300,8 @@ def network_run(template, spec_file, input_text, truth_table,
 @click.option("--output", type=click.Path(dir_okay=False), required=True)
 def network_export_template(template, output):
     """Write a template's NetworkSpec JSON document to a file."""
-    try:
-        spec = network_mod.template(template)
-        Path(output).write_text(network_mod.to_json(spec) + "\n")
-    except QsnnError as exc:
-        _fail(exc)
+    spec = network_mod.template(template)
+    Path(output).write_text(network_mod.to_json(spec) + "\n")
 
 
 @network.command("validate")
@@ -326,11 +309,8 @@ def network_export_template(template, output):
               dir_okay=False), required=True)
 def network_validate(spec_file):
     """Validate a NetworkSpec JSON document."""
-    try:
-        network_mod.from_json(Path(spec_file).read_text())
-        click.echo("ok")
-    except QsnnError as exc:
-        _fail(exc)
+    network_mod.from_json(Path(spec_file).read_text())
+    click.echo("ok")
 
 
 @main.group()
@@ -342,12 +322,9 @@ def params() -> None:
 @click.option("--max-l", type=int, required=True)
 def params_triples(max_l):
     """Pythagorean triples (k, j, l) with l up to the bound."""
-    try:
-        triples = parameters.pythagorean_triples(max_l)
-        click.echo(json.dumps({"schema_version": SCHEMA_VERSION,
-                               "triples": [list(t) for t in triples]}))
-    except QsnnError as exc:
-        _fail(exc)
+    triples = parameters.pythagorean_triples(max_l)
+    click.echo(json.dumps({"schema_version": SCHEMA_VERSION,
+                           "triples": [list(t) for t in triples]}))
 
 
 @params.command("solve-exc")
@@ -360,16 +337,13 @@ def params_triples(max_l):
 @click.option("--drive-amplitude", type=float, default=1.0, show_default=True)
 def params_solve_exc(k, l, gamma_mode, s, sign, drive_amplitude):
     """Solve the excitation-neuron constraints."""
-    try:
-        p = parameters.solve_exc(k, l, drive_amplitude,
-                                 gamma_mode=gamma_mode, s=s, sign=int(sign))
-        click.echo(json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "params": dataclasses.asdict(p),
-            "beta": p.beta, "coupling_j": p.coupling_j, "tau": p.tau,
-        }))
-    except QsnnError as exc:
-        _fail(exc)
+    p = parameters.solve_exc(k, l, drive_amplitude,
+                             gamma_mode=gamma_mode, s=s, sign=int(sign))
+    click.echo(json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "params": dataclasses.asdict(p),
+        "beta": p.beta, "coupling_j": p.coupling_j, "tau": p.tau,
+    }))
 
 
 @params.command("solve-phase")
@@ -378,16 +352,13 @@ def params_solve_exc(k, l, gamma_mode, s, sign, drive_amplitude):
 @click.option("--drive-amplitude", type=float, default=1.0, show_default=True)
 def params_solve_phase(m, n, drive_amplitude):
     """Solve the phase-neuron constraints."""
-    try:
-        p = parameters.solve_phase(m, n, drive_amplitude)
-        click.echo(json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "params": dataclasses.asdict(p),
-            "coupling_j": p.coupling_j, "delta": p.delta, "tau": p.tau,
-            "hierarchy_warning": p.hierarchy_warning,
-        }))
-    except QsnnError as exc:
-        _fail(exc)
+    p = parameters.solve_phase(m, n, drive_amplitude)
+    click.echo(json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "params": dataclasses.asdict(p),
+        "coupling_j": p.coupling_j, "delta": p.delta, "tau": p.tau,
+        "hierarchy_warning": p.hierarchy_warning,
+    }))
 
 
 @params.command("solve-final")
@@ -399,15 +370,12 @@ def params_solve_phase(m, n, drive_amplitude):
 @click.option("--drive-amplitude", type=float, default=1.0, show_default=True)
 def params_solve_final(gamma, l, s, k_parity, drive_amplitude):
     """Solve the final-layer phase-matching condition for (beta, J)."""
-    try:
-        beta, j = parameters.solve_final_beta(
-            gamma, l, s, 0 if k_parity == "even" else 1, drive_amplitude
-        )
-        click.echo(json.dumps({
-            "schema_version": SCHEMA_VERSION, "beta": beta, "coupling_j": j,
-        }))
-    except QsnnError as exc:
-        _fail(exc)
+    beta, j = parameters.solve_final_beta(
+        gamma, l, s, 0 if k_parity == "even" else 1, drive_amplitude
+    )
+    click.echo(json.dumps({
+        "schema_version": SCHEMA_VERSION, "beta": beta, "coupling_j": j,
+    }))
 
 
 @params.command("detuning")
@@ -425,34 +393,31 @@ def params_solve_final(gamma, l, s, k_parity, drive_amplitude):
 @click.option("--omega", type=float, default=None)
 def params_detuning(kind, k, l, m, n, s, variant, drive_mode, omega):
     """Detuning-to-drive ratios for a neuron's suppressed transitions."""
-    try:
-        if kind == "exc":
-            if k is None or l is None:
-                raise InvalidParamsError("exc detuning needs --k and --l")
-            kind = "excitation"
-            p = parameters.solve_exc(k, l)
-        elif kind == "phase":
-            if m is None or n is None:
-                raise InvalidParamsError("phase detuning needs --m and --n")
-            p = parameters.solve_phase(m, n)
-        else:
-            if l is None or s is None:
-                raise InvalidParamsError("final detuning needs --l and --s")
-            p = parameters.make_final_params(
-                variant, l=l, s=s, parity_k=0, drive_mode=drive_mode,
-                omega=omega,
-            )
-            kind = ("final_upup" if variant == "detect_upup"
-                    else "final_downdown")
-        spec = neurons.make_spec(kind, p, (0, 1), 2)
-        report = parameters.detuning_report(spec)
-        click.echo(json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "kind": report.kind,
-            "ratios": report.ratios,
-        }))
-    except QsnnError as exc:
-        _fail(exc)
+    if kind == "exc":
+        if k is None or l is None:
+            raise InvalidParamsError("exc detuning needs --k and --l")
+        kind = "excitation"
+        p = parameters.solve_exc(k, l)
+    elif kind == "phase":
+        if m is None or n is None:
+            raise InvalidParamsError("phase detuning needs --m and --n")
+        p = parameters.solve_phase(m, n)
+    else:
+        if l is None or s is None:
+            raise InvalidParamsError("final detuning needs --l and --s")
+        p = parameters.make_final_params(
+            variant, l=l, s=s, parity_k=0, drive_mode=drive_mode,
+            omega=omega,
+        )
+        kind = ("final_upup" if variant == "detect_upup"
+                else "final_downdown")
+    spec = neurons.make_spec(kind, p, (0, 1), 2)
+    report = parameters.detuning_report(spec)
+    click.echo(json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "kind": report.kind,
+        "ratios": report.ratios,
+    }))
 
 
 if __name__ == "__main__":  # pragma: no cover

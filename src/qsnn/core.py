@@ -28,7 +28,6 @@ from .errors import (
 )
 
 NORM_TOL = 1e-9
-NORM_FAIL = 1e-7
 UNITARITY_TOL = 1e-8
 DEGENERATE_PROB = 1e-14
 
@@ -76,7 +75,7 @@ class StateVector:
                 f"expected {2**num_qubits} amplitudes, got {amp.size}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also false for a NaN norm
             raise NormDriftError(
                 f"state norm {norm} deviates from 1 beyond {NORM_TOL}"
             )
@@ -149,11 +148,6 @@ class DenseOperator:
     def assert_unitary(self, tol: float = UNITARITY_TOL) -> None:
         if not self.is_unitary(tol):
             raise NormDriftError("operator failed the unitarity check")
-
-    def apply(self, state: StateVector) -> StateVector:
-        if self.dim != state.amplitudes.size:
-            raise DimensionMismatchError("operator/state dimensions differ")
-        return StateVector(state.num_qubits, self.matrix @ state.amplitudes)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DenseOperator(dim={self.dim})"
@@ -284,51 +278,70 @@ def _h_at(static: np.ndarray, drives, t: float) -> np.ndarray:
     return h
 
 
-def embed_matrix(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Embed an operator on `targets` (in that order) into the full register."""
-    k = len(targets)
-    if op.shape != (2**k, 2**k):
-        raise DimensionMismatchError("operator size does not match target count")
-    if len(set(targets)) != k:
+def _qubit_order(targets: Sequence[int], num_qubits: int) -> list[int]:
+    """The register's qubits with `targets` first, checked, then the rest."""
+    if len(set(targets)) != len(targets):
         raise DuplicateTargetError("targets must be distinct")
     for q in targets:
         _check_qubit(q, num_qubits)
-    rest = [q for q in range(num_qubits) if q not in targets]
-    order = list(targets) + rest
-    full = np.kron(op, np.eye(2 ** (num_qubits - k), dtype=complex))
-    tensor = full.reshape([2] * (2 * num_qubits))
-    # Row/column axis i of `tensor` currently belongs to register qubit order[i];
-    # permute so axis i belongs to qubit i.
-    inverse = [order.index(q) for q in range(num_qubits)]
-    perm = inverse + [num_qubits + i for i in inverse]
-    return tensor.transpose(perm).reshape(2**num_qubits, 2**num_qubits)
+    return list(targets) + [q for q in range(num_qubits) if q not in targets]
 
 
-def tensor_embed(
-    op: DenseOperator, targets: Sequence[int], num_qubits: int
-) -> DenseOperator:
-    """Embed an 8-dim operator on a qubit triple, identity elsewhere."""
-    if op.dim != 8:
-        raise DimensionMismatchError("tensor_embed expects an 8-dim operator")
-    if len(targets) != 3:
-        raise ValueError("exactly three targets required")
-    if num_qubits < 3:
-        raise ValueError("register must hold at least 3 qubits")
-    return DenseOperator(embed_matrix(op.matrix, tuple(targets), num_qubits))
+def split_targets(states: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """The amplitudes as a (2^k, rest) matrix with `targets` leading.
+
+    `states` holds 2^n amplitudes along its first axis: one state, shape
+    (2^n,), or a block of columns, shape (2^n, c).  Row i of the result is
+    the target bit string i, the first target most significant; the
+    columns run over the other qubits, then over the columns of `states`.
+    """
+    num_qubits = len(states).bit_length() - 1
+    if len(states) != 2**num_qubits:
+        raise DimensionMismatchError(f"{len(states)} amplitudes fill no register")
+    order = _qubit_order(targets, num_qubits)
+    tensor = states.reshape((2,) * num_qubits + states.shape[1:])
+    axes = order + list(range(num_qubits, tensor.ndim))
+    return tensor.transpose(axes).reshape(2 ** len(targets), -1)
 
 
-def _split_support(amplitudes: np.ndarray, support: Sequence[int], num_qubits: int):
-    """Reshape amplitudes to (2^s, rest) with support qubits leading."""
-    rest = [q for q in range(num_qubits) if q not in support]
-    order = list(support) + rest
-    tensor = amplitudes.reshape([2] * num_qubits).transpose(order)
-    return tensor.reshape(2 ** len(support), -1), order
+def merge_targets(
+    block: np.ndarray, targets: Sequence[int], shape: tuple[int, ...]
+) -> np.ndarray:
+    """Inverse of split_targets for states of `shape`.
+
+    `block` has shape (..., 2^k, rest); leading axes, such as one per
+    operator of a stack, are kept in front of `shape`.
+    """
+    num_qubits = shape[0].bit_length() - 1
+    lead = block.shape[:-2]
+    order = _qubit_order(targets, num_qubits)
+    tensor = block.reshape(lead + (2,) * num_qubits + shape[1:])
+    # Axis len(lead) + i of `tensor` is qubit order[i]; put qubit q at q.
+    positions = sorted(range(num_qubits), key=order.__getitem__)
+    axes = list(range(len(lead)))
+    axes += [len(lead) + i for i in positions]
+    axes += range(len(lead) + num_qubits, tensor.ndim)
+    return tensor.transpose(axes).reshape(lead + shape)
 
 
-def _merge_support(block: np.ndarray, order: Sequence[int], num_qubits: int):
-    tensor = block.reshape([2] * num_qubits)
-    inverse = np.argsort(order)
-    return tensor.transpose(inverse).reshape(-1)
+def apply_local(
+    op: np.ndarray, targets: Sequence[int], states: np.ndarray
+) -> np.ndarray:
+    """Apply `op` on `targets` (in that order), identity on the other qubits.
+
+    `op` is one 2^k x 2^k operator or a stack of them, shape (m, 2^k, 2^k);
+    `states` is one state or a block of columns, as in split_targets.  The
+    result has the shape of `states`, after the stack axis if there is one.
+    """
+    block = split_targets(states, targets)
+    if op.shape[-2:] != (len(block), len(block)):
+        raise DimensionMismatchError("operator size does not match target count")
+    return merge_targets(op @ block, targets, states.shape)
+
+
+def embed_matrix(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Embed an operator on `targets` (in that order) into the full register."""
+    return apply_local(op, targets, np.eye(2**num_qubits, dtype=complex))
 
 
 def _integrate(static: np.ndarray, drives, t_eval: np.ndarray, tol: float):
@@ -453,16 +466,9 @@ def _local_propagators(
 
 
 def _evolved_states(state: StateVector, support, local: np.ndarray):
-    """Apply each local propagator to `state`, checking the norm of each."""
-    n = state.num_qubits
-    block, order = _split_support(state.amplitudes, support, n)
-    tensor = (local @ block).reshape((len(local),) + (2,) * n)
-    amplitudes = tensor.transpose(0, *(1 + np.argsort(order))).reshape(len(local), -1)
-    norms = np.linalg.norm(amplitudes, axis=1)
-    worst = np.argmax(np.abs(norms - 1.0))
-    if abs(norms[worst] - 1.0) > NORM_FAIL:
-        raise NormDriftError(f"norm drifted to {norms[worst]}")
-    return [StateVector(n, amps) for amps in amplitudes]
+    """Apply each local propagator to `state`."""
+    amplitudes = apply_local(local, support, state.amplitudes)
+    return [StateVector(state.num_qubits, amps) for amps in amplitudes]
 
 
 def evolve(
@@ -518,7 +524,9 @@ def piecewise_constant_evolve(
 ) -> StateVector:
     """Independent oracle: midpoint-sampled piecewise-constant exponentials."""
     op = piecewise_constant_propagator(hamiltonian, duration, step)
-    return op.apply(state)
+    if op.dim != state.amplitudes.size:
+        raise DimensionMismatchError("operator/state dimensions differ")
+    return StateVector(state.num_qubits, op.matrix @ state.amplitudes)
 
 
 def piecewise_constant_propagator(
@@ -539,74 +547,56 @@ def piecewise_constant_propagator(
     return DenseOperator(embed_matrix(u, support, hamiltonian.num_qubits))
 
 
-def _gate_name_param(gate):
-    if isinstance(gate, str):
-        return gate, None
-    return gate[0], (gate[1] if len(gate) > 1 else None)
+def is_finite_real(x) -> bool:
+    """An int or float (not a bool) that is finite as a float."""
+    if type(x) is bool or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
-# Exact 2x2 gates, index basis (|down>, |up>).
-def _gate_matrix(gate) -> np.ndarray:
-    name, param = _gate_name_param(gate)
-    if name == "hadamard":
-        return HADAMARD
-    if name == "not_x":
-        return NOT_X
-    if name == "phase":
-        return np.array([[1.0, 0.0], [0.0, np.exp(1j * param)]], dtype=complex)
-    if name == "z_rotation":
-        return np.array(
-            [[np.exp(-1j * param / 2), 0.0], [0.0, np.exp(1j * param / 2)]],
-            dtype=complex,
+# The single-qubit gates: name -> (number of angles, 2x2 matrix of the
+# angles), in the index basis (|down>, |up>).  A gate is (name, *angles).
+GATES = {
+    "hadamard": (0, lambda: HADAMARD),
+    "not_x": (0, lambda: NOT_X),
+    "phase": (1, lambda phi: np.diag([1.0, np.exp(1j * phi)])),
+    "z_rotation": (1, lambda theta: np.diag(np.exp([-0.5j * theta, 0.5j * theta]))),
+}
+
+
+def check_gate(gate) -> None:
+    """Reject anything but a known gate with its finite real angles."""
+    name = gate[0] if type(gate) is tuple and gate else None
+    known = type(name) is str and name in GATES
+    if not known or len(gate) != GATES[name][0] + 1:
+        arities = {name: arity for name, (arity, _) in GATES.items()}
+        raise InvalidParamsError(
+            f"invalid gate {gate!r}; gates and their number of angles: {arities}"
         )
-    raise ValueError(f"unknown gate {gate!r}")
+    if not all(map(is_finite_real, gate[1:])):
+        raise InvalidParamsError(f"gate {gate!r} needs a finite real angle")
 
 
-def _gate_dynamics_matrix(gate, drive_amplitude: float = 1.0) -> np.ndarray:
-    """Gate realized by Hamiltonian evolution, as in hardware protocols.
-
-    hadamard: evolve sqrt(2)*B*(sigma_x + sigma_z) for pi/(4B); the sigma_z
-    here is the gate-axis matrix diag(1, -1), so the rotation axis coincides
-    with the exact Hadamard's reflection axis and the result is -i*H.
-    phase(phi): evolve B*sigma_z for phi/(2B).
-    """
-    name, param = _gate_name_param(gate)
-    b = drive_amplitude
-    z_gate_axis = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    if name == "hadamard":
-        h = math.sqrt(2.0) * b * (PAULI_X + z_gate_axis)
-        return expm(-1j * h * (math.pi / (4.0 * b)))
-    if name == "phase":
-        h = b * z_gate_axis
-        return expm(-1j * h * (param / (2.0 * b)))
-    raise ValueError(f"no dynamics realization for gate {gate!r}")
+def gate_matrix(gate) -> np.ndarray:
+    """The 2x2 matrix of a gate, after check_gate."""
+    check_gate(gate)
+    return GATES[gate[0]][1](*gate[1:])
 
 
-def apply_gate(
-    state: StateVector,
-    gate,
-    target: int,
-    mode: str = "exact",
-) -> StateVector:
-    """Apply a single-qubit gate; `gate` is a name or (name, parameter)."""
-    _check_qubit(target, state.num_qubits)
-    if mode == "exact":
-        m = _gate_matrix(gate)
-    elif mode == "dynamics":
-        m = _gate_dynamics_matrix(gate)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    block, order = _split_support(state.amplitudes, (target,), state.num_qubits)
-    out = m @ block
-    return StateVector(state.num_qubits, _merge_support(out, order, state.num_qubits))
+def apply_gate(state: StateVector, gate, target: int) -> StateVector:
+    """Apply a single-qubit gate (name, *angles) on `target`."""
+    amplitudes = apply_local(gate_matrix(gate), (target,), state.amplitudes)
+    return StateVector(state.num_qubits, amplitudes)
 
 
 def expectation(state: StateVector, axis: str, qubit: int) -> float:
     """<psi| sigma^axis_qubit |psi>."""
-    _check_qubit(qubit, state.num_qubits)
     if axis not in PAULI:
         raise ValueError(f"unknown axis {axis!r}")
-    block, _ = _split_support(state.amplitudes, (qubit,), state.num_qubits)
+    block = split_targets(state.amplitudes, (qubit,))
     return float(np.real(np.sum(block.conj() * (PAULI[axis] @ block))))
 
 
@@ -623,20 +613,16 @@ def measure(state: StateVector, qubit: int) -> MeasureResult:
     Post-states whose outcome probability is below 1e-14 are returned as
     None (undefined) rather than as unnormalizable vectors.
     """
-    _check_qubit(qubit, state.num_qubits)
-    block, order = _split_support(state.amplitudes, (qubit,), state.num_qubits)
-    p_down = float(np.sum(np.abs(block[0]) ** 2))
-    p_up = float(np.sum(np.abs(block[1]) ** 2))
-    posts = []
-    for outcome, p in ((0, p_down), (1, p_up)):
-        if p < DEGENERATE_PROB:
-            posts.append(None)
-            continue
-        proj = np.zeros_like(block)
-        proj[outcome] = block[outcome] / math.sqrt(p)
-        posts.append(
-            StateVector(
-                state.num_qubits, _merge_support(proj, order, state.num_qubits)
-            )
-        )
-    return MeasureResult(p_down, p_up, posts[0], posts[1])
+    block = split_targets(state.amplitudes, (qubit,))
+    probabilities = [float(np.sum(np.abs(row) ** 2)) for row in block]
+    # Both projections at once: projected[outcome] keeps only that row.
+    projected = np.zeros((2,) + block.shape, dtype=complex)
+    for outcome, p in enumerate(probabilities):
+        if p >= DEGENERATE_PROB:
+            projected[outcome, outcome] = block[outcome] / math.sqrt(p)
+    posts = merge_targets(projected, (qubit,), state.amplitudes.shape)
+    post_states = [
+        StateVector(state.num_qubits, amps) if p >= DEGENERATE_PROB else None
+        for amps, p in zip(posts, probabilities)
+    ]
+    return MeasureResult(*probabilities, *post_states)

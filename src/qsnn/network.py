@@ -248,35 +248,17 @@ def _input_amplitudes(inputs) -> np.ndarray:
 
 def initial_state(spec: NetworkSpec, inputs) -> StateVector:
     """Full-register initial state: inputs in place, everything else |↓⟩."""
-    amps4 = _input_amplitudes(inputs)
-    norm = float(np.sum(np.abs(amps4) ** 2))
-    if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
-        raise NormDriftError(f"input state norm² is {norm}, expected 1")
-    n = spec.num_qubits
-    full = np.zeros(2**n, dtype=complex)
-    for idx in range(16):
-        if amps4[idx] == 0:
-            continue
-        pos = 0
-        for bit_index, q in enumerate(spec.input_qubits):
-            bit = (idx >> (3 - bit_index)) & 1
-            pos |= bit << (n - 1 - q)
-        full[pos] = amps4[idx]
-    return StateVector(n, full)
+    # With the inputs leading, column 0 holds every other qubit in |↓⟩.
+    block = np.zeros((16, 2 ** (spec.num_qubits - 4)), dtype=complex)
+    block[:, 0] = _input_amplitudes(inputs)
+    full = core.merge_targets(block, spec.input_qubits, (2**spec.num_qubits,))
+    return StateVector(spec.num_qubits, full)
 
 
 @lru_cache(maxsize=128)
 def _cached_unitary(kind, params, corrections, tol) -> np.ndarray:
     local = NeuronSpec(kind, params, (0, 1), 2, corrections)
     return neurons.neuron_unitary(local, tol).matrix
-
-
-def _apply_local(state: StateVector, u8: np.ndarray, targets) -> StateVector:
-    block, order = core._split_support(
-        state.amplitudes, tuple(targets), state.num_qubits
-    )
-    merged = core._merge_support(u8 @ block, order, state.num_qubits)
-    return StateVector(state.num_qubits, merged)
 
 
 def run(spec: NetworkSpec, inputs, tol: float = 1e-9) -> StateVector:
@@ -290,10 +272,8 @@ def run(spec: NetworkSpec, inputs, tol: float = 1e-9) -> StateVector:
     state = initial_state(spec, inputs)
     for entry in spec.schedule:
         u8 = _cached_unitary(entry.kind, entry.params, entry.corrections, tol)
-        state = _apply_local(state, u8, entry.targets)
-    drift = abs(state.norm() - 1.0)
-    if drift > core.NORM_FAIL:
-        raise NormDriftError(f"norm drifted by {drift:.3e} during the run")
+        amplitudes = core.apply_local(u8, entry.targets, state.amplitudes)
+        state = StateVector(spec.num_qubits, amplitudes)
     return state
 
 
@@ -301,8 +281,7 @@ def reduced_density_matrix(
     state: StateVector, keep_qubits: Sequence[int]
 ) -> np.ndarray:
     """Partial trace over everything but keep_qubits (in the given order)."""
-    keep = tuple(keep_qubits)
-    block, _ = core._split_support(state.amplitudes, keep, state.num_qubits)
+    block = core.split_targets(state.amplitudes, tuple(keep_qubits))
     return block @ block.conj().T
 
 
@@ -411,15 +390,6 @@ def _check_fields(data, allowed, required, what: str) -> None:
                                  f"{sorted(required - keys)}")
 
 
-def _params_from_dict(kind: str, data):
-    cls = neurons.PARAMS_TYPES[kind]
-    _check_fields(data, _PARAM_FIELDS[cls], _PARAM_REQUIRED[cls], "params")
-    try:
-        return cls(**data)
-    except ArithmeticError as exc:
-        raise InvalidParamsError(f"{kind} parameters out of range: {exc}") from None
-
-
 def _entry_from_dict(entry) -> NeuronSpec:
     _check_fields(entry, _ENTRY_FIELDS, _ENTRY_FIELDS - {"corrections"}, "entry")
     kind = entry["kind"]
@@ -431,9 +401,11 @@ def _entry_from_dict(entry) -> NeuronSpec:
         isinstance(gate, list) for gate in gates
     ):
         raise InvalidParamsError("inputs and corrections must be lists")
+    cls = neurons.PARAMS_TYPES[kind]
+    params = entry["params"]
+    _check_fields(params, _PARAM_FIELDS[cls], _PARAM_REQUIRED[cls], "params")
     return neurons.make_spec(
-        kind, _params_from_dict(kind, entry["params"]), tuple(inputs),
-        entry["output"],
+        kind, cls(**params), tuple(inputs), entry["output"],
         tuple(map(tuple, gates)) if "corrections" in entry else None,
     )
 

@@ -9,6 +9,7 @@ flip it only for one designated computational input pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,34 +43,38 @@ DEFAULT_TRAJECTORY_SAMPLES = 1000
 
 NEURON_KINDS = ("excitation", "phase", "final_upup", "final_downdown")
 
-# Correction gates on the output qubit, by the number of angles they take.
-# The "evolution" marker separates pre- from post-evolution gates.
+# In a correction sequence of gates on the output qubit (core.GATES), the
+# "evolution" marker separates pre- from post-evolution gates.
 EVOLUTION = ("evolution",)
-GATE_ARITY = {"evolution": 0, "hadamard": 0, "not_x": 0, "phase": 1,
-              "z_rotation": 1}
+FINAL_VARIANTS = {"final_upup": "detect_upup", "final_downdown": "detect_downdown"}
 
 
 def _is_integer(x: float, tol: float = PYTHAGOREAN_TOL) -> bool:
     return abs(x - round(x)) <= tol
 
 
-def _is_finite_real(x) -> bool:
-    """An int or float (not a bool) that is finite as a float."""
-    if type(x) is bool or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
+def in_arithmetic_range(fn):
+    """Report an overflow in fn's arithmetic on parameter values as invalid."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise InvalidParamsError(
+                f"parameter values out of arithmetic range: {exc}"
+            ) from None
+
+    return checked
 
 
 # The values a parameter field accepts, by its annotation.
 _ACCEPTS = {
-    "float": (_is_finite_real, "a finite real number"),
+    "float": (core.is_finite_real, "a finite real number"),
     "int": (lambda x: type(x) is int, "an int"),
     "bool": (lambda x: type(x) is bool, "a bool"),
     "str": (lambda x: type(x) is str, "a str"),
-    "float | None": (lambda x: x is None or _is_finite_real(x),
+    "float | None": (lambda x: x is None or core.is_finite_real(x),
                      "a finite real number or None"),
 }
 
@@ -100,22 +105,24 @@ class ExcNeuronParams:
     relaxed: bool = False
     detuning_floor: float = DEFAULT_EXC_DETUNING_FLOOR
 
+    @in_arithmetic_range
     def __post_init__(self):
         _check_fields(self)
         if not self.l > self.k > 0:
             raise InvalidParamsError(f"need l > k > 0, got k={self.k}, l={self.l}")
         if self.j_sign not in (1, -1):
             raise InvalidParamsError("j_sign must be +1 or -1")
+        root = math.sqrt(self.l**2 - self.k**2)
         if not self.relaxed:
             if not (_is_integer(self.k) and _is_integer(self.l)):
                 raise InvalidParamsError(
                     "constraint mode requires integer k and l; set relaxed=True "
                     "for tuned values"
                 )
-            if self.gamma == 1.0 and not _is_integer(math.sqrt(self.l**2 - self.k**2)):
+            if self.gamma == 1.0 and not _is_integer(root):
                 raise NonPythagoreanError(
                     f"gamma=1 requires sqrt(l²−k²) integral; (k={self.k}, "
-                    f"l={self.l}) gives {math.sqrt(self.l**2 - self.k**2):.6f}"
+                    f"l={self.l}) gives {root:.6f}"
                 )
 
     @property
@@ -207,9 +214,10 @@ class FinalLayerParams:
     beta: float = field(kw_only=True)
     coupling_j: float = field(kw_only=True)
 
+    @in_arithmetic_range
     def __post_init__(self):
         _check_fields(self)
-        if self.variant not in ("detect_upup", "detect_downdown"):
+        if self.variant not in FINAL_VARIANTS.values():
             raise InvalidParamsError(f"unknown final-layer variant {self.variant!r}")
         if self.drive_mode not in ("rotating", "local_field"):
             raise InvalidParamsError(f"unknown drive mode {self.drive_mode!r}")
@@ -268,6 +276,12 @@ class NeuronSpec:
             raise InvalidParamsError(
                 f"{self.kind} neuron requires {expected.__name__}"
             )
+        variant = FINAL_VARIANTS.get(self.kind)
+        if variant is not None and self.params.variant != variant:
+            raise InvalidParamsError(
+                f"{self.kind} neuron requires variant {variant!r}, "
+                f"got {self.params.variant!r}"
+            )
         _check_corrections(self.corrections)
 
     @property
@@ -288,7 +302,7 @@ class NeuronSpec:
 
 
 def _check_corrections(corrections) -> None:
-    """Known gates with finite real angles, and one evolution marker.
+    """Gates that core.check_gate accepts, and one evolution marker.
 
     An empty sequence means bare evolution.
     """
@@ -296,16 +310,8 @@ def _check_corrections(corrections) -> None:
         raise InvalidParamsError("corrections must be a tuple of gates")
     for gate in corrections:
         name = gate[0] if type(gate) is tuple and gate else None
-        arity = GATE_ARITY.get(name) if type(name) is str else None
-        if arity is None or len(gate) != arity + 1:
-            raise InvalidParamsError(
-                f"invalid correction gate {gate!r}; gates and their number "
-                f"of angles: {GATE_ARITY}"
-            )
-        if not all(map(_is_finite_real, gate[1:])):
-            raise InvalidParamsError(
-                f"correction gate {gate!r} needs a finite real angle"
-            )
+        if not (type(name) is str and gate == EVOLUTION):
+            core.check_gate(gate)
     if corrections and corrections.count(EVOLUTION) != 1:
         raise InvalidParamsError(
             "correction sequence must contain exactly one 'evolution' marker"
@@ -448,7 +454,7 @@ def _output_gates(gates) -> np.ndarray:
     """A gate sequence on the output qubit (qubit 2) as an 8-dim matrix."""
     m = np.eye(2, dtype=complex)
     for gate in gates:
-        m = core._gate_matrix(gate) @ m
+        m = core.gate_matrix(gate) @ m
     return np.kron(np.eye(4, dtype=complex), m)
 
 
@@ -571,7 +577,7 @@ def record_trajectory(
         raise InvalidParamsError(f"unknown Bell label {input_label!r}")
     hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
     psi0 = bell_state(input_label).tensor(StateVector.all_down(1))
-    flipped = core.apply_gate(psi0, "not_x", 2)
+    flipped = core.apply_gate(psi0, ("not_x",), 2)
     times = np.linspace(0.0, spec.tau, samples)
     states = core.evolve_sampled(psi0, hamiltonian, times, tol)
     amps = np.array([state.amplitudes for state in states])

@@ -27,6 +27,7 @@ from .neurons import ExcNeuronParams, FinalLayerParams, NeuronSpec, PhaseNeuronP
 TUNE_BOX_FRACTION = 0.02
 
 
+@neurons.in_arithmetic_range
 def solve_exc(
     k: int,
     l: int,
@@ -64,6 +65,7 @@ def solve_exc(
     )
 
 
+@neurons.in_arithmetic_range
 def solve_phase(
     m: int,
     n: int,
@@ -78,6 +80,7 @@ def solve_phase(
     )
 
 
+@neurons.in_arithmetic_range
 def solve_final_beta(
     gamma: float,
     l: int,
@@ -262,6 +265,8 @@ def tune(
 
 def pythagorean_triples(max_l: int) -> list[tuple[int, int, int]]:
     """All (k, j, l) with k² + j² = l², k < j, l ≤ max_l (Euclid's formula)."""
+    if max_l < 1:
+        raise InvalidParamsError(f"max_l must be at least 1, got {max_l}")
     triples = set()
     for p in range(2, int(math.isqrt(max_l)) + 2):
         for q in range(1, p):

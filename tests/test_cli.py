@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from qsnn import neurons, parameters
 from qsnn.cli import TRAJ_HEADER, main
+from qsnn.errors import InvalidParamsError
 
 
 @pytest.fixture()
@@ -131,6 +134,65 @@ class TestNeuronCommands:
             )
         )
         assert data is not None  # seed only affects stochastic commands
+
+    def test_seed_option_reads_environment(self, runner, monkeypatch):
+        monkeypatch.setenv("QSNN_SEED", "1234")
+        data = _json_out(
+            runner.invoke(main, ["neuron", "phase", "--m", "3", "--n", "82"])
+        )
+        assert data["seed"] == 1234
+        monkeypatch.setenv("QSNN_SEED", "abc")
+        result = runner.invoke(main, ["neuron", "phase", "--m", "3", "--n", "82"])
+        assert result.exit_code == 2
+
+    def test_trajectory_rows_have_17_significant_digits(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["neuron", "exc", "--k", "6", "--l", "10", "--traj",
+                   str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        spec = neurons.make_spec("excitation", parameters.solve_exc(6, 10),
+                                 (0, 1), 2)
+        for label, slug in (("Phi+", "phi_plus"), ("Psi-", "psi_minus")):
+            traj = neurons.record_trajectory(spec, label)
+            columns = (traj.times, traj.output_x, traj.output_z,
+                       traj.input_fidelity)
+            expected = [TRAJ_HEADER] + [
+                ",".join(f"{x:.17g}" for x in row) for row in zip(*columns)
+            ]
+            text = (tmp_path / f"trajectory_{slug}.csv").read_text()
+            assert text.splitlines() == expected
+            assert text.endswith("\n")
+
+
+_FINAL = parameters.make_final_params("detect_upup", 29, 15, 0)
+# Finite values whose arithmetic overflows; each is invalid input (exit 2).
+OUT_OF_RANGE = {
+    "exc_params": lambda: neurons.ExcNeuronParams(k=1.0, l=1e200),
+    "relaxed_exc_params": lambda: neurons.ExcNeuronParams(
+        k=1.0, l=1e200, relaxed=True),
+    "final_params": lambda: dataclasses.replace(_FINAL, gamma=1e200),
+    "neuron_final": ["neuron", "final", "--l", "29", "--s", "15",
+                     "--gamma", "1e200"],
+    "solve_final": ["params", "solve-final", "--gamma", "1e200", "--l", "5",
+                    "--s", "4"],
+    "solve_exc": ["params", "solve-exc", "--k", "1", "--l", "1" + "0" * 200],
+    "neuron_phase": ["neuron", "phase", "--m", "3", "--n", "1" + "0" * 400],
+    "negative_max_l": ["params", "triples", "--max-l", "-5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_values_are_invalid(case, runner):
+    value = OUT_OF_RANGE[case]
+    if callable(value):
+        with pytest.raises(InvalidParamsError):
+            value()
+        return
+    result = runner.invoke(main, value)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
 
 
 class TestNetworkCommands:

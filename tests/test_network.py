@@ -359,6 +359,8 @@ MALFORMED = {
         d, ("schedule", 2, "params", "drive_amplitude"), 10**400),
     "missing_beta": lambda d: d["schedule"][4]["params"].pop("beta"),
     "float_final_l": lambda d: _set(d, ("schedule", 4, "params", "l"), 29.0),
+    "final_kind_variant_mismatch": lambda d: _set(d, ("schedule", 4, "kind"),
+                                                  "final_upup"),
 }
 
 

@@ -361,6 +361,7 @@ class TestSpecValidation:
         (("evolution",), ("phase",)),
         (("evolution",), ("z_rotation", 0.1, 0.2)),
         (("evolution",), ("hadamard", 1.0)),
+        (("evolution",), ("phase", "x")),
         (("evolution",), ("phase", math.inf)),
         (("evolution",), ("phase", True)),
         (("evolution",), "not_x"),
@@ -404,6 +405,16 @@ class TestSpecValidation:
     def test_params_reject_wrong_types(self, params, field, value):
         with pytest.raises(errors.InvalidParamsError):
             dataclasses.replace(params, **{field: value})
+
+    @pytest.mark.parametrize("kind,variant", [
+        ("final_upup", "detect_downdown"), ("final_downdown", "detect_upup"),
+    ])
+    def test_final_kind_must_match_variant(self, kind, variant):
+        params = parameters.make_final_params(variant, 29, 15, 0)
+        with pytest.raises(errors.InvalidParamsError):
+            neurons.make_spec(kind, params, (0, 1), 2)
+        with pytest.raises(errors.InvalidParamsError):
+            neurons.fidelity_report(kind, params)
 
     def test_final_params_need_beta_and_j(self):
         with pytest.raises(TypeError):
