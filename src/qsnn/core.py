@@ -11,6 +11,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -231,43 +232,54 @@ class TimeDependentHamiltonian:
     def _local_pieces(self):
         """Support, static local matrix and the time-dependent drives.
 
-        static_z drives are constant and are folded into the static matrix.
-        Every other drive comes with its target's four embedded 2x2 matrix
-        units, flattened to shape (4, dim*dim) and built once, so that
-        evaluating the drive at time t is one small product (`_h_at`).
+        The static matrix is a sum of cached Pauli strings, static_z drives
+        included.  Every other drive comes with its target's cached matrix
+        units (_drive_units), so that evaluating it at time t is one small
+        product (`_h_at`).
         """
         support = self.support()
-        pos = {q: i for i, q in enumerate(support)}
-        s = len(support)
-        dim = 2**s
-        static = np.zeros((dim, dim), dtype=complex)
+
+        def string(factors):
+            axes = dict(factors)
+            return _pauli_string(tuple(axes.get(q, "I") for q in support))
+
+        static = np.zeros((2 ** len(support),) * 2, dtype=complex)
         for term in self.static_terms:
-            ops = [np.eye(2, dtype=complex)] * s
-            for q, axis in term.factors:
-                ops[pos[q]] = PAULI[axis]
-            prod = ops[0]
-            for op in ops[1:]:
-                prod = np.kron(prod, op)
-            static += term.coefficient * prod
+            static += term.coefficient * string(term.factors)
         drives = []
         for drv in self.drive_terms:
-            left = np.eye(2 ** pos[drv.target_qubit])
-            right = np.eye(dim // (2 * len(left)))
             if drv.form == "static_z":
-                static += np.kron(np.kron(left, drv.operator_at(0.0)), right)
-                continue
-            units = np.array(
-                [np.kron(np.kron(left, unit), right).reshape(-1)
-                 for unit in np.eye(4).reshape(4, 2, 2)],
-                dtype=complex,
-            )
-            drives.append((drv, units))
+                static += drv.amplitude * string(((drv.target_qubit, "Z"),))
+            else:
+                position = support.index(drv.target_qubit)
+                drives.append((drv, _drive_units(position, len(support))))
         return support, static, drives
 
     def matrix(self, t: float) -> np.ndarray:
         """Dense 2^n x 2^n matrix of H(t)."""
         support, static, drives = self._local_pieces()
         return embed_matrix(_h_at(static, drives, t), support, self.num_qubits)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, marked read-only so that a shared copy cannot be changed."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=128)
+def _pauli_string(axes: tuple[str, ...]) -> np.ndarray:
+    """Kronecker product of one "I", "X", "Y" or "Z" per qubit (read-only)."""
+    ops = [np.eye(2, dtype=complex) if a == "I" else PAULI[a] for a in axes]
+    return read_only(np.array(functools.reduce(np.kron, ops)))
+
+
+@functools.lru_cache(maxsize=128)
+def _drive_units(position: int, size: int) -> np.ndarray:
+    """The four 2x2 matrix units on one qubit, embedded, as rows (read-only)."""
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    identity = np.eye(2**size, dtype=complex)
+    return read_only(apply_local(units, (position,), identity).reshape(4, -1))
 
 
 def _h_at(static: np.ndarray, drives, t: float) -> np.ndarray:

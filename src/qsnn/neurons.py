@@ -80,7 +80,7 @@ _ACCEPTS = {
 
 
 def _check_fields(params) -> None:
-    """Checks every neuron's parameters share: field types, drive sign."""
+    """Checks every neuron's parameters share: field types, drive, tau."""
     for f in params.__dataclass_fields__.values():
         accepts, what = _ACCEPTS[f.type]
         value = getattr(params, f.name)
@@ -91,6 +91,8 @@ def _check_fields(params) -> None:
             )
     if params.drive_amplitude <= 0:
         raise InvalidParamsError("drive amplitude must be positive")
+    if not math.isfinite(params.tau):
+        raise InvalidParamsError("drive amplitude too small: tau is infinite")
 
 
 @dataclass(frozen=True)
@@ -455,7 +457,7 @@ def _output_gates(gates) -> np.ndarray:
     m = np.eye(2, dtype=complex)
     for gate in gates:
         m = core.gate_matrix(gate) @ m
-    return np.kron(np.eye(4, dtype=complex), m)
+    return core.embed_matrix(m, (2,), 3)
 
 
 def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9) -> DenseOperator:
@@ -468,16 +470,16 @@ def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9) -> DenseOperator:
     return op
 
 
-def _bell_out(label: str, out: int) -> np.ndarray:
-    vec = np.zeros(2, dtype=complex)
-    vec[out] = 1.0
-    return np.kron(core.BELL_VECTORS[label], vec)
-
-
-def _comp_out(bits: tuple[int, int], out: int) -> np.ndarray:
-    amp = np.zeros(8, dtype=complex)
-    amp[(bits[0] << 2) | (bits[1] << 1) | out] = 1.0
-    return amp
+# The protocol vectors, built once: a Bell pair or a computational pair
+# (bits) on the inputs, the output down (0) or up (1).
+_BELL_OUT = {
+    (label, out): core.read_only(np.kron(core.BELL_VECTORS[label], unit))
+    for label in BELL_LABELS for out, unit in enumerate(np.eye(2, dtype=complex))
+}
+_COMP_OUT = {
+    ((i >> 2, i >> 1 & 1), i & 1): row
+    for i, row in enumerate(core.read_only(np.eye(8, dtype=complex)))
+}
 
 
 def protocol_subspace(kind: str, params) -> list[np.ndarray]:
@@ -485,17 +487,17 @@ def protocol_subspace(kind: str, params) -> list[np.ndarray]:
     if kind == "excitation":
         labels = [("Psi+", 0), ("Psi-", 0), ("Phi+", 0), ("Phi-", 0),
                   ("Phi+", 1), ("Phi-", 1)]
-        return [_bell_out(b, o) for b, o in labels]
+        return [_BELL_OUT[label] for label in labels]
     if kind == "phase":
         labels = [("Psi+", 0), ("Phi+", 0), ("Psi-", 0), ("Phi-", 0),
                   ("Psi-", 1), ("Phi-", 1)]
-        return [_bell_out(b, o) for b, o in labels]
+        return [_BELL_OUT[label] for label in labels]
     hot = (1, 1) if kind == "final_upup" else (0, 0)
     cold = [(0, 0), (0, 1), (1, 0), (1, 1)]
     cold.remove(hot)
-    states = [_comp_out(b, 0) for b in cold]
-    states.append(_comp_out(hot, 0))
-    states.append(_comp_out(hot, 1))
+    states = [_COMP_OUT[b, 0] for b in cold]
+    states.append(_COMP_OUT[hot, 0])
+    states.append(_COMP_OUT[hot, 1])
     return states
 
 
@@ -509,30 +511,30 @@ def ideal_unitary(kind: str, params) -> DenseOperator:
     u = np.zeros((8, 8), dtype=complex)
     if kind == "excitation":
         for b in ("Psi+", "Psi-"):
-            u += np.outer(_bell_out(b, 0), _bell_out(b, 0))
-            u += 1j * np.outer(_bell_out(b, 1), _bell_out(b, 1))
+            u += np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 0])
+            u += 1j * np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 1])
         for b in ("Phi+", "Phi-"):
-            u += np.outer(_bell_out(b, 1), _bell_out(b, 0))
-            u += -1j * np.outer(_bell_out(b, 0), _bell_out(b, 1))
+            u += np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 0])
+            u += -1j * np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 1])
     elif kind == "phase":
         m = int(round(params.m))
         for b in ("Psi+", "Phi+"):
-            u += np.outer(_bell_out(b, 0), _bell_out(b, 0))
-            u += -1j * (-1) ** m * np.outer(_bell_out(b, 1), _bell_out(b, 1))
+            u += np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 0])
+            u += -1j * (-1) ** m * np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 1])
         for b in ("Psi-", "Phi-"):
-            u += np.outer(_bell_out(b, 1), _bell_out(b, 0))
-            u += 1j * (-1) ** m * np.outer(_bell_out(b, 0), _bell_out(b, 1))
+            u += np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 0])
+            u += 1j * (-1) ** m * np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 1])
     elif kind in ("final_upup", "final_downdown"):
         hot = (1, 1) if kind == "final_upup" else (0, 0)
         sign = 1.0 if kind == "final_upup" else -1.0
         flip_back = -1j * np.exp(sign * 2j * params.beta * params.tau)
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             if bits == hot:
-                u += np.outer(_comp_out(bits, 1), _comp_out(bits, 0))
-                u += flip_back * np.outer(_comp_out(bits, 0), _comp_out(bits, 1))
+                u += np.outer(_COMP_OUT[bits, 1], _COMP_OUT[bits, 0])
+                u += flip_back * np.outer(_COMP_OUT[bits, 0], _COMP_OUT[bits, 1])
             else:
-                u += np.outer(_comp_out(bits, 0), _comp_out(bits, 0))
-                u += np.outer(_comp_out(bits, 1), _comp_out(bits, 1))
+                u += np.outer(_COMP_OUT[bits, 0], _COMP_OUT[bits, 0])
+                u += np.outer(_COMP_OUT[bits, 1], _COMP_OUT[bits, 1])
     else:
         raise InvalidParamsError(f"unknown neuron kind {kind!r}")
     op = DenseOperator(u)

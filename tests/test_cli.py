@@ -179,6 +179,19 @@ OUT_OF_RANGE = {
     "solve_exc": ["params", "solve-exc", "--k", "1", "--l", "1" + "0" * 200],
     "neuron_phase": ["neuron", "phase", "--m", "3", "--n", "1" + "0" * 400],
     "negative_max_l": ["params", "triples", "--max-l", "-5"],
+    # tau = pi/A overflows for a tiny positive drive amplitude.
+    "tiny_amplitude_exc_params": lambda: neurons.ExcNeuronParams(
+        k=8.0, l=17.0, drive_amplitude=1e-320),
+    "tiny_amplitude_phase_params": lambda: neurons.PhaseNeuronParams(
+        m=3.0, n=82.0, drive_amplitude=1e-320),
+    "tiny_amplitude_final_params": lambda: parameters.make_final_params(
+        "detect_upup", 29, 15, 0, drive_amplitude=1e-320),
+    "tiny_amplitude_neuron_exc": ["neuron", "exc", "--k", "8", "--l", "17",
+                                  "--drive-amplitude", "1e-320"],
+    "tiny_amplitude_neuron_phase": ["neuron", "phase", "--m", "3", "--n", "82",
+                                    "--drive-amplitude", "1e-320"],
+    "tiny_amplitude_neuron_final": ["neuron", "final", "--l", "29", "--s", "15",
+                                    "--drive-amplitude", "1e-320"],
 }
 
 

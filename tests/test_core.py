@@ -445,6 +445,82 @@ class TestApplyLocal:
             core.apply_local(np.eye(2), (0,), np.ones(6))
 
 
+_ORACLE_PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, 1j], [-1j, 0]]),
+    "Z": np.diag([-1, 1]),
+}
+
+
+def _drive_oracle(form, a, w, t):
+    """The 2x2 drive operator at t, written out from the drive's definition."""
+    flip_up = np.array([[0, 0], [1, 0]])  # |up><down|
+    if form == "cosine_x":
+        return a * math.cos(w * t) * _ORACLE_PAULI["X"]
+    if form == "static_z":
+        return a * _ORACLE_PAULI["Z"]
+    phase = np.exp((-1j if form == "rotating_plus" else 1j) * w * t)
+    return 0.5 * a * (phase * flip_up + np.conj(phase) * flip_up.T)
+
+
+def _register_kron(ops: dict, num_qubits: int) -> np.ndarray:
+    """Kronecker product over the register: ops[q] on qubit q, else I."""
+    full = np.eye(1)
+    for q in range(num_qubits):
+        full = np.kron(full, ops.get(q, _ORACLE_PAULI["I"]))
+    return full
+
+
+class TestAssemblyTables:
+    @pytest.mark.parametrize("form", core.DRIVE_FORMS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_matches_kron_sum(self, form, data):
+        num_qubits = data.draw(st.integers(1, 5))
+        qubits = st.permutations(range(num_qubits))
+        terms, expected = [], 0
+        for _ in range(data.draw(st.integers(0, 4))):
+            size = data.draw(st.integers(1, min(3, num_qubits)))
+            factors = tuple(
+                (q, data.draw(st.sampled_from("XYZ")))
+                for q in data.draw(qubits)[:size]
+            )
+            c = data.draw(st.floats(-2.0, 2.0))
+            terms.append(core.StaticTerm(c, factors))
+            expected = expected + c * _register_kron(
+                {q: _ORACLE_PAULI[axis] for q, axis in factors}, num_qubits)
+        drives = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            a, w = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(-8.0, 8.0))
+            drives.append(core.DriveTerm(
+                a, w, data.draw(st.integers(0, num_qubits - 1)), form))
+        t = data.draw(st.floats(0.0, 5.0))
+        for drv in drives:
+            expected = expected + _register_kron(
+                {drv.target_qubit: _drive_oracle(form, drv.amplitude,
+                                                 drv.angular_frequency, t)},
+                num_qubits)
+        ham = core.TimeDependentHamiltonian(num_qubits, tuple(terms),
+                                            tuple(drives))
+        for _ in range(2):  # the second call reads the tables the first filled
+            assert _max_diff(ham.matrix(t), expected) <= 1e-14
+
+    def test_tables_are_read_only(self, phase_3_82):
+        final = parameters.make_final_params("detect_upup", 29, 15, 0)
+        _, _, drives = _h_final("detect_upup", "rotating")._local_pieces()
+        cached = [
+            core._pauli_string(("X", "I", "Z")),
+            drives[0][1],
+            neurons.protocol_subspace("phase", phase_3_82)[0],
+            neurons.protocol_subspace("final_upup", final)[-1],
+        ]
+        for array in cached:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert core._pauli_string(("X", "I", "Z"))[0, 2] == 0.0
+
+
 class TestGates:
     def test_hadamard_twice_is_identity(self, rng):
         state = random_state(2, rng)

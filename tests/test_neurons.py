@@ -439,3 +439,26 @@ def test_fidelity_report_matches_acceptance_helper(kind, params):
     from test_acceptance import _neuron_report
 
     assert neurons.fidelity_report(kind, params) == _neuron_report(kind, params)
+
+
+def test_fidelity_reports_do_not_depend_on_call_order():
+    # The protocol vectors and Pauli strings are shared between calls; a
+    # table keyed too coarsely would hand one neuron another's matrices.
+    points = [
+        ("excitation", parameters.solve_exc(8, 17)),
+        ("phase", parameters.solve_phase(3, 82)),
+        ("phase", parameters.solve_phase(4, 164)),
+        ("final_upup", parameters.make_final_params("detect_upup", 29, 15, 0)),
+        ("final_downdown",
+         parameters.make_final_params("detect_downdown", 29, 15, 0)),
+    ]
+    forward = [neurons.fidelity_report(*point).f_avg for point in points]
+    backward = [neurons.fidelity_report(*point).f_avg for point in points[::-1]]
+    assert forward == backward[::-1]
+    # The phase neuron's flip-back carries i(-1)^m, so even and odd m differ.
+    for m, n in ((3, 82), (4, 164), (3, 82)):
+        u = neurons.ideal_unitary("phase", parameters.solve_phase(m, n)).matrix
+        for label in ("Phi-", "Psi-"):
+            assert np.vdot(_bell(label, DOWN), u @ _bell(label, UP)) == (
+                pytest.approx(1j * (-1) ** m, abs=1e-14)
+            )
