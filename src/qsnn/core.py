@@ -123,6 +123,14 @@ def bell_state(label: str) -> StateVector:
     return StateVector(2, BELL_VECTORS[label])
 
 
+def check_isometry(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+    """Raise NormDriftError unless M†M = I within tol in every entry."""
+    drift = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1])))
+    if not drift < tol:  # also true for a NaN drift
+        raise NormDriftError(f"operator failed the unitarity check: "
+                             f"max |M†M - I| = {drift:.3g}")
+
+
 class DenseOperator:
     """A dense dim x dim complex operator."""
 
@@ -142,13 +150,8 @@ class DenseOperator:
     def identity(cls, dim: int) -> "DenseOperator":
         return cls(np.eye(dim, dtype=complex))
 
-    def is_unitary(self, tol: float = UNITARITY_TOL) -> bool:
-        delta = self.matrix.conj().T @ self.matrix - np.eye(self.dim)
-        return bool(np.max(np.abs(delta)) < tol)
-
     def assert_unitary(self, tol: float = UNITARITY_TOL) -> None:
-        if not self.is_unitary(tol):
-            raise NormDriftError("operator failed the unitarity check")
+        check_isometry(self.matrix, tol)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DenseOperator(dim={self.dim})"
@@ -625,16 +628,14 @@ def measure(state: StateVector, qubit: int) -> MeasureResult:
     Post-states whose outcome probability is below 1e-14 are returned as
     None (undefined) rather than as unnormalizable vectors.
     """
-    block = split_targets(state.amplitudes, (qubit,))
-    probabilities = [float(np.sum(np.abs(row) ** 2)) for row in block]
-    # Both projections at once: projected[outcome] keeps only that row.
-    projected = np.zeros((2,) + block.shape, dtype=complex)
+    _check_qubit(qubit, state.num_qubits)
+    # Axis 1 of this view is the measured qubit (qubit 0 most significant).
+    view = state.amplitudes.reshape(2**qubit, 2, -1)
+    probabilities = [float(np.vdot(view[:, b], view[:, b]).real) for b in (0, 1)]
+    post_states = [None, None]
     for outcome, p in enumerate(probabilities):
         if p >= DEGENERATE_PROB:
-            projected[outcome, outcome] = block[outcome] / math.sqrt(p)
-    posts = merge_targets(projected, (qubit,), state.amplitudes.shape)
-    post_states = [
-        StateVector(state.num_qubits, amps) if p >= DEGENERATE_PROB else None
-        for amps, p in zip(posts, probabilities)
-    ]
+            projected = np.zeros_like(view)
+            projected[:, outcome] = view[:, outcome] / math.sqrt(p)
+            post_states[outcome] = StateVector(state.num_qubits, projected)
     return MeasureResult(*probabilities, *post_states)

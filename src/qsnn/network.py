@@ -42,7 +42,7 @@ from .neurons import (
     PhaseNeuronParams,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 AMPLITUDE_NORM_TOL = 1e-9
 # Largest register a spec may declare; the full template needs 11 qubits.
 MAX_QUBITS = 16
@@ -63,6 +63,9 @@ DEFAULT_FINAL = dict(l=29, s=15, parity_k=0)
 # second detection (see module docstring).  Excitation flip-back is −i,
 # phase-neuron flip-back is i(−1)^m; the pre-phase inverts it in each case.
 EXC_SHARED_TARGET_PREPHASE = math.pi / 2
+
+# Row i is the Bell vector BELL_LABELS[i] in the index basis.
+_BELL_BASIS = core.read_only(np.array([BELL_VECTORS[b] for b in BELL_LABELS]))
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,7 @@ class BellAmplitudes:
 
     def pair_state(self) -> np.ndarray:
         """The 4-dim 2-qubit state vector these amplitudes describe."""
-        out = np.zeros(4, dtype=complex)
-        for amp, label in zip(self.as_tuple(), BELL_LABELS):
-            out += amp * BELL_VECTORS[label]
-        return out
+        return np.array(self.as_tuple(), dtype=complex) @ _BELL_BASIS
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,9 @@ class NetworkSpec:
     output_qubit: int
 
     def __post_init__(self):
+        # Tuples, so that a spec is hashable: run() caches by spec.
+        object.__setattr__(self, "schedule", tuple(self.schedule))
+        object.__setattr__(self, "input_qubits", tuple(self.input_qubits))
         violations = validate(self)
         if violations:
             raise NetworkValidationError(violations)
@@ -243,7 +246,7 @@ def _input_amplitudes(inputs) -> np.ndarray:
             "inputs must be a pair of BellAmplitudes, a 4-qubit StateVector, "
             "or a 16-dim vector"
         )
-    return np.kron(pair_a.pair_state(), pair_b.pair_state())
+    return np.outer(pair_a.pair_state(), pair_b.pair_state()).reshape(16)
 
 
 def initial_state(spec: NetworkSpec, inputs) -> StateVector:
@@ -261,20 +264,32 @@ def _cached_unitary(kind, params, corrections, tol) -> np.ndarray:
     return neurons.neuron_unitary(local, tol).matrix
 
 
+# Each V holds 2^n x 16 complex amplitudes: 512 KB for the full template,
+# 16 MB at MAX_QUBITS, so four entries stay within 64 MB.
+@lru_cache(maxsize=4)
+def _isometry(spec: NetworkSpec, tol: float) -> np.ndarray:
+    """V: the schedule applied to the 16 input basis states, as columns."""
+    columns = np.stack([initial_state(spec, basis).amplitudes
+                        for basis in np.eye(16)], axis=1)
+    for entry in spec.schedule:
+        u8 = _cached_unitary(entry.kind, entry.params, entry.corrections, tol)
+        columns = core.apply_local(u8, entry.targets, columns)
+    core.check_isometry(columns)
+    return core.read_only(columns)
+
+
 def run(spec: NetworkSpec, inputs, tol: float = 1e-9) -> StateVector:
     """Execute the schedule by sequential neuron activation.
 
-    Each distinct neuron's 8-dim corrected unitary is computed once and
-    applied on the neuron's qubit triple: every neuron Hamiltonian acts
-    only on that triple, so this is exact under the sequential-activation
-    idealization.
+    All but the four input qubits start in |↓⟩, so the schedule is one
+    isometry V (2^n x 16) from the input space into the register, and the
+    final state is V times the input amplitudes.  V is built once per
+    (spec, tol) from each neuron's cached 8-dim corrected unitary, checked
+    for V†V = I (NormDriftError otherwise) and cached read-only, the last
+    four only: 512 KB each for the full template, 16 MB at MAX_QUBITS.
     """
-    state = initial_state(spec, inputs)
-    for entry in spec.schedule:
-        u8 = _cached_unitary(entry.kind, entry.params, entry.corrections, tol)
-        amplitudes = core.apply_local(u8, entry.targets, state.amplitudes)
-        state = StateVector(spec.num_qubits, amplitudes)
-    return state
+    return StateVector(spec.num_qubits,
+                       _isometry(spec, tol) @ _input_amplitudes(inputs))
 
 
 def reduced_density_matrix(
@@ -390,7 +405,7 @@ def _check_fields(data, allowed, required, what: str) -> None:
                                  f"{sorted(required - keys)}")
 
 
-def _entry_from_dict(entry) -> NeuronSpec:
+def _entry_from_dict(entry, version: int) -> NeuronSpec:
     _check_fields(entry, _ENTRY_FIELDS, _ENTRY_FIELDS - {"corrections"}, "entry")
     kind = entry["kind"]
     inputs = entry["inputs"]
@@ -403,9 +418,12 @@ def _entry_from_dict(entry) -> NeuronSpec:
         raise InvalidParamsError("inputs and corrections must be lists")
     cls = neurons.PARAMS_TYPES[kind]
     params = entry["params"]
+    if version < 3 and cls is ExcNeuronParams and isinstance(params, dict):
+        # Schemas 1 and 2 also wrote this field, which nothing read.
+        params = {k: v for k, v in params.items() if k != "detuning_floor"}
     _check_fields(params, _PARAM_FIELDS[cls], _PARAM_REQUIRED[cls], "params")
     return neurons.make_spec(
-        kind, cls(**params), tuple(inputs), entry["output"],
+        kind, cls(**params), inputs, entry["output"],
         tuple(map(tuple, gates)) if "corrections" in entry else None,
     )
 
@@ -431,7 +449,7 @@ def to_json(spec: NetworkSpec, indent: int | None = 2) -> str:
 
 
 def from_json(text: str) -> NetworkSpec:
-    """Read a NetworkSpec document of schema 2 or 1.
+    """Read a NetworkSpec document of schema 3, 2 or 1.
 
     Every malformed document raises NetworkValidationError.
     """
@@ -440,7 +458,7 @@ def from_json(text: str) -> NetworkSpec:
         if not isinstance(doc, dict):
             raise InvalidParamsError("document root must be an object")
         version = doc.get("schema_version")
-        if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
             raise InvalidParamsError(f"unsupported schema_version {version!r}")
         fields = _FIELDS | {"run_mode"} if version == 1 else _FIELDS
         _check_fields(doc, fields, fields, "document")
@@ -453,10 +471,10 @@ def from_json(text: str) -> NetworkSpec:
         schedule = []
         for i, entry in enumerate(doc["schedule"]):
             try:
-                schedule.append(_entry_from_dict(entry))
+                schedule.append(_entry_from_dict(entry, version))
             except InvalidParamsError as exc:
                 raise InvalidParamsError(f"schedule entry {i}: {exc}") from None
     except (json.JSONDecodeError, InvalidParamsError) as exc:
         raise NetworkValidationError([str(exc)]) from None
-    return NetworkSpec(doc["num_qubits"], tuple(schedule),
-                       tuple(doc["input_qubits"]), doc["output_qubit"])
+    return NetworkSpec(doc["num_qubits"], schedule, doc["input_qubits"],
+                       doc["output_qubit"])

@@ -34,7 +34,6 @@ from .errors import (
 )
 
 PYTHAGOREAN_TOL = 1e-9
-DEFAULT_EXC_DETUNING_FLOOR = 10.0
 DEFAULT_PHASE_FLOOR_4M = 8.0
 DEFAULT_PHASE_RATIO_FLOOR = 5.0
 DEFAULT_PHASE_RATIO_HEADROOM = 10.0
@@ -105,7 +104,6 @@ class ExcNeuronParams:
     drive_amplitude: float = 1.0
     j_sign: int = 1
     relaxed: bool = False
-    detuning_floor: float = DEFAULT_EXC_DETUNING_FLOOR
 
     @in_arithmetic_range
     def __post_init__(self):
@@ -263,6 +261,7 @@ class NeuronSpec:
     corrections: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "input_qubits", tuple(self.input_qubits))
         if self.kind not in NEURON_KINDS:
             raise InvalidParamsError(f"unknown neuron kind {self.kind!r}")
         indices = (*self.input_qubits, self.output_qubit)
@@ -350,7 +349,7 @@ def make_spec(
 ) -> NeuronSpec:
     if corrections is None:
         corrections = default_corrections(kind, params)
-    return NeuronSpec(kind, params, tuple(input_qubits), output_qubit, corrections)
+    return NeuronSpec(kind, params, input_qubits, output_qubit, corrections)
 
 
 def build_exc_hamiltonian(

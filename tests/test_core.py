@@ -611,3 +611,36 @@ class TestMeasure:
     def test_out_of_bounds(self):
         with pytest.raises(errors.OutOfBoundsError):
             core.measure(core.StateVector.all_down(2), 2)
+
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_matches_explicit_projectors(self, num_qubits):
+        rng = np.random.default_rng(100 + num_qubits)
+        for qubit in range(num_qubits):
+            state = random_state(num_qubits, rng)
+            result = core.measure(state, qubit)
+            outcomes = ((result.p_down, result.post_down),
+                        (result.p_up, result.post_up))
+            for bit, (p, post) in enumerate(outcomes):
+                projector = np.kron(
+                    np.kron(np.eye(2**qubit), np.diag(np.eye(2)[bit])),
+                    np.eye(2 ** (num_qubits - qubit - 1)))
+                projected = projector @ state.amplitudes
+                expected = np.vdot(projected, projected).real
+                assert abs(p - expected) <= 1e-14
+                assert np.max(np.abs(post.amplitudes
+                                     - projected / math.sqrt(expected))) <= 1e-14
+        with pytest.raises(errors.OutOfBoundsError):
+            core.measure(state, num_qubits)
+        with pytest.raises(errors.OutOfBoundsError):
+            core.measure(state, -1)
+
+    @pytest.mark.parametrize("qubit", range(4))
+    def test_outcome_below_degeneracy_threshold_has_no_post_state(self, qubit):
+        # Outcome up on `qubit` carries probability 1e-16 < 1e-14.
+        amps = np.zeros(16, dtype=complex)
+        amps[0] = math.sqrt(1 - 1e-16)
+        amps[1 << (3 - qubit)] = 1e-8
+        result = core.measure(core.StateVector(4, amps), qubit)
+        assert result.p_up == pytest.approx(1e-16, rel=1e-6)
+        assert result.post_up is None
+        assert result.post_down is not None

@@ -53,6 +53,18 @@ class TestBellAmplitudes:
             pytest.approx(1.0)
         )
 
+    def test_pair_and_input_states_match_kron_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a, b = _random_amplitudes(rng), _random_amplitudes(rng)
+            ref_a, ref_b = (
+                sum(amp * core.BELL_VECTORS[label]
+                    for amp, label in zip(x.as_tuple(), core.BELL_LABELS))
+                for x in (a, b))
+            assert np.max(np.abs(a.pair_state() - ref_a)) <= 1e-15
+            inputs = network._input_amplitudes((a, b))
+            assert np.max(np.abs(inputs - np.kron(ref_a, ref_b))) <= 1e-15
+
 
 class TestTemplates:
     def test_full_topology(self, full):
@@ -175,6 +187,100 @@ class TestRunModes:
     def test_norm_preserved(self, reduced):
         final = network.run(reduced, (_pure("Phi+"), _pure("Psi-")))
         assert abs(final.norm() - 1.0) < 1e-9
+
+
+def _haar_inputs(count: int, seed: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((count, 16)) + 1j * rng.standard_normal(
+        (count, 16))
+    return list(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+
+
+class TestIsometry:
+    """network.run as one cached isometry V from the 16-dim input space."""
+
+    @pytest.mark.parametrize("kind", ["reduced", "full"])
+    def test_matches_apply_neuron_oracle(self, kind):
+        spec = network.template(kind)
+        pure = [(_pure(a), _pure(b))
+                for a, b in itertools.product(core.BELL_LABELS, repeat=2)]
+        for inputs in pure + _haar_inputs(20, seed=7):
+            fast = network.run(spec, inputs).amplitudes
+            slow = _apply_neuron_loop(spec, inputs).amplitudes
+            assert np.max(np.abs(fast - slow)) <= 1e-11
+
+    @pytest.mark.parametrize("kind", ["reduced", "full"])
+    def test_cached_isometry_is_read_only_and_orthonormal(self, kind):
+        spec = network.template(kind)
+        network.run(spec, (_pure("Phi+"), _pure("Phi+")))
+        v = network._isometry(spec, 1e-9)
+        assert v.shape == (2**spec.num_qubits, 16)
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+        # V is as orthonormal as its neurons' unitaries allow: building it
+        # adds no drift beyond theirs (1.7e-12 for each excitation neuron,
+        # from its Floquet integration at tol 1e-9).
+        def drift(m):
+            return np.max(np.abs(m.conj().T @ m - np.eye(len(m.T))))
+        budget = sum(drift(network._cached_unitary(
+            entry.kind, entry.params, entry.corrections, 1e-9))
+            for entry in spec.schedule)
+        assert drift(v) <= budget + 1e-14
+        assert drift(v) <= 1e-11
+
+    def test_drifting_isometry_rejected_when_built(self, reduced, monkeypatch):
+        monkeypatch.setattr(network, "_cached_unitary",
+                            lambda *args: 1.001 * np.eye(8))
+        with pytest.raises(errors.NormDriftError):
+            network._isometry(reduced, 0.5e-9)  # a tol nothing else caches
+
+    def test_input_boundary(self, reduced):
+        x = _haar_inputs(1, seed=3)[0]
+        with pytest.raises(errors.NormDriftError):
+            network.run(reduced, 1.1 * x)
+        x[5] = np.nan
+        with pytest.raises(errors.NormDriftError):
+            network.run(reduced, x)
+        with pytest.raises(errors.DimensionMismatchError):
+            network.run(reduced, np.full(15, 0.25, dtype=complex))
+        with pytest.raises(errors.DimensionMismatchError):
+            network.run(reduced, core.StateVector.all_down(3))
+
+    def test_spec_from_lists_is_hashable_and_equal(self, reduced):
+        # run() caches V by spec, so a spec holds tuples whatever it is given.
+        listed = network.NetworkSpec(
+            reduced.num_qubits,
+            [dataclasses.replace(entry, input_qubits=list(entry.input_qubits))
+             for entry in reduced.schedule],
+            list(reduced.input_qubits), reduced.output_qubit)
+        assert listed == reduced and hash(listed) == hash(reduced)
+        pair = (_pure("Psi+"), _pure("Psi+"))
+        assert np.array_equal(network.run(listed, pair).amplitudes,
+                              network.run(reduced, pair).amplitudes)
+
+    def test_padded_register_matches_template(self, full):
+        # The full schedule in a MAX_QUBITS register with five idle qubits:
+        # the largest V a spec can ask for.
+        padded = network.NetworkSpec(network.MAX_QUBITS, full.schedule,
+                                     full.input_qubits, full.output_qubit)
+        for a, b in itertools.product(core.BELL_LABELS, repeat=2):
+            pair = (_pure(a), _pure(b))
+            assert network.output_excitation_probability(padded, pair) == (
+                pytest.approx(network.output_excitation_probability(full, pair),
+                              abs=1e-12))
+        half = network.BellAmplitudes(0.0, 1 / math.sqrt(2), 1 / math.sqrt(2),
+                                      0.0)
+        small = network.run(full, (half, half))
+        large = network.run(padded, (half, half))
+        for outcome in ("up", "down"):
+            expected = network.back_action(small, full, outcome)
+            report = network.back_action(large, padded, outcome)
+            assert report.probability == pytest.approx(expected.probability,
+                                                       abs=1e-12)
+            for name, overlap in expected.branch_overlaps.items():
+                assert report.branch_overlaps[name] == pytest.approx(
+                    overlap, abs=1e-12)
 
 
 class TestKernel:
@@ -313,6 +419,19 @@ class TestSerialization:
         assert network.from_json(json.dumps(v1)) == reduced
         assert network.from_json(json.dumps(v2)) == reduced
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_detuning_floor_ignored_before_schema_3(self, reduced, version):
+        # Schemas 1 and 2 wrote detuning_floor in every excitation entry;
+        # nothing read it, and it is gone from ExcNeuronParams.
+        doc = json.loads(network.to_json(reduced))
+        doc["schema_version"] = version
+        if version == 1:
+            doc["run_mode"] = "embedded_unitary"
+        for entry in doc["schedule"]:
+            if entry["kind"] == "excitation":
+                entry["params"]["detuning_floor"] = 10.0
+        assert network.from_json(json.dumps(doc)) == reduced
+
 
 def _reduced_doc() -> dict:
     return json.loads(network.to_json(network.template("reduced")))
@@ -361,6 +480,8 @@ MALFORMED = {
     "float_final_l": lambda d: _set(d, ("schedule", 4, "params", "l"), 29.0),
     "final_kind_variant_mismatch": lambda d: _set(d, ("schedule", 4, "kind"),
                                                   "final_upup"),
+    "v3_detuning_floor": lambda d: _set(
+        d, ("schedule", 2, "params", "detuning_floor"), 10.0),
 }
 
 
