@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import core, fidelity
 from .core import (
@@ -418,16 +419,18 @@ def build_final_hamiltonian(
     )
 
 
+_BUILDERS = {
+    "excitation": build_exc_hamiltonian, "phase": build_phase_hamiltonian,
+    "final_upup": build_final_hamiltonian, "final_downdown": build_final_hamiltonian,
+}
+
+
 def build_hamiltonian(
     spec: NeuronSpec, num_qubits: int = 3, targets: Sequence[int] | None = None
 ) -> TimeDependentHamiltonian:
     if targets is None:
         targets = spec.targets
-    if spec.kind == "excitation":
-        return build_exc_hamiltonian(spec.params, num_qubits, targets)
-    if spec.kind == "phase":
-        return build_phase_hamiltonian(spec.params, num_qubits, targets)
-    return build_final_hamiltonian(spec.params, num_qubits, targets)
+    return _BUILDERS[spec.kind](spec.params, num_qubits, targets)
 
 
 def apply_neuron(
@@ -481,23 +484,20 @@ _COMP_OUT = {
 }
 
 
+# kind -> (protocol vectors, inputs whose output it keeps, inputs it flips)
+_PROTOCOLS = {
+    "excitation": (_BELL_OUT, ("Psi+", "Psi-"), ("Phi+", "Phi-")),
+    "phase": (_BELL_OUT, ("Psi+", "Phi+"), ("Psi-", "Phi-")),
+    "final_upup": (_COMP_OUT, ((0, 0), (0, 1), (1, 0)), ((1, 1),)),
+    "final_downdown": (_COMP_OUT, ((0, 1), (1, 0), (1, 1)), ((0, 0),)),
+}
+
+
 def protocol_subspace(kind: str, params) -> list[np.ndarray]:
-    """The 6 protocol states used to define and score each neuron."""
-    if kind == "excitation":
-        labels = [("Psi+", 0), ("Psi-", 0), ("Phi+", 0), ("Phi-", 0),
-                  ("Phi+", 1), ("Phi-", 1)]
-        return [_BELL_OUT[label] for label in labels]
-    if kind == "phase":
-        labels = [("Psi+", 0), ("Phi+", 0), ("Psi-", 0), ("Phi-", 0),
-                  ("Psi-", 1), ("Phi-", 1)]
-        return [_BELL_OUT[label] for label in labels]
-    hot = (1, 1) if kind == "final_upup" else (0, 0)
-    cold = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    cold.remove(hot)
-    states = [_COMP_OUT[b, 0] for b in cold]
-    states.append(_COMP_OUT[hot, 0])
-    states.append(_COMP_OUT[hot, 1])
-    return states
+    """The 6 protocol states used to define and score each neuron: every
+    input with the output down, kept ones first, then flipped ones up."""
+    vectors, kept, flipped = _PROTOCOLS[kind]
+    return [vectors[b, 0] for b in kept + flipped] + [vectors[b, 1] for b in flipped]
 
 
 def ideal_unitary(kind: str, params) -> DenseOperator:
@@ -505,40 +505,37 @@ def ideal_unitary(kind: str, params) -> DenseOperator:
 
     Entries outside the protocol subspace complete the operator unitarily
     with phases consistent with the corrected dynamics (test-invisible:
-    fidelity is only evaluated on the subspace).
+    fidelity is only evaluated on the subspace).  Only the final layer's
+    ideal, which depends on βτ, is built per call; the others are shared.
     """
-    u = np.zeros((8, 8), dtype=complex)
-    if kind == "excitation":
-        for b in ("Psi+", "Psi-"):
-            u += np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 0])
-            u += 1j * np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 1])
-        for b in ("Phi+", "Phi-"):
-            u += np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 0])
-            u += -1j * np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 1])
-    elif kind == "phase":
-        m = int(round(params.m))
-        for b in ("Psi+", "Phi+"):
-            u += np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 0])
-            u += -1j * (-1) ** m * np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 1])
-        for b in ("Psi-", "Phi-"):
-            u += np.outer(_BELL_OUT[b, 1], _BELL_OUT[b, 0])
-            u += 1j * (-1) ** m * np.outer(_BELL_OUT[b, 0], _BELL_OUT[b, 1])
-    elif kind in ("final_upup", "final_downdown"):
-        hot = (1, 1) if kind == "final_upup" else (0, 0)
-        sign = 1.0 if kind == "final_upup" else -1.0
-        flip_back = -1j * np.exp(sign * 2j * params.beta * params.tau)
-        for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            if bits == hot:
-                u += np.outer(_COMP_OUT[bits, 1], _COMP_OUT[bits, 0])
-                u += flip_back * np.outer(_COMP_OUT[bits, 0], _COMP_OUT[bits, 1])
-            else:
-                u += np.outer(_COMP_OUT[bits, 0], _COMP_OUT[bits, 0])
-                u += np.outer(_COMP_OUT[bits, 1], _COMP_OUT[bits, 1])
-    else:
+    if kind not in _PROTOCOLS:
         raise InvalidParamsError(f"unknown neuron kind {kind!r}")
-    op = DenseOperator(u)
-    op.assert_unitary(tol=1e-12)
-    return op
+    if kind in ("excitation", "phase"):
+        sign = -1 if kind == "excitation" else (-1) ** int(round(params.m))
+        return DenseOperator(_fixed_ideal(kind, sign))
+    sign = 1.0 if kind == "final_upup" else -1.0
+    flip_back = -1j * np.exp(sign * 2j * params.beta * params.tau)
+    return DenseOperator(_ideal_matrix(kind, 1, flip_back))
+
+
+@functools.lru_cache(maxsize=4)
+def _fixed_ideal(kind: str, sign: int) -> np.ndarray:
+    """The excitation (sign -1) or phase ((-1)^round(m)) ideal, read-only."""
+    return core.read_only(_ideal_matrix(kind, -1j * sign, 1j * sign))
+
+
+def _ideal_matrix(kind: str, stay: complex, flip_back: complex) -> np.ndarray:
+    """Kept inputs gain `stay` with the output up, flipped ones `flip_back`."""
+    vectors, kept, flipped = _PROTOCOLS[kind]
+    u = np.zeros((8, 8), dtype=complex)
+    for b in kept:
+        u += np.outer(vectors[b, 0], vectors[b, 0])
+        u += stay * np.outer(vectors[b, 1], vectors[b, 1])
+    for b in flipped:
+        u += np.outer(vectors[b, 1], vectors[b, 0])
+        u += flip_back * np.outer(vectors[b, 0], vectors[b, 1])
+    core.check_isometry(u, 1e-12)
+    return u
 
 
 def fidelity_report(kind: str, params) -> fidelity.FidelityReport:
@@ -549,6 +546,44 @@ def fidelity_report(kind: str, params) -> fidelity.FidelityReport:
         ideal_unitary(kind, params),
         protocol_subspace(kind, params),
     )
+
+
+class FidelityModel:
+    """fidelity_report's f_avg, up to rounding, for many parameter sets.
+
+    For an excitation or phase neuron, L = B†·U_ideal†·Post and R = Pre·B
+    are built once per round(m), on which the phase neuron's ideal and
+    post-phase gate depend, from the checked ideal, protocol basis B and
+    output gates.  A call builds H, takes the bare propagator U as the
+    engine does, checks it and returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).
+    """
+
+    def __init__(self, kind: str):
+        if kind not in ("excitation", "phase"):
+            raise InvalidParamsError(f"no fidelity model for kind {kind!r}")
+        self.kind, self.build, self.projections = kind, _BUILDERS[kind], {}
+
+    def __call__(self, params) -> float:
+        hamiltonian = self.build(params)
+        if self.kind == "phase":  # static: the engine's one matrix exponential
+            u = expm(-1j * params.tau * hamiltonian._local_pieces()[1])
+        else:
+            u = core.propagator(hamiltonian, params.tau).matrix
+        return self.score(params, u)
+
+    def score(self, params, u: np.ndarray) -> float:
+        """f_avg of the bare propagator u of `params`, once u is unitary."""
+        core.check_isometry(u)
+        key = round(params.m) if self.kind == "phase" else None
+        if key not in self.projections:
+            pre, post = make_spec(self.kind, params, (0, 1), 2).gates
+            basis = fidelity._subspace_matrix(protocol_subspace(self.kind, params), 8)
+            ideal = ideal_unitary(self.kind, params).matrix.conj().T
+            self.projections[key] = (basis.conj().T @ ideal @ _output_gates(post),
+                                     _output_gates(pre) @ basis)
+        left, right = self.projections[key]
+        m = left @ u @ right
+        return (np.vdot(m, m).real + abs(np.trace(m)) ** 2) / (len(m) * (len(m) + 1))
 
 
 @dataclass(frozen=True)

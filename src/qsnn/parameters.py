@@ -205,9 +205,11 @@ def tune(
     Maximizes the subspace average fidelity of each candidate against the
     ideal unitary of that candidate's own (relaxed) parameters, within a
     ±2% box around the start that, for the phase neuron, is cut off at the
-    hierarchy floors.  The phase neuron's ideal depends on round(m), so it
-    differs from the start's only where the box crosses a half-integer m
-    (m ≥ 25).
+    hierarchy floors.  The simplex reads one neurons.FidelityModel, which
+    builds the ideal, gates and subspace projections once per round(m): the
+    phase neuron's ideal and post-phase gate change only where the box
+    crosses a half-integer m (m ≥ 25).  The initial and final fidelities
+    come from neurons.fidelity_report.
     Deterministic given the seed (the search itself is deterministic; the
     seed is accepted for interface uniformity and recorded by callers).
     """
@@ -231,6 +233,7 @@ def tune(
     else:
         raise InvalidParamsError(f"tuning is not defined for kind {kind!r}")
     lo, hi = x0 * (1 - TUNE_BOX_FRACTION), x0 * (1 + TUNE_BOX_FRACTION)
+    model = neurons.FidelityModel(kind)
     count = 0
 
     def objective(x):
@@ -238,7 +241,7 @@ def tune(
         clipped = feasible(np.clip(x, lo, hi))
         penalty = float(np.sum((x - clipped) ** 2))
         count += 1
-        return -neurons.fidelity_report(kind, relax(clipped)).f_avg + penalty
+        return -model(relax(clipped)) + penalty
 
     f0 = neurons.fidelity_report(kind, relax(x0)).f_avg
     count = 0

@@ -53,6 +53,34 @@ class TestIdealUnitary:
         u = neurons.ideal_unitary(kind, params).matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) < 1e-12
 
+    @pytest.mark.parametrize("kind,params", [
+        ("excitation", parameters.solve_exc(8, 17)),
+        ("phase", parameters.solve_phase(3, 82)),
+        ("phase", parameters.solve_phase(4, 164)),
+    ])
+    def test_fixed_ideals_built_once(self, kind, params):
+        # The outer-product sum, as built for every call before the ideals
+        # of these kinds were shared.
+        u = np.zeros((8, 8), dtype=complex)
+        if kind == "excitation":
+            stay, back = 1j, -1j
+            kept, flipped = ("Psi+", "Psi-"), ("Phi+", "Phi-")
+        else:
+            sign = (-1) ** int(round(params.m))
+            stay, back = -1j * sign, 1j * sign
+            kept, flipped = ("Psi+", "Phi+"), ("Psi-", "Phi-")
+        for b in kept:
+            u += np.outer(_bell(b, DOWN), _bell(b, DOWN))
+            u += stay * np.outer(_bell(b, UP), _bell(b, UP))
+        for b in flipped:
+            u += np.outer(_bell(b, UP), _bell(b, DOWN))
+            u += back * np.outer(_bell(b, DOWN), _bell(b, UP))
+        shared = neurons.ideal_unitary(kind, params).matrix
+        assert np.array_equal(shared, u)
+        assert shared is neurons.ideal_unitary(kind, params).matrix
+        with pytest.raises(ValueError):
+            shared[0, 0] = 0.0
+
     def test_exc_flip_and_phase_additions(self, exc_8_17):
         u = neurons.ideal_unitary("excitation", exc_8_17).matrix
         # Even-excitation inputs flip the output; odd ones leave it alone.

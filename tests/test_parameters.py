@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from qsnn import errors, neurons, parameters
+from qsnn import core, errors, neurons, parameters
 
 
 class TestPythagoreanTriples:
@@ -178,3 +180,112 @@ class TestTune:
         tuned = result.tuned_params
         assert 4 * tuned.m >= start.floor_4m
         assert 2 * tuned.n >= start.ratio_floor * 4 * tuned.m
+
+
+def _tune_by_reports(initial, kind: str, budget: int):
+    """The tuner before its fidelity model: a full fidelity_report per
+    simplex evaluation, driven by the same minimize call.  Returns the tuned
+    params, the evaluation count and the initial and final fidelities."""
+    if kind == "phase":
+        x0 = np.array([initial.m, initial.n], dtype=float)
+        relax = lambda x: replace(initial, m=float(x[0]), n=float(x[1]),
+                                  relaxed=True)
+
+        def feasible(x):
+            m = max(x[0], initial.floor_4m / 4)
+            return np.array([m, max(x[1], initial.ratio_floor * 4 * m / 2)])
+    else:
+        x0 = np.array([initial.k, initial.l], dtype=float)
+        relax = lambda x: replace(initial, k=float(x[0]), l=float(x[1]),
+                                  relaxed=True)
+        feasible = lambda x: x
+    lo, hi = x0 * 0.98, x0 * 1.02
+    count = 0
+
+    def objective(x):
+        nonlocal count
+        clipped = feasible(np.clip(x, lo, hi))
+        count += 1
+        penalty = float(np.sum((x - clipped) ** 2))
+        return -neurons.fidelity_report(kind, relax(clipped)).f_avg + penalty
+
+    f0 = neurons.fidelity_report(kind, relax(x0)).f_avg
+    result = minimize(
+        objective, x0, method="Nelder-Mead",
+        options={"maxfev": max(budget - 1, 1), "xatol": 1e-6, "fatol": 1e-9,
+                 "adaptive": False},
+    )
+    best_x = feasible(np.clip(result.x, lo, hi))
+    best_f = neurons.fidelity_report(kind, relax(best_x)).f_avg
+    if best_f < f0:
+        best_x, best_f = x0, f0
+    return relax(best_x), count, f0, best_f
+
+
+@pytest.mark.parametrize("kind, start, budget", [
+    ("phase", (3, 82), 300),
+    ("phase", (2, 20), 300),    # a hierarchy-floor start
+    ("phase", (25, 300), 300),  # the box crosses m = 24.5
+    ("excitation", (8, 17), 40),
+])
+def test_tune_matches_the_report_driven_tuner(kind, start, budget):
+    solve = parameters.solve_phase if kind == "phase" else parameters.solve_exc
+    initial = solve(*start)
+    tuned, evaluations, f0, f1 = _tune_by_reports(initial, kind, budget)
+    result = parameters.tune(initial, kind, budget=budget)
+    assert result.evaluations == evaluations
+    x = {f: getattr(result.tuned_params, f)
+         for f in (("m", "n") if kind == "phase" else ("k", "l"))}
+    assert result.tuned_params == replace(tuned, **x)
+    got = [*x.values(), result.initial_fidelity, result.final_fidelity]
+    want = [*(getattr(tuned, f) for f in x), f0, f1]
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+_MODEL_STARTS = {
+    "phase": [parameters.solve_phase(3, 82), parameters.solve_phase(5, 80),
+              parameters.solve_phase(25, 300), parameters.solve_phase(30, 600)],
+    "excitation": [parameters.solve_exc(8, 17), parameters.solve_exc(3, 5)],
+}
+
+
+@st.composite
+def _box_candidates(draw):
+    """(kind, params) within the ±2% tuning box of one of the starts."""
+    kind = draw(st.sampled_from(sorted(_MODEL_STARTS)))
+    start = draw(st.sampled_from(_MODEL_STARTS[kind]))
+    a, b = (draw(st.floats(0.98, 1.02)) for _ in range(2))
+    if kind == "phase":
+        return kind, replace(start, m=start.m * a, n=start.n * b, relaxed=True)
+    return kind, replace(start, k=start.k * a, l=start.l * b, relaxed=True)
+
+
+@given(_box_candidates())
+@settings(max_examples=40, deadline=None)
+def test_fidelity_model_matches_fidelity_report(candidate):
+    kind, params = candidate
+    expected = neurons.fidelity_report(kind, params).f_avg
+    assert abs(neurons.FidelityModel(kind)(params) - expected) <= 1e-15
+
+
+def test_fidelity_model_follows_round_m():
+    # The phase neuron's ideal and post-phase gate change with round(m), so
+    # one model serves both sides of each half-integer m.
+    model = neurons.FidelityModel("phase")
+    start = parameters.solve_phase(30, 600)
+    for m in (29.4, 29.6, 30.4, 30.6, 29.4):
+        params = replace(start, m=m, relaxed=True)
+        expected = neurons.fidelity_report("phase", params).f_avg
+        assert abs(model(params) - expected) <= 1e-15
+    assert sorted(model.projections) == [29, 30, 31]
+
+
+def test_fidelity_model_rejects_a_non_unitary_propagator(phase_3_82):
+    model = neurons.FidelityModel("phase")
+    u = core.propagator(neurons.build_phase_hamiltonian(phase_3_82),
+                        phase_3_82.tau).matrix
+    assert model.score(phase_3_82, u) == model(phase_3_82)
+    with pytest.raises(errors.NormDriftError):
+        model.score(phase_3_82, 1.001 * u)
+    with pytest.raises(errors.InvalidParamsError):
+        neurons.FidelityModel("final_upup")
