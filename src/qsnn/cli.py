@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 simulation/runtime failure, 2 validation failure.
 Reports are single JSON documents with a schema_version field; trajectory
 tables are CSV with header ``t,out_x,out_z,input_fidelity`` at 17
-significant digits, in program units (ħ=1, energy unit = drive amplitude).
+significant digits, in program units (ħ=1, energy unit = drive amplitude A,
+so t is in units of 1/A).
 """
 
 from __future__ import annotations
@@ -84,18 +85,6 @@ def _write_trajectories(kind: str, params, traj_dir: str) -> list[str]:
     return paths
 
 
-def _tune_section(kind: str, params, budget: int, seed: int | None) -> dict:
-    result = parameters.tune(params, kind, budget=budget, seed=seed)
-    return {
-        "initial_params": dataclasses.asdict(result.initial_params),
-        "tuned_params": dataclasses.asdict(result.tuned_params),
-        "initial_fidelity": result.initial_fidelity,
-        "tuned_fidelity": result.final_fidelity,
-        "evaluations": result.evaluations,
-        "budget_exhausted": result.budget_exhausted,
-    }
-
-
 def _neuron_report(
     kind: str, params, tune: bool, budget: int, seed: int | None,
     traj: str | None, output: str | None, command: str,
@@ -109,11 +98,16 @@ def _neuron_report(
         "fidelity": neurons.fidelity_report(kind, params),
     }
     if tune:
-        report["tune"] = _tune_section(kind, params, budget, seed)
-    artifacts = []
-    if traj:
-        artifacts = _write_trajectories(kind, params, traj)
-    report["artifacts"] = artifacts
+        result = parameters.tune(params, kind, budget=budget, seed=seed)
+        report["tune"] = {
+            "initial_params": dataclasses.asdict(result.initial_params),
+            "tuned_params": dataclasses.asdict(result.tuned_params),
+            "initial_fidelity": result.initial_fidelity,
+            "tuned_fidelity": result.final_fidelity,
+            "evaluations": result.evaluations,
+            "budget_exhausted": result.budget_exhausted,
+        }
+    report["artifacts"] = _write_trajectories(kind, params, traj) if traj else []
     report["timing_seconds"] = time.perf_counter() - started
     _emit(report, output)
 
@@ -138,10 +132,15 @@ def neuron() -> None:
     """Single-neuron fidelity reports, tuning, and trajectories."""
 
 
+_AMPLITUDE = click.option(
+    "--drive-amplitude", type=float, default=1.0, show_default=True,
+    help="Drive amplitude A. Neurons run in units of A: it scales only the "
+         "reported energies and tau.")
+
+
 def _neuron_options(fn):
     for option in reversed([
-        click.option("--drive-amplitude", type=float, default=1.0,
-                     show_default=True),
+        _AMPLITUDE,
         click.option("--tune", "do_tune", is_flag=True,
                      help="Run the simplex tuner from this start point."),
         click.option("--budget", type=int, default=300, show_default=True),
@@ -198,7 +197,7 @@ def neuron_phase(m, n, drive_amplitude, do_tune, budget, seed, traj, output):
 @click.option("--drive-mode", type=click.Choice(["rotating", "local_field"]),
               default="rotating", show_default=True)
 @click.option("--omega", type=float, default=None)
-@click.option("--drive-amplitude", type=float, default=1.0, show_default=True)
+@_AMPLITUDE
 @click.option("--output", type=click.Path(dir_okay=False))
 def neuron_final(variant, l, s, k_parity, gamma, drive_mode, omega,
                  drive_amplitude, output):
@@ -334,7 +333,7 @@ def params_triples(max_l):
               default="unity", show_default=True)
 @click.option("--s", type=int, default=None)
 @click.option("--sign", type=click.Choice(["1", "-1"]), default="1")
-@click.option("--drive-amplitude", type=float, default=1.0, show_default=True)
+@_AMPLITUDE
 def params_solve_exc(k, l, gamma_mode, s, sign, drive_amplitude):
     """Solve the excitation-neuron constraints."""
     p = parameters.solve_exc(k, l, drive_amplitude,
@@ -349,7 +348,7 @@ def params_solve_exc(k, l, gamma_mode, s, sign, drive_amplitude):
 @params.command("solve-phase")
 @click.option("--m", type=int, required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--drive-amplitude", type=float, default=1.0, show_default=True)
+@_AMPLITUDE
 def params_solve_phase(m, n, drive_amplitude):
     """Solve the phase-neuron constraints."""
     p = parameters.solve_phase(m, n, drive_amplitude)
@@ -367,7 +366,7 @@ def params_solve_phase(m, n, drive_amplitude):
 @click.option("--s", type=int, required=True)
 @click.option("--k-parity", type=click.Choice(["even", "odd"]),
               default="even", show_default=True)
-@click.option("--drive-amplitude", type=float, default=1.0, show_default=True)
+@_AMPLITUDE
 def params_solve_final(gamma, l, s, k_parity, drive_amplitude):
     """Solve the final-layer phase-matching condition for (beta, J)."""
     beta, j = parameters.solve_final_beta(

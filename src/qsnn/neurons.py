@@ -95,8 +95,20 @@ def _check_fields(params) -> None:
         raise InvalidParamsError("drive amplitude too small: tau is infinite")
 
 
+class _Driven:
+    """Each neuron runs in units of its drive amplitude A (B for the phase
+    neuron): H/A for UNIT_TAU in units of 1/A, π (π/2 for the phase neuron).
+    A only scales the reported energies and the duration tau = UNIT_TAU/A."""
+
+    UNIT_TAU = math.pi
+
+    @property
+    def tau(self) -> float:
+        return self.UNIT_TAU / self.drive_amplitude
+
+
 @dataclass(frozen=True)
-class ExcNeuronParams:
+class ExcNeuronParams(_Driven):
     """Excitation-parity neuron parameters (beta = kA, J = ±sqrt(l²−k²)A)."""
 
     k: float
@@ -127,31 +139,34 @@ class ExcNeuronParams:
                 )
 
     @property
+    def in_drive_units(self) -> tuple[float, float]:
+        """(J, β) in units of the drive amplitude: (±sqrt(l²−k²), k)."""
+        return self.j_sign * math.sqrt(self.l**2 - self.k**2), float(self.k)
+
+    @property
     def beta(self) -> float:
         return self.k * self.drive_amplitude
 
     @property
     def coupling_j(self) -> float:
-        return self.j_sign * math.sqrt(self.l**2 - self.k**2) * self.drive_amplitude
-
-    @property
-    def tau(self) -> float:
-        return math.pi / self.drive_amplitude
+        return self.in_drive_units[0] * self.drive_amplitude
 
     def detuning_ratios(self) -> dict[str, float]:
         """Detuning-to-drive ratios for the three suppressed transitions."""
-        a = self.drive_amplitude
-        root = math.sqrt(self.coupling_j**2 + self.beta**2)
+        j, b = self.in_drive_units
+        root = math.sqrt(j**2 + b**2)
         return {
-            "delta_0": abs(2 * self.beta) / a,
-            "delta_minus": abs(2 * self.beta - 2 * root) / a,
-            "delta_plus": abs(2 * self.beta + 2 * root) / a,
+            "delta_0": abs(2 * b),
+            "delta_minus": abs(2 * b - 2 * root),
+            "delta_plus": abs(2 * b + 2 * root),
         }
 
 
 @dataclass(frozen=True)
-class PhaseNeuronParams:
+class PhaseNeuronParams(_Driven):
     """Phase-detection neuron parameters (J = 2nB, delta = 2mB)."""
+
+    UNIT_TAU = math.pi / 2
 
     m: float
     n: float
@@ -181,6 +196,11 @@ class PhaseNeuronParams:
             )
 
     @property
+    def in_drive_units(self) -> tuple[float, float]:
+        """(J, δ) in units of the drive amplitude B: (2n, 2m)."""
+        return 2.0 * self.n, 2.0 * self.m
+
+    @property
     def coupling_j(self) -> float:
         return 2.0 * self.n * self.drive_amplitude
 
@@ -189,17 +209,13 @@ class PhaseNeuronParams:
         return 2.0 * self.m * self.drive_amplitude
 
     @property
-    def tau(self) -> float:
-        return math.pi / (2.0 * self.drive_amplitude)
-
-    @property
     def hierarchy_warning(self) -> bool:
         """True when 2n/4m is below the recommended headroom (default 10)."""
         return 2 * self.n < DEFAULT_PHASE_RATIO_HEADROOM * 4 * self.m
 
 
 @dataclass(frozen=True)
-class FinalLayerParams:
+class FinalLayerParams(_Driven):
     """Final-layer neuron: flips the output only for one designated pair."""
 
     variant: str  # "detect_upup" | "detect_downdown"
@@ -227,7 +243,7 @@ class FinalLayerParams:
             raise InvalidParamsError(
                 f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
             )
-        if abs(self.beta) > abs(self.l * self.drive_amplitude) + 1e-9:
+        if abs(self.beta / self.drive_amplitude) > abs(self.l) + 1e-9:
             raise InvalidParamsError("|beta| exceeds |l·A|")
         if self.drive_mode == "local_field":
             if self.omega is None:
@@ -239,8 +255,10 @@ class FinalLayerParams:
                 )
 
     @property
-    def tau(self) -> float:
-        return math.pi / self.drive_amplitude
+    def in_drive_units(self) -> tuple[float, float]:
+        """(J, β) in units of the drive amplitude."""
+        a = self.drive_amplitude
+        return self.coupling_j / a, self.beta / a
 
 
 PARAMS_TYPES = {
@@ -289,10 +307,6 @@ class NeuronSpec:
     @property
     def targets(self) -> tuple[int, int, int]:
         return (*self.input_qubits, self.output_qubit)
-
-    @property
-    def tau(self) -> float:
-        return self.params.tau
 
     @property
     def gates(self) -> tuple[tuple, tuple]:
@@ -353,70 +367,61 @@ def make_spec(
     return NeuronSpec(kind, params, input_qubits, output_qubit, corrections)
 
 
+def _build(params, num_qubits, targets, heisenberg, coupling, drive, field=0.0):
+    """H/A on (input 1, input 2, output), energies in units of the drive
+    amplitude A and t in units of 1/A: heisenberg·(XX + YY + γZZ) on the
+    inputs, the input-2/output coupling (axis, coefficient), a field·Z₃ if
+    nonzero and the output drive (angular frequency, form) of unit amplitude."""
+    q1, q2, q3 = targets
+    (axis, c), (frequency, form) = coupling, drive
+    static = (
+        StaticTerm(heisenberg, ((q1, "X"), (q2, "X"))),
+        StaticTerm(heisenberg, ((q1, "Y"), (q2, "Y"))),
+        StaticTerm(params.gamma * heisenberg, ((q1, "Z"), (q2, "Z"))),
+        StaticTerm(c, ((q2, axis), (q3, axis))),
+    ) + ((StaticTerm(field, ((q3, "Z"),)),) if field else ())
+    drives = (DriveTerm(1.0, frequency, q3, form),)
+    return TimeDependentHamiltonian(num_qubits, static, drives)
+
+
 def build_exc_hamiltonian(
     params: ExcNeuronParams, num_qubits: int = 3, targets: Sequence[int] = (0, 1, 2)
 ) -> TimeDependentHamiltonian:
-    """(J/2)(XX + YY + γZZ) on inputs + β Z₂Z₃ + A·cos(2βt) X₃."""
-    q1, q2, q3 = targets
-    j, g, b, a = params.coupling_j, params.gamma, params.beta, params.drive_amplitude
-    return TimeDependentHamiltonian(
-        num_qubits=num_qubits,
-        static_terms=(
-            StaticTerm(j / 2, ((q1, "X"), (q2, "X"))),
-            StaticTerm(j / 2, ((q1, "Y"), (q2, "Y"))),
-            StaticTerm(g * j / 2, ((q1, "Z"), (q2, "Z"))),
-            StaticTerm(b, ((q2, "Z"), (q3, "Z"))),
-        ),
-        drive_terms=(DriveTerm(a, 2 * b, q3, "cosine_x"),),
-    )
+    """H/A = (J/2)(XX + YY + γZZ) on inputs + β Z₂Z₃ + cos(2βt) X₃."""
+    j, b = params.in_drive_units
+    return _build(params, num_qubits, targets, j / 2, ("Z", b), (2 * b, "cosine_x"))
 
 
 def build_phase_hamiltonian(
     params: PhaseNeuronParams, num_qubits: int = 3, targets: Sequence[int] = (0, 1, 2)
 ) -> TimeDependentHamiltonian:
-    """J(XX + YY + γZZ) on inputs + δ X₂X₃ + B Z₃ (all static).
+    """H/B = J(XX + YY + γZZ) on inputs + δ X₂X₃ + Z₃ (all static).
 
     The Heisenberg coefficient is J, not J/2: this is the convention that
     reproduces the reference average fidelities (99.07% at (3,82), 96.38%
     at (5,80)); the halved coefficient provably cannot, under any
     output-qubit correction.
     """
-    q1, q2, q3 = targets
-    j, g, d, b = params.coupling_j, params.gamma, params.delta, params.drive_amplitude
-    return TimeDependentHamiltonian(
-        num_qubits=num_qubits,
-        static_terms=(
-            StaticTerm(j, ((q1, "X"), (q2, "X"))),
-            StaticTerm(j, ((q1, "Y"), (q2, "Y"))),
-            StaticTerm(g * j, ((q1, "Z"), (q2, "Z"))),
-            StaticTerm(d, ((q2, "X"), (q3, "X"))),
-        ),
-        drive_terms=(DriveTerm(b, 0.0, q3, "static_z"),),
-    )
+    j, d = params.in_drive_units
+    return _build(params, num_qubits, targets, j, ("X", d), (0.0, "static_z"))
 
 
 def build_final_hamiltonian(
     params: FinalLayerParams, num_qubits: int = 3, targets: Sequence[int] = (0, 1, 2)
 ) -> TimeDependentHamiltonian:
-    """Static Heisenberg + βZ₂Z₃ plus the variant's selective output drive."""
-    q1, q2, q3 = targets
-    j, g, b, a = params.coupling_j, params.gamma, params.beta, params.drive_amplitude
-    static = (
-        StaticTerm(j / 2, ((q1, "X"), (q2, "X"))),
-        StaticTerm(j / 2, ((q1, "Y"), (q2, "Y"))),
-        StaticTerm(g * j / 2, ((q1, "Z"), (q2, "Z"))),
-        StaticTerm(b, ((q2, "Z"), (q3, "Z"))),
-    )
+    """H/A = static Heisenberg + βZ₂Z₃ plus the variant's selective drive.
+
+    The rotating drive turns at 2β; the local field adds (Ω/2)Z₃ and drives
+    cos((Ω ± 2β)t) X₃, + for the up-up detector.
+    """
+    j, b = params.in_drive_units
+    upup = params.variant == "detect_upup"
     if params.drive_mode == "rotating":
-        form = "rotating_plus" if params.variant == "detect_upup" else "rotating_minus"
-        drives = (DriveTerm(a, 2 * b, q3, form),)
-    else:
-        sign = 1.0 if params.variant == "detect_upup" else -1.0
-        static = static + (StaticTerm(params.omega / 2, ((q3, "Z"),)),)
-        drives = (DriveTerm(a, params.omega + sign * 2 * b, q3, "cosine_x"),)
-    return TimeDependentHamiltonian(
-        num_qubits=num_qubits, static_terms=static, drive_terms=drives
-    )
+        drive = (2 * b, "rotating_plus" if upup else "rotating_minus")
+        return _build(params, num_qubits, targets, j / 2, ("Z", b), drive)
+    omega = params.omega / params.drive_amplitude
+    drive = (omega + (1.0 if upup else -1.0) * 2 * b, "cosine_x")
+    return _build(params, num_qubits, targets, j / 2, ("Z", b), drive, omega / 2)
 
 
 _BUILDERS = {
@@ -448,7 +453,7 @@ def apply_neuron(
     for gate in pre:
         state = core.apply_gate(state, gate, spec.output_qubit)
     hamiltonian = build_hamiltonian(spec, state.num_qubits)
-    state = core.evolve(state, hamiltonian, spec.tau, tol)
+    state = core.evolve(state, hamiltonian, spec.params.UNIT_TAU, tol)
     for gate in post:
         state = core.apply_gate(state, gate, spec.output_qubit)
     return state
@@ -465,7 +470,7 @@ def _output_gates(gates) -> np.ndarray:
 def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9) -> DenseOperator:
     """The corrected neuron's 8-dim unitary on (input1, input2, output)."""
     hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
-    u = core.propagator(hamiltonian, spec.tau, tol).matrix
+    u = core.propagator(hamiltonian, spec.params.UNIT_TAU, tol).matrix
     pre, post = spec.gates
     op = DenseOperator(_output_gates(post) @ u @ _output_gates(pre))
     op.assert_unitary()
@@ -513,8 +518,8 @@ def ideal_unitary(kind: str, params) -> DenseOperator:
     if kind in ("excitation", "phase"):
         sign = -1 if kind == "excitation" else (-1) ** int(round(params.m))
         return DenseOperator(_fixed_ideal(kind, sign))
-    sign = 1.0 if kind == "final_upup" else -1.0
-    flip_back = -1j * np.exp(sign * 2j * params.beta * params.tau)
+    rate = 2j if kind == "final_upup" else -2j
+    flip_back = -1j * np.exp(rate * params.in_drive_units[1] * params.UNIT_TAU)
     return DenseOperator(_ideal_matrix(kind, 1, flip_back))
 
 
@@ -566,9 +571,9 @@ class FidelityModel:
     def __call__(self, params) -> float:
         hamiltonian = self.build(params)
         if self.kind == "phase":  # static: the engine's one matrix exponential
-            u = expm(-1j * params.tau * hamiltonian._local_pieces()[1])
+            u = expm(-1j * params.UNIT_TAU * hamiltonian._local_pieces()[1])
         else:
-            u = core.propagator(hamiltonian, params.tau).matrix
+            u = core.propagator(hamiltonian, params.UNIT_TAU).matrix
         return self.score(params, u)
 
     def score(self, params, u: np.ndarray) -> float:
@@ -588,7 +593,8 @@ class FidelityModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled bare-evolution observables for one Bell input."""
+    """Sampled bare-evolution observables for one Bell input, at times from
+    0 to the neuron's UNIT_TAU in units of 1/A, whatever the amplitude A."""
 
     times: np.ndarray
     output_x: np.ndarray
@@ -614,7 +620,7 @@ def record_trajectory(
     hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
     psi0 = bell_state(input_label).tensor(StateVector.all_down(1))
     flipped = core.apply_gate(psi0, ("not_x",), 2)
-    times = np.linspace(0.0, spec.tau, samples)
+    times = np.linspace(0.0, spec.params.UNIT_TAU, samples)
     states = core.evolve_sampled(psi0, hamiltonian, times, tol)
     amps = np.array([state.amplitudes for state in states])
     # The output is qubit 2, the least significant index bit.
@@ -639,13 +645,6 @@ class SpectrumReport:
     bound: float
 
 
-def _closed_form_exc(j: float, gamma: float, beta: float) -> np.ndarray:
-    root = math.sqrt(j**2 + beta**2)
-    vals = [root - gamma * j / 2, -root - gamma * j / 2,
-            beta + gamma * j / 2, -beta + gamma * j / 2]
-    return np.sort(np.repeat(vals, 2))
-
-
 def spectrum_report(spec: NeuronSpec, safety: float = 1.2) -> SpectrumReport:
     """Compare drive-free eigenvalues against the closed-form predictions.
 
@@ -654,26 +653,24 @@ def spectrum_report(spec: NeuronSpec, safety: float = 1.2) -> SpectrumReport:
     neuron: exact positive-phase block {J±δ} plus the perturbative
     negative-phase block {J, −3J} with deviation bounded by δ²/(4J)·safety
     (values quoted for the J-coefficient Heisenberg convention this
-    package uses).
+    package uses).  All values are in units of the drive, as H/A is.
     """
     hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
     static_only = TimeDependentHamiltonian(3, hamiltonian.static_terms, ())
     numerical = np.sort(np.linalg.eigvalsh(static_only.matrix(0.0)))
     p = spec.params
+    j, b = p.in_drive_units  # b is δ for the phase neuron
     if spec.kind == "phase":
-        j, d = p.coupling_j, p.delta
-        exact = np.repeat([j - d, j + d], 2)
-        approx = np.repeat([-3 * j, j], 2)
-        predicted = np.sort(np.concatenate([exact, approx]))
-        bound = d**2 / (4 * j) * safety
-        deviation = float(np.max(np.abs(numerical - predicted)))
-        return SpectrumReport(numerical, predicted, deviation, False, bound)
-    predicted = _closed_form_exc(p.coupling_j, p.gamma, p.beta)
-    if spec.kind != "excitation" and p.drive_mode == "local_field":
-        # the Ω/2 σ₃^z term splits each doublet by ±Ω/2
-        base = predicted[::2]
-        predicted = np.sort(
-            np.concatenate([base - p.omega / 2, base + p.omega / 2])
-        )
+        exact, bound = False, b**2 / (4 * j) * safety
+        predicted = np.repeat([j - b, j + b, -3 * j, j], 2)
+    else:
+        exact, bound, half = True, 1e-10, p.gamma * j / 2
+        root, field = math.sqrt(j**2 + b**2), 0.0
+        if spec.kind != "excitation" and p.drive_mode == "local_field":
+            # the Ω/2 σ₃^z term splits each doublet by ±Ω/2
+            field = p.omega / p.drive_amplitude / 2
+        levels = np.array([root - half, -root - half, b + half, -b + half])
+        predicted = np.concatenate([levels - field, levels + field])
+    predicted = np.sort(predicted)
     deviation = float(np.max(np.abs(numerical - predicted)))
-    return SpectrumReport(numerical, predicted, deviation, True, 1e-10)
+    return SpectrumReport(numerical, predicted, deviation, exact, bound)

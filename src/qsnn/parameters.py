@@ -92,32 +92,32 @@ def solve_final_beta(
 
     β = A/(1+γ²)·((2s−l) + (−1)^k·γ·sqrt(l²(1+γ²) − (2s−l)²)); the J sign
     is fixed by re-verifying the un-squared matching identity
-    γJ = (2s−l)A − β with J = ±sqrt(l²A² − β²).
+    γJ = (2s−l)A − β with J = ±sqrt(l²A² − β²).  The solve runs in units
+    of the drive (A = 1), so its tolerances do not depend on A; β and J
+    are scaled by A only on return.
     """
-    a = drive_amplitude
     q = 2 * s - l
     disc = l**2 * (1 + gamma**2) - q**2
     if disc < 0:
         raise NoRealSolutionError(
             f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
         )
-    beta = a / (1 + gamma**2) * (q + (-1) ** parity_k * gamma * math.sqrt(disc))
-    if abs(beta) > abs(l * a) + 1e-12:
-        raise SignInconsistencyError(f"|beta| = {abs(beta)} exceeds |l·A| = {l * a}")
-    j_mag = math.sqrt(max(l**2 * a**2 - beta**2, 0.0))
-    rhs = q * a - beta
-    scale = max(abs(l * a), 1.0)
+    beta = 1 / (1 + gamma**2) * (q + (-1) ** parity_k * gamma * math.sqrt(disc))
+    if abs(beta) > abs(l) + 1e-12:
+        raise SignInconsistencyError(f"|beta|/A = {abs(beta)} exceeds |l| = {l}")
+    j_mag = math.sqrt(max(l**2 - beta**2, 0.0))
+    rhs = q - beta
     # Near the discriminant's zero, sqrt amplifies roundoff in j_mag by
     # ~sqrt(eps); select the J sign with a sqrt-aware tolerance, then return
     # the value that satisfies the un-squared identity to machine precision.
     best = min((j_mag, -j_mag), key=lambda j: abs(gamma * j - rhs))
-    if abs(gamma * best - rhs) > 1e-6 * scale:
+    if abs(gamma * best - rhs) > 1e-6 * max(abs(l), 1.0):
         raise SignInconsistencyError(
             f"no J sign satisfies the un-squared phase identity: "
             f"γ|J| = {gamma * j_mag:.6g}, target {rhs:.6g}"
         )
     j = rhs / gamma if abs(gamma) > 1e-12 else best
-    return beta, j
+    return beta * drive_amplitude, j * drive_amplitude
 
 
 def make_final_params(
@@ -162,24 +162,24 @@ class DetuningReport:
 
 
 def detuning_report(spec: NeuronSpec) -> DetuningReport:
+    """Detuning-to-drive ratios, from the energies in units of the drive."""
     p = spec.params
     if spec.kind == "excitation":
         return DetuningReport("excitation", p.detuning_ratios())
     if spec.kind == "phase":
-        return DetuningReport(
-            "phase", {"two_delta": 2 * p.delta / p.drive_amplitude}
-        )
-    ratios = {}
-    a = p.drive_amplitude
-    root = math.sqrt(p.coupling_j**2 + p.beta**2)
+        return DetuningReport("phase", {"two_delta": 2 * p.in_drive_units[1]})
+    j, b = p.in_drive_units
+    root = math.sqrt(j**2 + b**2)
     sign = 1.0 if p.variant == "detect_upup" else -1.0
     # transitions of the three non-detected computational inputs vs the
     # selective drive at frequency 2β (+ for up-up detection)
-    ratios["opposite_pair"] = abs(sign * 2 * p.beta - (-sign * 2 * p.beta)) / a
-    ratios["one_excitation_minus"] = abs(sign * 2 * p.beta - 2 * root) / a
-    ratios["one_excitation_plus"] = abs(sign * 2 * p.beta + 2 * root) / a
+    ratios = {
+        "opposite_pair": abs(sign * 2 * b - (-sign * 2 * b)),
+        "one_excitation_minus": abs(sign * 2 * b - 2 * root),
+        "one_excitation_plus": abs(sign * 2 * b + 2 * root),
+    }
     if p.drive_mode == "local_field":
-        ratios["counter_term"] = 2 * abs(p.omega) / a
+        ratios["counter_term"] = 2 * abs(p.omega / p.drive_amplitude)
     return DetuningReport(spec.kind, ratios)
 
 

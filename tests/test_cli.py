@@ -195,6 +195,44 @@ OUT_OF_RANGE = {
 }
 
 
+# Every command that takes --drive-amplitude; "{omega}" stands for 50A.
+AMPLITUDE_COMMANDS = {
+    "neuron_exc": ["neuron", "exc", "--k", "8", "--l", "17"],
+    "neuron_phase": ["neuron", "phase", "--m", "3", "--n", "82"],
+    "neuron_final": ["neuron", "final", "--l", "29", "--s", "15"],
+    "neuron_final_local_field": ["neuron", "final", "--l", "29", "--s", "15",
+                                 "--variant", "detect_downdown", "--drive-mode",
+                                 "local_field", "--omega", "{omega}"],
+    "solve_exc": ["params", "solve-exc", "--k", "8", "--l", "17"],
+    "solve_phase": ["params", "solve-phase", "--m", "3", "--n", "82"],
+    "solve_final": ["params", "solve-final", "--gamma", "1.0", "--l", "29",
+                    "--s", "15"],
+}
+
+
+def _at_amplitude(runner, case: str, amplitude: float) -> dict:
+    args = [arg.format(omega=50 * amplitude) for arg in AMPLITUDE_COMMANDS[case]]
+    return _json_out(runner.invoke(
+        main, args + ["--drive-amplitude", repr(amplitude)]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e-300, 1e300])
+@pytest.mark.parametrize("case", sorted(AMPLITUDE_COMMANDS))
+def test_drive_amplitude_extremes(case, amplitude, runner):
+    # Neurons run in units of the drive: A scales the reported energies
+    # and tau but changes no fidelity, down to 1e-300 and up to 1e300.
+    unit, scaled = (_at_amplitude(runner, case, a) for a in (1.0, amplitude))
+    if "fidelity" in unit:
+        assert abs(scaled["fidelity"]["f_avg"] - unit["fidelity"]["f_avg"]) <= 1e-12
+    for energy in ("beta", "coupling_j", "delta"):
+        if energy in unit:
+            assert scaled[energy] / amplitude == pytest.approx(unit[energy],
+                                                              rel=1e-12)
+    if "tau" in unit:
+        assert scaled["tau"] * amplitude == pytest.approx(unit["tau"], rel=1e-12)
+
+
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_values_are_invalid(case, runner):
     value = OUT_OF_RANGE[case]

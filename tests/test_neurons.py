@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnn import core, errors, fidelity, neurons, parameters
 
@@ -244,6 +247,22 @@ class TestSpectrum:
         report = neurons.spectrum_report(phase_spec)
         assert not report.exact
         assert report.max_deviation <= report.bound
+
+    @pytest.mark.parametrize("amplitude", [1e-200, 2.5, 1e200])
+    @pytest.mark.parametrize("kind, solve, point", [
+        ("excitation", parameters.solve_exc, (8, 17)),
+        ("phase", parameters.solve_phase, (3, 82)),
+    ])
+    def test_drive_units_do_not_depend_on_amplitude(self, kind, solve, point,
+                                                     amplitude):
+        reports = [
+            neurons.spectrum_report(
+                neurons.make_spec(kind, solve(*point, a), (0, 1), 2))
+            for a in (1.0, amplitude)
+        ]
+        assert abs(reports[1].max_deviation - reports[0].max_deviation) <= 1e-12
+        assert reports[1].max_deviation <= reports[1].bound
+        assert reports[1].bound == pytest.approx(reports[0].bound, rel=1e-12)
 
 
 class TestBarePhaseBookkeeping:
@@ -490,3 +509,47 @@ def test_fidelity_reports_do_not_depend_on_call_order():
             assert np.vdot(_bell(label, DOWN), u @ _bell(label, UP)) == (
                 pytest.approx(1j * (-1) ** m, abs=1e-14)
             )
+
+
+def _final(kind: str, mode: str):
+    return lambda a: parameters.make_final_params(
+        neurons.FINAL_VARIANTS[kind], 29, 15, 0, drive_amplitude=a,
+        drive_mode=mode, omega=50 * a if mode == "local_field" else None)
+
+
+# Each neuron as a function of its drive amplitude A; the local field is
+# Omega = 50A.
+AMPLITUDE_CASES = {
+    "excitation_8_17": ("excitation", lambda a: parameters.solve_exc(8, 17, a)),
+    "excitation_9_41": ("excitation", lambda a: parameters.solve_exc(9, 41, a)),
+    "phase_3_82": ("phase", lambda a: parameters.solve_phase(3, 82, a)),
+    **{f"{kind}_{mode}": (kind, _final(kind, mode))
+       for kind in neurons.FINAL_VARIANTS for mode in ("rotating", "local_field")},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_amplitude_run(case: str):
+    kind, make = AMPLITUDE_CASES[case]
+    spec = neurons.make_spec(kind, make(1.0), (0, 1), 2)
+    return neurons.neuron_unitary(spec).matrix, neurons.record_trajectory(
+        spec, "Phi-", samples=40)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(case=st.sampled_from(sorted(AMPLITUDE_CASES)),
+       exponent=st.floats(-300.0, 300.0))
+@settings(max_examples=40, deadline=None)
+def test_neurons_do_not_depend_on_drive_amplitude(case, exponent):
+    # The simulation runs in units of the drive, so A only rescales the
+    # reported energies and tau, from 1e-300 to 1e300.
+    kind, make = AMPLITUDE_CASES[case]
+    params = make(10.0**exponent)
+    spec = neurons.make_spec(kind, params, (0, 1), 2)
+    u, traj = _unit_amplitude_run(case)
+    assert np.max(np.abs(neurons.neuron_unitary(spec).matrix - u)) <= 1e-12
+    scaled = neurons.record_trajectory(spec, "Phi-", samples=40)
+    assert scaled.times[0] == 0.0
+    assert scaled.times[-1] == (math.pi / 2 if kind == "phase" else math.pi)
+    for name in ("times", "output_x", "output_z", "input_fidelity"):
+        assert np.max(np.abs(getattr(scaled, name) - getattr(traj, name))) <= 1e-12

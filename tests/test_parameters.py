@@ -147,6 +147,28 @@ class TestDetuningReport:
         report = parameters.detuning_report(spec)
         assert report.ratios["counter_term"] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("amplitude", [1e-200, 2.5, 1e200])
+    @pytest.mark.parametrize("kind, make", [
+        ("excitation", lambda a: parameters.solve_exc(8, 17, a)),
+        ("phase", lambda a: parameters.solve_phase(3, 82, a)),
+        ("final_upup", lambda a: parameters.make_final_params(
+            "detect_upup", 29, 15, 0, drive_amplitude=a)),
+        ("final_downdown", lambda a: parameters.make_final_params(
+            "detect_downdown", 29, 15, 0, drive_amplitude=a,
+            drive_mode="local_field", omega=50 * a)),
+    ])
+    def test_ratios_do_not_depend_on_amplitude(self, kind, make, amplitude):
+        # J² + β² neither underflows nor overflows: the ratios come from
+        # the energies in units of the drive.
+        unit, scaled = (
+            parameters.detuning_report(neurons.make_spec(kind, make(a), (0, 1), 2))
+            for a in (1.0, amplitude)
+        )
+        assert scaled.ratios == pytest.approx(unit.ratios, rel=1e-12)
+        if kind == "excitation":
+            assert make(amplitude).detuning_ratios() == pytest.approx(
+                unit.ratios, rel=1e-12)
+
 
 class TestTune:
     def test_monotone_and_reproducible(self, exc_8_17):
