@@ -125,7 +125,9 @@ def bell_state(label: str) -> StateVector:
 
 def check_isometry(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> None:
     """Raise NormDriftError unless M†M = I within tol in every entry."""
-    drift = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1])))
+    gram = matrix.conj().T @ matrix
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    drift = np.abs(gram).max()
     if not drift < tol:  # also true for a NaN drift
         raise NormDriftError(f"operator failed the unitarity check: "
                              f"max |M†M - I| = {drift:.3g}")
@@ -225,34 +227,27 @@ class TimeDependentHamiltonian:
 
     def support(self) -> tuple[int, ...]:
         """Qubits the Hamiltonian acts on non-trivially, sorted."""
-        qubits = set()
-        for term in self.static_terms:
-            qubits.update(q for q, _ in term.factors)
-        for drv in self.drive_terms:
-            qubits.add(drv.target_qubit)
+        qubits = {q for term in self.static_terms for q, _ in term.factors}
+        qubits.update(drv.target_qubit for drv in self.drive_terms)
         return tuple(sorted(qubits)) if qubits else (0,)
 
     def _local_pieces(self):
         """Support, static local matrix and the time-dependent drives.
 
-        The static matrix is a sum of cached Pauli strings, static_z drives
-        included.  Every other drive comes with its target's cached matrix
-        units (_drive_units), so that evaluating it at time t is one small
-        product (`_h_at`).
+        The static matrix is a sum of cached Pauli strings (_term_string),
+        static_z drives included.  Every other drive comes with its target's
+        cached matrix units (_drive_units), so that evaluating it at time t
+        is one small product (`_h_at`).
         """
         support = self.support()
-
-        def string(factors):
-            axes = dict(factors)
-            return _pauli_string(tuple(axes.get(q, "I") for q in support))
-
         static = np.zeros((2 ** len(support),) * 2, dtype=complex)
         for term in self.static_terms:
-            static += term.coefficient * string(term.factors)
+            static += term.coefficient * _term_string(term.factors, support)
         drives = []
         for drv in self.drive_terms:
             if drv.form == "static_z":
-                static += drv.amplitude * string(((drv.target_qubit, "Z"),))
+                z = ((drv.target_qubit, "Z"),)
+                static += drv.amplitude * _term_string(z, support)
             else:
                 position = support.index(drv.target_qubit)
                 drives.append((drv, _drive_units(position, len(support))))
@@ -275,6 +270,13 @@ def _pauli_string(axes: tuple[str, ...]) -> np.ndarray:
     """Kronecker product of one "I", "X", "Y" or "Z" per qubit (read-only)."""
     ops = [np.eye(2, dtype=complex) if a == "I" else PAULI[a] for a in axes]
     return read_only(np.array(functools.reduce(np.kron, ops)))
+
+
+@functools.lru_cache(maxsize=128)
+def _term_string(factors, support: tuple[int, ...]) -> np.ndarray:
+    """The Pauli string of a term's (qubit, axis) factors on `support`."""
+    axes = dict(factors)
+    return _pauli_string(tuple(axes.get(q, "I") for q in support))
 
 
 @functools.lru_cache(maxsize=128)
@@ -426,8 +428,7 @@ def _local_propagators(
     This is the one propagation engine and the one place its inputs are
     checked.  Under method "auto" the method follows from H:
 
-    * no time-dependent drive: one matrix exponential for a single time,
-      one eigendecomposition for several;
+    * no time-dependent drive: one eigendecomposition, for one time or many;
     * one rotating drive whose target number operator N commutes with the
       static part: the exact rotating frame,
       U(t) = exp(-/+ i w t N) exp(-i t (H_s + A/2 X -/+ w N));
@@ -441,7 +442,7 @@ def _local_propagators(
     # Strictly increasing from >= 0 to < inf also rules out NaN anywhere.
     if times.ndim != 1 or not (
         times.size and 0 <= times[0] and times[-1] < math.inf
-        and np.all(times[1:] > times[:-1])
+        and (times[1:] > times[:-1]).all()
     ):
         raise ValueError("times must be finite, non-negative and strictly increasing")
     if not tol > 0:
@@ -465,10 +466,7 @@ def _local_propagators(
         rotating = not np.any(static[number[:, None] != number[None, :]])
     periodic = drv is not None and drv.form == "cosine_x" and drv.angular_frequency != 0
     if method == "auto" and not drives:
-        if t.size == 1:
-            rest[:] = expm(-1j * float(t[0]) * static)
-        else:
-            _eigh_propagators(static, t, rest)
+        _eigh_propagators(static, t, rest)
     elif method == "auto" and rotating:
         w = drv.angular_frequency * (1.0 if drv.form == "rotating_plus" else -1.0)
         _eigh_propagators(_h_at(static, drives, 0.0) - w * np.diag(number), t, rest)
@@ -526,7 +524,9 @@ def propagator(
 ) -> DenseOperator:
     """Time-ordered propagator over the full register (methods as in evolve)."""
     support, local = _local_propagators(hamiltonian, duration, tol, method)
-    full = DenseOperator(embed_matrix(local[0], support, hamiltonian.num_qubits))
+    n = hamiltonian.num_qubits
+    u = local[0] if support == tuple(range(n)) else embed_matrix(local[0], support, n)
+    full = DenseOperator(u)
     full.assert_unitary()
     return full
 

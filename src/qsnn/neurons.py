@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import core, fidelity
 from .core import (
@@ -559,8 +558,8 @@ class FidelityModel:
     For an excitation or phase neuron, L = B†·U_ideal†·Post and R = Pre·B
     are built once per round(m), on which the phase neuron's ideal and
     post-phase gate depend, from the checked ideal, protocol basis B and
-    output gates.  A call builds H, takes the bare propagator U as the
-    engine does, checks it and returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).
+    output gates.  A call builds H, takes U from core.propagator as
+    neuron_unitary does, checks it and returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).
     """
 
     def __init__(self, kind: str):
@@ -569,11 +568,7 @@ class FidelityModel:
         self.kind, self.build, self.projections = kind, _BUILDERS[kind], {}
 
     def __call__(self, params) -> float:
-        hamiltonian = self.build(params)
-        if self.kind == "phase":  # static: the engine's one matrix exponential
-            u = expm(-1j * params.UNIT_TAU * hamiltonian._local_pieces()[1])
-        else:
-            u = core.propagator(hamiltonian, params.UNIT_TAU).matrix
+        u = core.propagator(self.build(params), params.UNIT_TAU).matrix
         return self.score(params, u)
 
     def score(self, params, u: np.ndarray) -> float:

