@@ -9,10 +9,11 @@ times and leaves it in |↓⟩.
 Reduced-template phase coherence: when a shared target is probed twice,
 the second neuron acts on a possibly-excited target, where its flip-back
 and completion amplitudes carry ±i factors (flip-back/completion = −1
-for both neuron types).  A phase(π/2) gate on the shared target right
-before each second detection makes all four matched-input amplitudes
-equal to +1, so superposition inputs that differ in both properties
-(e.g. Ψ⁺ vs Φ⁻) interfere exactly as the ideal comparator demands.
+for both neuron types).  The neuron's own post-phase gate, applied to the
+shared target right before each second detection as well, cancels the
+flip-back factor and makes all four matched-input amplitudes equal to +1,
+so superposition inputs that differ in both properties (e.g. Ψ⁺ vs Φ⁻)
+interfere exactly as the ideal comparator demands.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .neurons import (
 )
 
 SCHEMA_VERSION = 3
-AMPLITUDE_NORM_TOL = 1e-9
 # Largest register a spec may declare; the full template needs 11 qubits.
 MAX_QUBITS = 16
 
@@ -58,11 +58,6 @@ MAX_QUBITS = 16
 DEFAULT_EXC = dict(k=8, l=17)
 DEFAULT_PHASE = dict(m=4, n=164)
 DEFAULT_FINAL = dict(l=29, s=15, parity_k=0)
-
-# Pre-evolution phase applied to a shared middle-layer target before its
-# second detection (see module docstring).  Excitation flip-back is −i,
-# phase-neuron flip-back is i(−1)^m; the pre-phase inverts it in each case.
-EXC_SHARED_TARGET_PREPHASE = math.pi / 2
 
 # Row i is the Bell vector BELL_LABELS[i] in the index basis.
 _BELL_BASIS = core.read_only(np.array([BELL_VECTORS[b] for b in BELL_LABELS]))
@@ -79,7 +74,7 @@ class BellAmplitudes:
 
     def __post_init__(self):
         norm = sum(abs(a) ** 2 for a in self.as_tuple())
-        if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
+        if not abs(norm - 1.0) <= core.NORM_TOL:  # also true for a NaN norm
             raise NormDriftError(
                 f"Bell amplitudes have squared norm {norm}, expected 1"
             )
@@ -170,11 +165,13 @@ def validate(spec) -> list[str]:
 
 
 def _second_probe_corrections(kind: str, params) -> tuple:
-    if kind == "phase":
-        angle = -math.pi / 2 + int(round(params.m)) * math.pi
-    else:
-        angle = EXC_SHARED_TARGET_PREPHASE
-    return (("phase", angle),) + neurons.default_corrections(kind, params)
+    """The neuron's corrections, led by a copy of its post-phase gate.
+
+    Excitation flip-back is −i and phase-neuron flip-back is i(−1)^m; the
+    post-phase gate e^{iφ} inverts it in each case (see module docstring).
+    """
+    gates = neurons.default_corrections(kind, params)
+    return (gates[-1],) + gates
 
 
 def template(
@@ -240,12 +237,13 @@ def _input_amplitudes(inputs) -> np.ndarray:
         if inputs.shape != (16,):
             raise DimensionMismatchError("network input vector must have length 16")
         return inputs.astype(complex)
-    pair_a, pair_b = inputs
-    if not isinstance(pair_a, BellAmplitudes) or not isinstance(pair_b, BellAmplitudes):
+    if not (isinstance(inputs, (tuple, list)) and len(inputs) == 2
+            and all(isinstance(pair, BellAmplitudes) for pair in inputs)):
         raise InvalidParamsError(
             "inputs must be a pair of BellAmplitudes, a 4-qubit StateVector, "
             "or a 16-dim vector"
         )
+    pair_a, pair_b = inputs
     return np.outer(pair_a.pair_state(), pair_b.pair_state()).reshape(16)
 
 
@@ -259,37 +257,37 @@ def initial_state(spec: NetworkSpec, inputs) -> StateVector:
 
 
 @lru_cache(maxsize=128)
-def _cached_unitary(kind, params, corrections, tol) -> np.ndarray:
+def _cached_unitary(kind, params, corrections) -> np.ndarray:
     local = NeuronSpec(kind, params, (0, 1), 2, corrections)
-    return neurons.neuron_unitary(local, tol).matrix
+    return neurons.neuron_unitary(local).matrix
 
 
 # Each V holds 2^n x 16 complex amplitudes: 512 KB for the full template,
 # 16 MB at MAX_QUBITS, so four entries stay within 64 MB.
 @lru_cache(maxsize=4)
-def _isometry(spec: NetworkSpec, tol: float) -> np.ndarray:
+def _isometry(spec: NetworkSpec) -> np.ndarray:
     """V: the schedule applied to the 16 input basis states, as columns."""
     columns = np.stack([initial_state(spec, basis).amplitudes
                         for basis in np.eye(16)], axis=1)
     for entry in spec.schedule:
-        u8 = _cached_unitary(entry.kind, entry.params, entry.corrections, tol)
+        u8 = _cached_unitary(entry.kind, entry.params, entry.corrections)
         columns = core.apply_local(u8, entry.targets, columns)
     core.check_isometry(columns)
     return core.read_only(columns)
 
 
-def run(spec: NetworkSpec, inputs, tol: float = 1e-9) -> StateVector:
+def run(spec: NetworkSpec, inputs) -> StateVector:
     """Execute the schedule by sequential neuron activation.
 
     All but the four input qubits start in |↓⟩, so the schedule is one
     isometry V (2^n x 16) from the input space into the register, and the
     final state is V times the input amplitudes.  V is built once per
-    (spec, tol) from each neuron's cached 8-dim corrected unitary, checked
+    spec from each neuron's cached 8-dim corrected unitary, checked
     for V†V = I (NormDriftError otherwise) and cached read-only, the last
     four only: 512 KB each for the full template, 16 MB at MAX_QUBITS.
     """
     return StateVector(spec.num_qubits,
-                       _isometry(spec, tol) @ _input_amplitudes(inputs))
+                       _isometry(spec) @ _input_amplitudes(inputs))
 
 
 def reduced_density_matrix(
@@ -361,16 +359,14 @@ def bell_kernel(a: BellAmplitudes, b: BellAmplitudes) -> float:
 
 
 def simulated_bell_kernel(
-    spec: NetworkSpec, a: BellAmplitudes, b: BellAmplitudes, tol: float = 1e-9
+    spec: NetworkSpec, a: BellAmplitudes, b: BellAmplitudes
 ) -> float:
     """The kernel as actually measured: run the network, read p_up."""
-    return output_excitation_probability(spec, (a, b), tol)
+    return output_excitation_probability(spec, (a, b))
 
 
-def output_excitation_probability(
-    spec: NetworkSpec, inputs, tol: float = 1e-9
-) -> float:
-    final = run(spec, inputs, tol)
+def output_excitation_probability(spec: NetworkSpec, inputs) -> float:
+    final = run(spec, inputs)
     return core.measure(final, spec.output_qubit).p_up
 
 
@@ -428,7 +424,7 @@ def _entry_from_dict(entry, version: int) -> NeuronSpec:
     )
 
 
-def to_json(spec: NetworkSpec, indent: int | None = 2) -> str:
+def to_json(spec: NetworkSpec) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "num_qubits": spec.num_qubits,
@@ -445,7 +441,7 @@ def to_json(spec: NetworkSpec, indent: int | None = 2) -> str:
             for entry in spec.schedule
         ],
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 def from_json(text: str) -> NetworkSpec:

@@ -437,9 +437,7 @@ def build_hamiltonian(
     return _BUILDERS[spec.kind](spec.params, num_qubits, targets)
 
 
-def apply_neuron(
-    state: StateVector, spec: NeuronSpec, tol: float = 1e-9
-) -> StateVector:
+def apply_neuron(state: StateVector, spec: NeuronSpec) -> StateVector:
     """Run one full neuron protocol on a register: gates, evolution, gates.
 
     This evolves the state through the neuron's Hamiltonian on its own
@@ -452,7 +450,7 @@ def apply_neuron(
     for gate in pre:
         state = core.apply_gate(state, gate, spec.output_qubit)
     hamiltonian = build_hamiltonian(spec, state.num_qubits)
-    state = core.evolve(state, hamiltonian, spec.params.UNIT_TAU, tol)
+    state = core.evolve(state, hamiltonian, spec.params.UNIT_TAU)
     for gate in post:
         state = core.apply_gate(state, gate, spec.output_qubit)
     return state
@@ -601,7 +599,6 @@ def record_trajectory(
     spec: NeuronSpec,
     input_label: str,
     samples: int = DEFAULT_TRAJECTORY_SAMPLES,
-    tol: float = 1e-9,
 ) -> Trajectory:
     """Bare (correction-free) evolution from |input⟩|↓⟩ on 3 qubits.
 
@@ -616,7 +613,7 @@ def record_trajectory(
     psi0 = bell_state(input_label).tensor(StateVector.all_down(1))
     flipped = core.apply_gate(psi0, ("not_x",), 2)
     times = np.linspace(0.0, spec.params.UNIT_TAU, samples)
-    states = core.evolve_sampled(psi0, hamiltonian, times, tol)
+    states = core.evolve_sampled(psi0, hamiltonian, times)
     amps = np.array([state.amplitudes for state in states])
     # The output is qubit 2, the least significant index bit.
     down, up = amps[:, 0::2], amps[:, 1::2]
@@ -640,13 +637,13 @@ class SpectrumReport:
     bound: float
 
 
-def spectrum_report(spec: NeuronSpec, safety: float = 1.2) -> SpectrumReport:
+def spectrum_report(spec: NeuronSpec) -> SpectrumReport:
     """Compare drive-free eigenvalues against the closed-form predictions.
 
     Excitation and final-layer neurons: exact closed form
     {±sqrt(J²+β²) − γJ/2, ±β + γJ/2}, each doubly degenerate.  Phase
     neuron: exact positive-phase block {J±δ} plus the perturbative
-    negative-phase block {J, −3J} with deviation bounded by δ²/(4J)·safety
+    negative-phase block {J, −3J} with deviation bounded by 1.2·δ²/(4J)
     (values quoted for the J-coefficient Heisenberg convention this
     package uses).  All values are in units of the drive, as H/A is.
     """
@@ -656,7 +653,7 @@ def spectrum_report(spec: NeuronSpec, safety: float = 1.2) -> SpectrumReport:
     p = spec.params
     j, b = p.in_drive_units  # b is δ for the phase neuron
     if spec.kind == "phase":
-        exact, bound = False, b**2 / (4 * j) * safety
+        exact, bound = False, b**2 / (4 * j) * 1.2
         predicted = np.repeat([j - b, j + b, -3 * j, j], 2)
     else:
         exact, bound, half = True, 1e-10, p.gamma * j / 2

@@ -70,13 +70,10 @@ def solve_phase(
     m: int,
     n: int,
     drive_amplitude: float = 1.0,
-    floor_4m: float = neurons.DEFAULT_PHASE_FLOOR_4M,
-    ratio_floor: float = neurons.DEFAULT_PHASE_RATIO_FLOOR,
 ) -> PhaseNeuronParams:
     """Solve the phase-neuron constraints: J = 2nB, δ = 2mB, τ = π/(2B)."""
     return PhaseNeuronParams(
         m=float(m), n=float(n), drive_amplitude=drive_amplitude,
-        floor_4m=floor_4m, ratio_floor=ratio_floor,
     )
 
 
@@ -248,10 +245,12 @@ def tune(
         return -model(relax(clipped)) + penalty
 
     f0 = model(relax(x0))
+    # One call of the budget goes to f0.
+    maxfev = max(budget - 1, 1)
     result = minimize(
         objective, x0, method="Nelder-Mead",
         options={
-            "maxfev": max(budget - 1, 1),
+            "maxfev": maxfev,
             "xatol": 1e-6, "fatol": 1e-9, "adaptive": False,
         },
     )
@@ -265,7 +264,7 @@ def tune(
         initial_fidelity=f0,
         final_fidelity=best_f,
         evaluations=count,
-        budget_exhausted=count >= budget,
+        budget_exhausted=count >= maxfev,
     )
 
 

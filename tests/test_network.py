@@ -45,6 +45,17 @@ class TestBellAmplitudes:
         with pytest.raises(errors.NormDriftError):
             network.BellAmplitudes(1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_amplitude_rejected(self, slot):
+        amps = [0.0] * 4
+        amps[(slot + 1) % 4] = 1.0
+        amps[slot] = float("nan")
+        with pytest.raises(errors.NormDriftError):
+            network.BellAmplitudes(*amps)
+        amps[slot] = complex("nan")
+        with pytest.raises(errors.NormDriftError):
+            network.BellAmplitudes.from_sequence(amps)
+
     def test_pure_and_pair_state(self):
         amps = _pure("Psi-")
         assert amps.as_tuple() == (0.0, 0.0, 0.0, 1.0)
@@ -88,6 +99,26 @@ class TestTemplates:
             first, second = entries
             assert len(second.corrections) == len(first.corrections) + 1
             assert second.corrections[0][0] == "phase"
+
+    @pytest.mark.parametrize("kind, params", [
+        ("excitation", parameters.solve_exc(8, 17)),
+        ("phase", parameters.solve_phase(3, 82)),
+        ("phase", parameters.solve_phase(4, 164)),
+        ("phase", parameters.solve_phase(25, 300)),
+    ])
+    def test_pre_phase_cancels_flip_back(self, kind, params):
+        # A second probe may find its target excited: each flipped input's
+        # flip-back amplitude <b,down|U|b,up>, times the pre-phase e^{i phi},
+        # must be +1 for the matched inputs to interfere coherently.
+        gate = network._second_probe_corrections(kind, params)[0]
+        assert gate[0] == "phase"
+        u = neurons.ideal_unitary(kind, params).matrix
+        down, up = np.eye(2)
+        flipped = ("Phi+", "Phi-") if kind == "excitation" else ("Psi-", "Phi-")
+        for label in flipped:
+            bell = core.BELL_VECTORS[label]
+            flip_back = np.kron(bell, down).conj() @ u @ np.kron(bell, up)
+            assert abs(flip_back * np.exp(1j * gate[1]) - 1) <= 1e-13
 
 
 class TestValidation:
@@ -213,7 +244,7 @@ class TestIsometry:
     def test_cached_isometry_is_read_only_and_orthonormal(self, kind):
         spec = network.template(kind)
         network.run(spec, (_pure("Phi+"), _pure("Phi+")))
-        v = network._isometry(spec, 1e-9)
+        v = network._isometry(spec)
         assert v.shape == (2**spec.num_qubits, 16)
         assert not v.flags.writeable
         with pytest.raises(ValueError):
@@ -224,7 +255,7 @@ class TestIsometry:
         def drift(m):
             return np.max(np.abs(m.conj().T @ m - np.eye(len(m.T))))
         budget = sum(drift(network._cached_unitary(
-            entry.kind, entry.params, entry.corrections, 1e-9))
+            entry.kind, entry.params, entry.corrections))
             for entry in spec.schedule)
         assert drift(v) <= budget + 1e-14
         assert drift(v) <= 1e-11
@@ -232,8 +263,9 @@ class TestIsometry:
     def test_drifting_isometry_rejected_when_built(self, reduced, monkeypatch):
         monkeypatch.setattr(network, "_cached_unitary",
                             lambda *args: 1.001 * np.eye(8))
+        network._isometry.cache_clear()  # so that V is built, not looked up
         with pytest.raises(errors.NormDriftError):
-            network._isometry(reduced, 0.5e-9)  # a tol nothing else caches
+            network._isometry(reduced)
 
     def test_input_boundary(self, reduced):
         x = _haar_inputs(1, seed=3)[0]
@@ -246,6 +278,16 @@ class TestIsometry:
             network.run(reduced, np.full(15, 0.25, dtype=complex))
         with pytest.raises(errors.DimensionMismatchError):
             network.run(reduced, core.StateVector.all_down(3))
+        a = _pure("Phi+")
+        for bad in ((a, a, a), (a,), 5, None):
+            with pytest.raises(errors.InvalidParamsError):
+                network.run(reduced, bad)
+            with pytest.raises(errors.InvalidParamsError):
+                network.initial_state(reduced, bad)
+            with pytest.raises(errors.InvalidParamsError):
+                network.output_excitation_probability(reduced, bad)
+        assert np.array_equal(network.run(reduced, [a, a]).amplitudes,
+                              network.run(reduced, (a, a)).amplitudes)
 
     def test_spec_from_lists_is_hashable_and_equal(self, reduced):
         # run() caches V by spec, so a spec holds tuples whatever it is given.

@@ -187,6 +187,16 @@ class TestTune:
         assert result.budget_exhausted
         assert result.final_fidelity == pytest.approx(result.initial_fidelity)
 
+    @pytest.mark.parametrize("budget, exhausted", [
+        (2, True), (5, True), (40, True), (300, False),
+    ])
+    def test_budget_exhausted_flag(self, phase_3_82, budget, exhausted):
+        # One call of the budget goes to the start, so the simplex stops
+        # at budget - 1; (3, 82) converges after 94 at budget 300.
+        result = parameters.tune(phase_3_82, "phase", budget=budget)
+        assert result.budget_exhausted is exhausted
+        assert result.evaluations <= budget
+
     def test_zero_budget_rejected(self, exc_8_17):
         with pytest.raises(errors.InvalidParamsError):
             parameters.tune(exc_8_17, "excitation", budget=0)
