@@ -81,7 +81,7 @@ class StateVector:
                 f"state norm {norm} deviates from 1 beyond {NORM_TOL}"
             )
         self.num_qubits = num_qubits
-        self.amplitudes = amp / norm
+        self.amplitudes = amp * (1.0 / norm)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "StateVector":

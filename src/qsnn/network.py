@@ -73,6 +73,9 @@ class BellAmplitudes:
     a_psi_minus: complex = 0.0
 
     def __post_init__(self):
+        if not all(isinstance(a, (int, float, complex, np.number))
+                   and type(a) is not bool for a in self.as_tuple()):
+            raise InvalidParamsError(f"non-numeric amplitudes {self.as_tuple()}")
         norm = sum(abs(a) ** 2 for a in self.as_tuple())
         if not abs(norm - 1.0) <= core.NORM_TOL:  # also true for a NaN norm
             raise NormDriftError(
@@ -93,9 +96,11 @@ class BellAmplitudes:
 
     @classmethod
     def from_sequence(cls, amps: Sequence[complex]) -> "BellAmplitudes":
+        if not isinstance(amps, (Sequence, np.ndarray)):
+            raise InvalidParamsError(f"Bell amplitudes {amps!r} are no sequence")
         if len(amps) != 4:
             raise DimensionMismatchError("need exactly 4 Bell amplitudes")
-        return cls(*(complex(a) for a in amps))
+        return cls(*amps)
 
     def pair_state(self) -> np.ndarray:
         """The 4-dim 2-qubit state vector these amplitudes describe."""
@@ -290,14 +295,6 @@ def run(spec: NetworkSpec, inputs) -> StateVector:
                        _isometry(spec) @ _input_amplitudes(inputs))
 
 
-def reduced_density_matrix(
-    state: StateVector, keep_qubits: Sequence[int]
-) -> np.ndarray:
-    """Partial trace over everything but keep_qubits (in the given order)."""
-    block = core.split_targets(state.amplitudes, tuple(keep_qubits))
-    return block @ block.conj().T
-
-
 def _pair_product(label_a: str, label_b: str) -> np.ndarray:
     return np.kron(BELL_VECTORS[label_a], BELL_VECTORS[label_b])
 
@@ -329,20 +326,23 @@ def back_action(
 ) -> BackActionReport:
     """Project the output qubit and describe the surviving input state.
 
-    branch_overlaps holds √⟨branch|ρ_in|branch⟩ for the matched and
-    mismatched branch states above.
+    Split with the output qubit, then the inputs, leading, the state is a
+    block (B_down, B_up) of 16 x rest matrices: outcome o has p_o = ‖B_o‖²
+    and ρ_in = B_o·B_o†/p_o.  branch_overlaps holds √⟨branch|ρ_in|branch⟩.
     """
     if outcome not in ("up", "down"):
         raise InvalidParamsError("outcome must be 'up' or 'down'")
-    result = core.measure(final_state, spec.output_qubit)
-    probability = result.p_up if outcome == "up" else result.p_down
-    post = result.post_up if outcome == "up" else result.post_down
-    if post is None:
+    if final_state.num_qubits != spec.num_qubits:
+        raise DimensionMismatchError(
+            f"state of {final_state.num_qubits} qubits, spec of {spec.num_qubits}")
+    block = core.split_targets(final_state.amplitudes,
+                               (spec.output_qubit, *spec.input_qubits))
+    rows = block.reshape(2, 16, -1)[int(outcome == "up")]
+    probability = float(np.vdot(rows, rows).real)
+    if probability < core.DEGENERATE_PROB:
         raise DegenerateOutcomeError(
-            f"outcome {outcome!r} has probability {probability:.3e} "
-            f"below the degeneracy threshold"
-        )
-    rho = reduced_density_matrix(post, spec.input_qubits)
+            f"outcome {outcome!r} is degenerate: p = {probability:.3e}")
+    rho = rows @ rows.conj().T / probability
     overlaps = {
         name: math.sqrt(max(float(np.real(branch.conj() @ rho @ branch)), 0.0))
         for name, branch in (("matched", MATCHED_BRANCH),

@@ -56,6 +56,24 @@ class TestBellAmplitudes:
         with pytest.raises(errors.NormDriftError):
             network.BellAmplitudes.from_sequence(amps)
 
+    @pytest.mark.parametrize("build", [
+        lambda: network.BellAmplitudes("a", 0, 0, 0),
+        lambda: network.BellAmplitudes.from_sequence(5),
+        lambda: network.BellAmplitudes.from_sequence(["x", 0, 0, 0]),
+        lambda: network.BellAmplitudes.from_sequence(["1", 0, 0, 0]),
+        lambda: network.BellAmplitudes(True, 0, 0, 0),
+    ], ids=["str", "scalar_sequence", "str_in_sequence", "numeric_str",
+            "bool"])
+    def test_non_numeric_amplitude_rejected(self, build):
+        with pytest.raises(errors.InvalidParamsError):
+            build()
+
+    def test_numbers_of_every_kind_accepted(self):
+        for amps in ([1, 0, 0, 0], (np.int64(1), 0.0, 0j, np.float32(0)),
+                     np.array([0.6, 0.8j, 0.0, 0.0], dtype=np.complex128)):
+            built = network.BellAmplitudes.from_sequence(amps)
+            assert built.as_tuple() == tuple(amps)
+
     def test_pure_and_pair_state(self):
         amps = _pure("Psi-")
         assert amps.as_tuple() == (0.0, 0.0, 0.0, 1.0)
@@ -390,7 +408,8 @@ class TestBackAction:
             up.probability * up.input_density
             + down.probability * down.input_density
         )
-        direct = network.reduced_density_matrix(final, spec.input_qubits)
+        block = core.split_targets(final.amplitudes, spec.input_qubits)
+        direct = block @ block.conj().T
         assert np.max(np.abs(combined - direct)) < 1e-9
 
     def test_degenerate_outcome_rejected(self, reduced):
@@ -400,6 +419,75 @@ class TestBackAction:
         state = core.StateVector(reduced.num_qubits, amps)
         with pytest.raises(errors.DegenerateOutcomeError):
             network.back_action(state, reduced, "up")
+
+    def test_register_must_match_spec(self, reduced):
+        # Qubits 0-3 and 6 exist in 8 qubits too, so only the size tells.
+        state = core.StateVector.from_bits([0] * 8)
+        with pytest.raises(errors.DimensionMismatchError):
+            network.back_action(state, reduced, "down")
+
+    def test_makes_no_second_measurement(self, coherent_final, monkeypatch):
+        spec, final = coherent_final
+        expected = [network.back_action(final, spec, outcome)
+                    for outcome in ("up", "down")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("back_action measured the state again")
+
+        monkeypatch.setattr(core, "measure", refuse)
+        for report in expected:
+            again = network.back_action(final, spec, report.outcome)
+            assert again.probability == report.probability
+            assert np.array_equal(again.input_density, report.input_density)
+
+    @pytest.mark.parametrize("kind", ["reduced", "full"])
+    def test_matches_projector_oracle(self, kind):
+        spec = network.template(kind)
+        rng = np.random.default_rng(11)
+        pairs = [(_pure(a), _pure(b))
+                 for a, b in itertools.product(core.BELL_LABELS, repeat=2)]
+        pairs += [(_random_amplitudes(rng), _random_amplitudes(rng))
+                  for _ in range(20)]
+        checked = 0
+        for pair in pairs:
+            final = network.run(spec, pair)
+            for outcome in ("up", "down"):
+                p, rho = _projected_input_density(final, spec, outcome)
+                if p <= 1e-12:
+                    continue
+                report = network.back_action(final, spec, outcome)
+                assert abs(report.probability - p) <= 1e-14
+                assert np.max(np.abs(report.input_density - rho)) <= 1e-14
+                density = report.input_density
+                assert np.max(np.abs(density - density.conj().T)) <= 1e-14
+                assert abs(np.trace(density) - 1.0) <= 1e-14
+                for name, branch in (("matched", network.MATCHED_BRANCH),
+                                     ("mismatched", network.MISMATCHED_BRANCH)):
+                    weight = np.real(branch.conj() @ rho @ branch)
+                    assert report.branch_overlaps[name] ** 2 == pytest.approx(
+                        weight, abs=1e-14)
+                checked += 1
+        assert checked >= len(pairs)
+
+
+def _projected_input_density(final, spec, outcome):
+    """Oracle: apply P_o ⊗ I, normalise, trace out all but the inputs."""
+    n = spec.num_qubits
+    projector = np.diag([0.0, 1.0] if outcome == "up" else [1.0, 0.0])
+    letters = "abcdefghijklmnop"
+    ket = letters[:n]
+    q = spec.output_qubit
+    tensor = np.einsum(f"z{ket[q]},{ket}->{ket.replace(ket[q], 'z')}",
+                       projector, final.amplitudes.reshape((2,) * n))
+    p = float(np.vdot(tensor, tensor).real)
+    if p <= 1e-12:
+        return p, None
+    psi = tensor / math.sqrt(p)
+    bra = "".join(c.upper() if i in spec.input_qubits else c
+                  for i, c in enumerate(ket))
+    kept = "".join(ket[i] for i in spec.input_qubits)
+    rho = np.einsum(f"{ket},{bra}->{kept}{kept.upper()}", psi, psi.conj())
+    return p, rho.reshape(16, 16)
 
 
 class TestSerialization:
