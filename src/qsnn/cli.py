@@ -31,6 +31,7 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 TRAJ_HEADER = "t,out_x,out_z,input_fidelity"
+_TRAJ_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 
 _VALIDATION_ERRORS = (
     InvalidParamsError,
@@ -64,23 +65,17 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_LABEL_SLUGS = {
-    "Phi+": "phi_plus", "Phi-": "phi_minus",
-    "Psi+": "psi_plus", "Psi-": "psi_minus",
-}
-
-
 def _write_trajectories(kind: str, params, traj_dir: str) -> list[str]:
     directory = Path(traj_dir)
     directory.mkdir(parents=True, exist_ok=True)
     spec = neurons.make_spec(kind, params, (0, 1), 2)
     paths = []
-    for label in BELL_LABELS:
-        traj = neurons.record_trajectory(spec, label)
-        path = directory / f"trajectory_{_LABEL_SLUGS[label]}.csv"
+    for label, traj in zip(BELL_LABELS, neurons.record_trajectory(spec)):
+        slug = label.lower().replace("+", "_plus").replace("-", "_minus")
+        path = directory / f"trajectory_{slug}.csv"
         columns = (traj.times, traj.output_x, traj.output_z, traj.input_fidelity)
-        np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   header=TRAJ_HEADER, comments="")
+        values = tuple(np.column_stack(columns).ravel().tolist())
+        path.write_text(TRAJ_HEADER + "\n" + (_TRAJ_ROW * len(traj.times)) % values)
         paths.append(str(path))
     return paths
 

@@ -597,33 +597,38 @@ class Trajectory:
 
 def record_trajectory(
     spec: NeuronSpec,
-    input_label: str,
+    input_labels: Sequence[str] = BELL_LABELS,
     samples: int = DEFAULT_TRAJECTORY_SAMPLES,
-) -> Trajectory:
-    """Bare (correction-free) evolution from |input⟩|↓⟩ on 3 qubits.
+) -> list[Trajectory]:
+    """Bare (correction-free) evolution from |input⟩|↓⟩ on 3 qubits, one
+    Trajectory per input label, all from one core.evolve_sampled call.
 
     input_fidelity is the overlap with the initial state after tracing out
     the output flip: ⟨Ψ(t)| (|Ψ₀⟩⟨Ψ₀| + X₃|Ψ₀⟩⟨Ψ₀|X₃) |Ψ(t)⟩.
     """
-    if samples < 2:
-        raise InvalidParamsError("samples must be at least 2")
-    if input_label not in BELL_LABELS:
-        raise InvalidParamsError(f"unknown Bell label {input_label!r}")
+    if type(samples) is not int or samples < 2:
+        raise InvalidParamsError(f"samples must be an int >= 2, got {samples!r}")
+    labels = input_labels if type(input_labels) in (tuple, list) else ()
+    if not labels or not all(map(BELL_LABELS.__contains__, labels)):
+        raise InvalidParamsError(
+            f"input_labels must list Bell labels, got {input_labels!r}")
     hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
-    psi0 = bell_state(input_label).tensor(StateVector.all_down(1))
-    flipped = core.apply_gate(psi0, ("not_x",), 2)
+    starts = [bell_state(label).tensor(StateVector.all_down(1)) for label in labels]
     times = np.linspace(0.0, spec.params.UNIT_TAU, samples)
-    states = core.evolve_sampled(psi0, hamiltonian, times)
-    amps = np.array([state.amplitudes for state in states])
-    # The output is qubit 2, the least significant index bit.
-    down, up = amps[:, 0::2], amps[:, 1::2]
-    out_x = 2.0 * np.sum(down.conj() * up, axis=1).real
-    out_z = np.sum(np.abs(up) ** 2 - np.abs(down) ** 2, axis=1)
-    in_f = (
-        np.abs(amps @ psi0.amplitudes.conj()) ** 2
-        + np.abs(amps @ flipped.amplitudes.conj()) ** 2
-    )
-    return Trajectory(times, out_x, out_z, np.clip(in_f, 0.0, None))
+    trajectories = []
+    for psi0, amps in zip(starts, core.evolve_sampled(starts, hamiltonian, times)):
+        flipped = core.apply_gate(psi0, ("not_x",), 2)
+        # The output is qubit 2, the least significant index bit.
+        down, up = amps[:, 0::2], amps[:, 1::2]
+        out_x = 2.0 * np.sum(down.conj() * up, axis=1).real
+        out_z = np.sum(np.abs(up) ** 2 - np.abs(down) ** 2, axis=1)
+        in_f = np.clip(
+            np.abs(amps @ psi0.amplitudes.conj()) ** 2
+            + np.abs(amps @ flipped.amplitudes.conj()) ** 2, 0.0, None
+        )
+        # Its own copy, so that editing one Trajectory leaves the others.
+        trajectories.append(Trajectory(times.copy(), out_x, out_z, in_f))
+    return trajectories
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qsnn import neurons, parameters
+from qsnn import core, neurons, parameters
 from qsnn.cli import TRAJ_HEADER, main
 from qsnn.errors import InvalidParamsError
 
@@ -171,7 +171,7 @@ class TestNeuronCommands:
         spec = neurons.make_spec("excitation", parameters.solve_exc(6, 10),
                                  (0, 1), 2)
         for label, slug in (("Phi+", "phi_plus"), ("Psi-", "psi_minus")):
-            traj = neurons.record_trajectory(spec, label)
+            traj = neurons.record_trajectory(spec, (label,))[0]
             columns = (traj.times, traj.output_x, traj.output_z,
                        traj.input_fidelity)
             expected = [TRAJ_HEADER] + [
@@ -180,6 +180,25 @@ class TestNeuronCommands:
             text = (tmp_path / f"trajectory_{slug}.csv").read_text()
             assert text.splitlines() == expected
             assert text.endswith("\n")
+
+    def test_trajectories_share_one_propagator_stack(self, runner, tmp_path,
+                                                     monkeypatch):
+        # One propagator for the report, one stack for all four inputs.
+        calls = []
+        local_propagators = core._local_propagators
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return local_propagators(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_local_propagators", counted)
+        result = runner.invoke(
+            main, ["neuron", "exc", "--k", "6", "--l", "10", "--traj",
+                   str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2
+        assert len(sorted(tmp_path.glob("trajectory_*.csv"))) == 4
 
 
 _FINAL = parameters.make_final_params("detect_upup", 29, 15, 0)

@@ -235,9 +235,36 @@ class TestFastPaths:
         times = np.linspace(0.0, tau, 1000)
         _, ode = core._local_propagators(ham, times, 1e-11, "ode")
         state = bell_with_output("Phi+", 0)
-        states = core.evolve_sampled(state, ham, times, tol=1e-11)
-        amplitudes = np.array([s.amplitudes for s in states])
+        amplitudes = core.evolve_sampled([state], ham, times, tol=1e-11)[0]
         assert _max_diff(amplitudes, ode @ state.amplitudes) <= 1e-9
+
+    @pytest.mark.parametrize("ham", [
+        _h_exc(6, 10),
+        _h_final("detect_downdown", "rotating"),
+        neurons.build_phase_hamiltonian(parameters.solve_phase(3, 82)),
+    ], ids=["floquet", "rotating", "static"])
+    def test_sampled_block_matches_one_state_calls(self, ham):
+        # One propagator stack applied to a block of states reads the same
+        # bits as one call per state.
+        times = np.linspace(0.0, TAU_EXC, 300)
+        states = [bell_with_output(label, 0) for label in core.BELL_LABELS]
+        block = core.evolve_sampled(states, ham, times)
+        assert block.shape == (4, 300, 8) and block.flags.c_contiguous
+        for state, amplitudes in zip(states, block):
+            alone = core.evolve_sampled([state], ham, times)[0]
+            assert np.array_equal(amplitudes, alone)
+
+    def test_sampled_norm_drift_raises(self, monkeypatch):
+        local_propagators = core._local_propagators
+
+        def drifting(*args):
+            support, local = local_propagators(*args)
+            return support, 1.001 * local
+
+        monkeypatch.setattr(core, "_local_propagators", drifting)
+        with pytest.raises(errors.NormDriftError):
+            core.evolve_sampled([bell_with_output("Phi+", 0)], _h_exc(),
+                                [0.5, 1.0])
 
     def test_rotating_drive_with_transverse_static_term(self, integrated_spans):
         # X on the drive's target does not commute with its number operator,
@@ -367,12 +394,19 @@ class TestValidation:
         for times in ([], [-0.5, 1.0], [0.0, 1.0, 1.0], [1.0, 0.5],
                       [0.0, math.inf]):
             with pytest.raises(ValueError):
-                core.evolve_sampled(state, _h_exc(), times)
+                core.evolve_sampled([state], _h_exc(), times)
         for tol in (0.0, -1.0):
             with pytest.raises(ValueError):
-                core.evolve_sampled(state, _h_exc(), [0.0, 1.0], tol=tol)
+                core.evolve_sampled([state], _h_exc(), [0.0, 1.0], tol=tol)
         with pytest.raises(errors.DimensionMismatchError):
-            core.evolve_sampled(core.StateVector.all_down(2), _h_exc(), [1.0])
+            core.evolve_sampled([core.StateVector.all_down(2)], _h_exc(), [1.0])
+
+    def test_evolve_sampled_states(self):
+        with pytest.raises(errors.DimensionMismatchError):
+            core.evolve_sampled([], _h_exc(), [1.0])
+        mixed = [core.StateVector.all_down(3), core.StateVector.all_down(2)]
+        with pytest.raises(errors.DimensionMismatchError):
+            core.evolve_sampled(mixed, _h_exc(), [1.0])
 
     def test_propagator(self):
         for bad in ({"duration": -1.0}, {"duration": math.inf},

@@ -325,29 +325,30 @@ class TestBarePhaseBookkeeping:
 
 class TestTrajectories:
     def test_initial_conditions(self, exc_spec):
-        traj = neurons.record_trajectory(exc_spec, "Phi-", samples=100)
+        traj = neurons.record_trajectory(exc_spec, ("Phi-",), samples=100)[0]
         assert traj.times[0] == 0.0
         assert traj.output_z[0] == pytest.approx(-1.0, abs=1e-9)
         assert traj.input_fidelity[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_exc_phi_minus_flips(self, exc_spec):
-        traj = neurons.record_trajectory(exc_spec, "Phi-", samples=200)
+        traj = neurons.record_trajectory(exc_spec, ("Phi-",), samples=200)[0]
         assert traj.output_z[-1] >= 0.99
         assert traj.input_fidelity[-1] >= 0.999
 
     def test_exc_psi_plus_holds(self, exc_spec):
-        traj = neurons.record_trajectory(exc_spec, "Psi+", samples=200)
+        traj = neurons.record_trajectory(exc_spec, ("Psi+",), samples=200)[0]
         assert traj.output_z[-1] <= -0.99
 
     def test_matches_per_sample_loop(self, exc_spec):
         # Reference: one expectation/overlap call per sampled state.
-        traj = neurons.record_trajectory(exc_spec, "Phi+", samples=64)
+        traj = neurons.record_trajectory(exc_spec, ("Phi+",), samples=64)[0]
         psi0 = bell_with_output("Phi+", 0)
         flipped = bell_with_output("Phi+", 1)
-        states = core.evolve_sampled(
-            psi0, neurons.build_hamiltonian(exc_spec, 3), traj.times
-        )
-        for i, state in enumerate(states):
+        block = core.evolve_sampled(
+            [psi0], neurons.build_hamiltonian(exc_spec, 3), traj.times
+        )[0]
+        for i, amplitudes in enumerate(block):
+            state = core.StateVector(3, amplitudes)
             assert traj.output_x[i] == pytest.approx(
                 core.expectation(state, "X", 2), abs=1e-12)
             assert traj.output_z[i] == pytest.approx(
@@ -357,10 +358,25 @@ class TestTrajectories:
                 abs=1e-12)
 
     def test_sample_count_and_monotone_times(self, phase_spec):
-        traj = neurons.record_trajectory(phase_spec, "Phi-", samples=150)
+        traj = neurons.record_trajectory(phase_spec, ("Phi-",), samples=150)[0]
         assert len(traj.times) == 150
         assert np.all(np.diff(traj.times) > 0)
         assert len(traj.output_x) == len(traj.output_z) == 150
+
+    def test_trajectories_own_their_arrays(self, exc_spec):
+        first, second = neurons.record_trajectory(exc_spec, ("Phi+", "Psi-"),
+                                                  samples=10)
+        first.times[:] = 0.0
+        assert second.times[-1] == math.pi
+
+    @pytest.mark.parametrize("bad", [
+        {"samples": 1}, {"samples": 2.5}, {"samples": "x"}, {"samples": True},
+        {"input_labels": "Phi+"}, {"input_labels": ()},
+        {"input_labels": ("Phi+", "Chi+")}, {"input_labels": 5},
+    ])
+    def test_invalid_arguments(self, exc_spec, bad):
+        with pytest.raises(errors.InvalidParamsError):
+            neurons.record_trajectory(exc_spec, **bad)
 
 
 class TestFinalLayers:
@@ -533,7 +549,7 @@ def _unit_amplitude_run(case: str):
     kind, make = AMPLITUDE_CASES[case]
     spec = neurons.make_spec(kind, make(1.0), (0, 1), 2)
     return neurons.neuron_unitary(spec).matrix, neurons.record_trajectory(
-        spec, "Phi-", samples=40)
+        spec, ("Phi-",), samples=40)[0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -548,7 +564,7 @@ def test_neurons_do_not_depend_on_drive_amplitude(case, exponent):
     spec = neurons.make_spec(kind, params, (0, 1), 2)
     u, traj = _unit_amplitude_run(case)
     assert np.max(np.abs(neurons.neuron_unitary(spec).matrix - u)) <= 1e-12
-    scaled = neurons.record_trajectory(spec, "Phi-", samples=40)
+    scaled = neurons.record_trajectory(spec, ("Phi-",), samples=40)[0]
     assert scaled.times[0] == 0.0
     assert scaled.times[-1] == (math.pi / 2 if kind == "phase" else math.pi)
     for name in ("times", "output_x", "output_z", "input_fidelity"):
