@@ -37,13 +37,18 @@ PAULI_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |up><down|
-SIGMA_MINUS = SIGMA_PLUS.conj().T
-
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 NOT_X = PAULI_X
 
-DRIVE_FORMS = ("cosine_x", "rotating_plus", "rotating_minus", "static_z")
+# Each drive form as pieces (scale, wave, axis): a drive a, w adds
+# scale * a * wave(w t) * axis on its target, or scale * a * axis with no wave.
+_AFFINE = {
+    "cosine_x": ((1.0, np.cos, "X"),),
+    "rotating_plus": ((0.5, np.cos, "X"), (0.5, np.sin, "Y")),
+    "rotating_minus": ((0.5, np.cos, "X"), (-0.5, np.sin, "Y")),
+    "static_z": ((1.0, None, "Z"),),
+}
+DRIVE_FORMS = tuple(_AFFINE)
 
 BELL_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
 
@@ -85,7 +90,7 @@ class StateVector:
 
     def __init__(self, num_qubits: int, amplitudes: Sequence[complex]):
         if num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
+            raise InvalidParamsError("num_qubits must be positive")
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amp.size != 2**num_qubits:
             raise DimensionMismatchError(
@@ -130,7 +135,7 @@ class StateVector:
 def bell_state(label: str) -> StateVector:
     """One of the four Bell states on a 2-qubit register."""
     if label not in BELL_VECTORS:
-        raise ValueError(f"unknown Bell label {label!r}; use one of {BELL_LABELS}")
+        raise InvalidParamsError(f"unknown Bell label {label!r}; use one of {BELL_LABELS}")
     return StateVector(2, BELL_VECTORS[label])
 
 
@@ -185,7 +190,7 @@ class StaticTerm:
             raise DuplicateTargetError("repeated qubit in a static term")
         for q, axis in self.factors:
             if axis not in PAULI:
-                raise ValueError(f"unknown axis {axis!r}")
+                raise InvalidParamsError(f"unknown axis {axis!r}")
             if q < 0:
                 raise OutOfBoundsError(f"negative qubit index {q}")
 
@@ -205,20 +210,7 @@ class DriveTerm:
         if not math.isfinite(self.amplitude) or not math.isfinite(
             self.angular_frequency
         ):
-            raise ValueError("drive parameters must be finite")
-
-    def operator_at(self, t: float) -> np.ndarray:
-        """Instantaneous 2x2 operator on the target qubit."""
-        a, w = self.amplitude, self.angular_frequency
-        if self.form == "cosine_x":
-            return a * math.cos(w * t) * PAULI_X
-        if self.form == "rotating_plus":
-            phase = np.exp(-1j * w * t)
-            return 0.5 * a * (phase * SIGMA_PLUS + np.conj(phase) * SIGMA_MINUS)
-        if self.form == "rotating_minus":
-            phase = np.exp(1j * w * t)
-            return 0.5 * a * (phase * SIGMA_PLUS + np.conj(phase) * SIGMA_MINUS)
-        return a * PAULI_Z  # static_z
+            raise InvalidParamsError("drive parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -243,25 +235,22 @@ class TimeDependentHamiltonian:
         return tuple(sorted(qubits)) if qubits else (0,)
 
     def _local_pieces(self):
-        """Support, static local matrix and the time-dependent drives.
-
-        The static matrix is a sum of cached Pauli strings (_term_string),
-        static_z drives included.  Every other drive comes with its target's
-        cached matrix units (_drive_units), so that evaluating it at time t
-        is one small product (`_h_at`).
-        """
+        """Support, static local matrix and the drives in affine form: on the
+        support H(t) = static + sum_k a_k f_k(w_k t) M_k, one piece (a_k, w_k,
+        f_k, M_k) per wave of _AFFINE, M_k a cached Pauli string."""
         support = self.support()
         static = np.zeros((2 ** len(support),) * 2, dtype=complex)
         for term in self.static_terms:
             static += term.coefficient * _term_string(term.factors, support)
         drives = []
         for drv in self.drive_terms:
-            if drv.form == "static_z":
-                z = ((drv.target_qubit, "Z"),)
-                static += drv.amplitude * _term_string(z, support)
-            else:
-                position = support.index(drv.target_qubit)
-                drives.append((drv, _drive_units(position, len(support))))
+            a, w, q = drv.amplitude, drv.angular_frequency, drv.target_qubit
+            for scale, wave, axis in _AFFINE[drv.form]:
+                string = _term_string(((q, axis),), support)
+                if wave is None:
+                    static += scale * a * string
+                else:
+                    drives.append((scale * a, w, wave, string))
         return support, static, drives
 
     def matrix(self, t: float) -> np.ndarray:
@@ -290,19 +279,11 @@ def _term_string(factors, support: tuple[int, ...]) -> np.ndarray:
     return _pauli_string(tuple(axes.get(q, "I") for q in support))
 
 
-@functools.lru_cache(maxsize=128)
-def _drive_units(position: int, size: int) -> np.ndarray:
-    """The four 2x2 matrix units on one qubit, embedded, as rows (read-only)."""
-    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    identity = np.eye(2**size, dtype=complex)
-    return read_only(apply_local(units, (position,), identity).reshape(4, -1))
-
-
-def _h_at(static: np.ndarray, drives, t: float) -> np.ndarray:
-    """Local H(t): the static matrix plus each drive's embedded operator."""
+def _h_at(static: np.ndarray, drives, t) -> np.ndarray:
+    """Local H(t), or a stack of them for an array of times, from the pieces."""
     h = static
-    for drv, units in drives:
-        h = h + (drv.operator_at(t).reshape(4) @ units).reshape(static.shape)
+    for amplitude, frequency, wave, string in drives:
+        h = h + (amplitude * wave(frequency * np.asarray(t)))[..., None, None] * string
     return h
 
 
@@ -404,21 +385,74 @@ def _eigh_propagators(h: np.ndarray, times: np.ndarray, out: np.ndarray) -> None
     np.matmul(vectors * phases[:, None, :], vectors.conj().T, out=out)
 
 
+# Gauss-Legendre nodes in a step, steps per stacked eigh, C of the step rule.
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+_MAGNUS_CHUNK = 128
+_MAGNUS_ERROR = 2e-4
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
+def _magnus_exponentials(static, drives, left: np.ndarray, width: np.ndarray):
+    """exp(Omega) of each step [left, left + width] of dU/dt = -iH(t)U: the
+    order-6 commutator Magnus exponent on three Gauss-Legendre nodes (Blanes,
+    Casas & Ros, BIT 40, 434 (2000)), exponentiated by one stacked eigh."""
+    scale = (-1j * width)[:, None, None]
+    a1, a2, a3 = (scale * _h_at(static, drives, left + node * width)
+                  for node in _GAUSS_NODES)
+    b1 = a2
+    b2 = (math.sqrt(15.0) / 3.0) * (a3 - a1)
+    b3 = (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = _commutator(b1, b2)
+    c2 = _commutator(b1, 2.0 * b3 + c1) / -60.0
+    omega = b1 + b3 / 12.0 + _commutator(c1 - 20.0 * b1 - b3, b2 + c2) / 240.0
+    energies, vectors = np.linalg.eigh(1j * omega)  # i Omega is Hermitian
+    return vectors * np.exp(-1j * energies)[:, None, :] @ vectors.conj().swapaxes(1, 2)
+
+
 def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     """U(t) = U(t mod T) U(T)^floor(t/T) into out, for a drive of period T.
 
-    Only [0, min(T, t_max)] is integrated, with output at the distinct
-    phases t mod T (Shirley, Phys. Rev. 138, B979, 1965).
+    Only [0, min(T, t_max)] is propagated (Shirley, Phys. Rev. 138, B979,
+    1965), to the phases t mod T, merged where they differ by roundoff, as a
+    running product of Magnus steps of at most T/n, _MAGNUS_CHUNK at a time.
+    With a the drive amplitude, |H| <= |H_s| + a and P periods spanned,
+    n = max(|H| T, (P C a T (2 pi + |H| T)^5 / tol)^(1/6)), C = _MAGNUS_ERROR:
+    one period errs by about C a T (2 pi + |H| T)^5 / n^6, and C is ten times
+    the largest constant measured, so that U errs by about tol / 10 (README).
     """
-    period = 2.0 * math.pi / abs(drives[0][0].angular_frequency)
+    period = 2.0 * math.pi / abs(drives[0][1])
+    roundoff = 16 * times[-1] * np.finfo(float).eps
     turns, phase = np.divmod(times, period)
-    # n whole periods are U(T) U(T)^(n-1), so that every phase is positive.
-    whole = phase == 0
+    # n whole periods, up to roundoff, are U(T) U(T)^(n-1): every phase is > 0.
+    whole = (phase <= roundoff) & (turns > 0)
     turns[whole] -= 1
     phase[whole] = period
-    grid = np.unique(np.append(phase, min(period, times[-1])))
-    within = _integrate(static, drives, grid, tol)
-    index = np.searchsorted(grid, phase)
+    grid, index = np.unique(np.append(phase, min(period, times[-1])),
+                            return_inverse=True)
+    first = np.diff(grid, prepend=-math.inf) > roundoff  # the largest of a run
+    grid, index = grid[np.append(first[1:], True)], np.cumsum(first)[index[:-1]] - 1
+    drive = abs(drives[0][0]) * period
+    norm = drive + np.abs(np.linalg.eigvalsh(static)).max() * period
+    steps = max(norm, ((turns[-1] + 1) * _MAGNUS_ERROR * drive
+                       * (2.0 * math.pi + norm) ** 5 / tol) ** (1 / 6))
+    edges = np.append(0.0, grid)
+    counts = np.maximum(np.ceil(np.diff(edges) * (steps / period)), 1).astype(int)
+    last = np.cumsum(counts) - 1  # the step that ends at each grid point
+    width = np.repeat(np.diff(edges) / counts, counts)
+    left = np.repeat(edges[:-1], counts) + width * (
+        np.arange(len(width)) - np.repeat(last + 1 - counts, counts))
+    within = np.empty((len(grid),) + static.shape, dtype=complex)
+    product = np.eye(len(static), dtype=complex)
+    for lo in range(0, len(width), _MAGNUS_CHUNK):
+        chunk = slice(lo, lo + _MAGNUS_CHUNK)
+        running = _magnus_exponentials(static, drives, left[chunk], width[chunk])
+        for k, step in enumerate(running):
+            product = running[k] = step @ product
+        hits = (lo <= last) & (last < lo + len(running))
+        within[hits] = running[last[hits] - lo]
     power, done = np.eye(len(static), dtype=complex), 0
     for count in np.unique(turns):
         power = np.linalg.matrix_power(within[-1], int(count - done)) @ power
@@ -443,7 +477,8 @@ def _local_propagators(
     * one rotating drive whose target number operator N commutes with the
       static part: the exact rotating frame,
       U(t) = exp(-/+ i w t N) exp(-i t (H_s + A/2 X -/+ w N));
-    * one cosine drive with w != 0: Floquet, integrating one period;
+    * one cosine drive with w != 0: Floquet, with order-6 Magnus steps over
+      one period (_floquet);
     * anything else: the adaptive integrator over [0, t_max].
 
     method "ode" forces the integrator.  num_qubits, when given, is the
@@ -455,11 +490,12 @@ def _local_propagators(
         times.size and 0 <= times[0] and times[-1] < math.inf
         and (times[1:] > times[:-1]).all()
     ):
-        raise ValueError("times must be finite, non-negative and strictly increasing")
+        raise InvalidParamsError(
+            "times must be finite, non-negative and strictly increasing")
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise InvalidParamsError("tol must be positive")
     if method not in ("auto", "ode"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidParamsError(f"unknown method {method!r}")
     if num_qubits is not None and num_qubits != hamiltonian.num_qubits:
         raise DimensionMismatchError("state and Hamiltonian register sizes differ")
     support, static, drives = hamiltonian._local_pieces()
@@ -470,10 +506,12 @@ def _local_propagators(
     t, rest = times[start:], out[start:]
     if t.size == 0:
         return support, out
-    drv, units = drives[0] if len(drives) == 1 else (None, None)
+    dynamic = [drv for drv in hamiltonian.drive_terms if drv.form != "static_z"]
+    drv = dynamic[0] if len(dynamic) == 1 else None
     rotating = drv is not None and drv.form.startswith("rotating")
     if rotating:
-        number = units[3].reshape(static.shape).diagonal().real
+        z = _term_string(((drv.target_qubit, "Z"),), support).diagonal()
+        number = (1.0 + z.real) / 2.0  # N = |up><up| on the target
         rotating = not np.any(static[number[:, None] != number[None, :]])
     periodic = drv is not None and drv.form == "cosine_x" and drv.angular_frequency != 0
     if method == "auto" and not drives:
@@ -560,12 +598,11 @@ def piecewise_constant_propagator(
 ) -> DenseOperator:
     """Oracle propagator: expm of H sampled at each step midpoint."""
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise InvalidParamsError("step must be positive")
     support, static, drives = hamiltonian._local_pieces()
-    dim = 2 ** len(support)
     steps = max(1, int(math.ceil(duration / step)))
     dt = duration / steps
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(len(static), dtype=complex)
     for i in range(steps):
         u = expm(-1j * dt * _h_at(static, drives, (i + 0.5) * dt)) @ u
     return DenseOperator(embed_matrix(u, support, hamiltonian.num_qubits))
@@ -619,7 +656,7 @@ def apply_gate(state: StateVector, gate, target: int) -> StateVector:
 def expectation(state: StateVector, axis: str, qubit: int) -> float:
     """<psi| sigma^axis_qubit |psi>."""
     if axis not in PAULI:
-        raise ValueError(f"unknown axis {axis!r}")
+        raise InvalidParamsError(f"unknown axis {axis!r}")
     block = split_targets(state.amplitudes, (qubit,))
     return float(np.real(np.sum(block.conj() * (PAULI[axis] @ block))))
 

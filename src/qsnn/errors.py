@@ -21,8 +21,8 @@ class NormDriftError(QsnnError):
     """The integrator lost more norm than the failure threshold allows."""
 
 
-class InvalidParamsError(QsnnError):
-    """Neuron parameters violate one of their defining constraints."""
+class InvalidParamsError(QsnnError, ValueError):
+    """An argument, such as a neuron parameter, violates its constraints."""
 
 
 class NonPythagoreanError(InvalidParamsError):

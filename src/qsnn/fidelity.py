@@ -97,7 +97,7 @@ def mc_average_fidelity(
     coefficients over the basis states.
     """
     if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+        raise InvalidParamsError("n_samples must be at least 2")
     if u_actual.dim != u_ideal.dim:
         raise DimensionMismatchError("operators must share dimension")
     basis = _subspace_matrix(subspace, u_actual.dim)

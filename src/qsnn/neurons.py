@@ -556,8 +556,8 @@ class FidelityModel:
     For an excitation or phase neuron, L = B†·U_ideal†·Post and R = Pre·B
     are built once per round(m), on which the phase neuron's ideal and
     post-phase gate depend, from the checked ideal, protocol basis B and
-    output gates.  A call builds H, takes U from core.propagator as
-    neuron_unitary does, checks it and returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).
+    output gates.  A call builds H, takes U from core.propagator, which
+    checks it, as neuron_unitary does and returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).
     """
 
     def __init__(self, kind: str):
@@ -567,11 +567,14 @@ class FidelityModel:
 
     def __call__(self, params) -> float:
         u = core.propagator(self.build(params), params.UNIT_TAU).matrix
-        return self.score(params, u)
+        return self._f_avg(params, u)
 
     def score(self, params, u: np.ndarray) -> float:
         """f_avg of the bare propagator u of `params`, once u is unitary."""
         core.check_isometry(u)
+        return self._f_avg(params, u)
+
+    def _f_avg(self, params, u: np.ndarray) -> float:
         key = round(params.m) if self.kind == "phase" else None
         if key not in self.projections:
             pre, post = make_spec(self.kind, params, (0, 1), 2).gates

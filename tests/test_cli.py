@@ -7,6 +7,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -180,6 +181,28 @@ class TestNeuronCommands:
             text = (tmp_path / f"trajectory_{slug}.csv").read_text()
             assert text.splitlines() == expected
             assert text.endswith("\n")
+
+    def test_trajectories_match_the_integrator(self, runner, tmp_path,
+                                               monkeypatch):
+        # The Magnus stack against DOP853 over all of [0, tau] at 1e-13.
+        def integrated(static, drives, times, tol, out):
+            out[:] = core._integrate(static, drives, times, 1e-13)
+
+        for name in ("magnus", "ode"):
+            if name == "ode":
+                monkeypatch.setattr(core, "_floquet", integrated)
+            result = runner.invoke(
+                main, ["neuron", "exc", "--k", "6", "--l", "10", "--traj",
+                       str(tmp_path / name)],
+            )
+            assert result.exit_code == 0, result.output
+        paths = sorted((tmp_path / "magnus").glob("*.csv"))
+        assert len(paths) == 4
+        for path in paths:
+            fast, ode = (np.loadtxt(tmp_path / name / path.name, delimiter=",",
+                                    skiprows=1) for name in ("magnus", "ode"))
+            assert fast.shape == (1000, 4)
+            assert np.abs(fast - ode).max() <= 1e-10
 
     def test_trajectories_share_one_propagator_stack(self, runner, tmp_path,
                                                      monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -197,8 +198,8 @@ class TestFastPaths:
     def test_floquet_excitation(self, k, l, integrated_spans):
         ham = _h_exc(k, l)
         fast = core.propagator(ham, TAU_EXC, tol=1e-11).matrix
-        # tau is k drive periods; only one period is integrated.
-        assert integrated_spans == [pytest.approx(math.pi / k)]
+        # tau is k drive periods, and the Floquet path takes Magnus steps.
+        assert integrated_spans == []
         ode = core.propagator(ham, TAU_EXC, tol=1e-11, method="ode").matrix
         assert _max_diff(fast, ode) <= 1e-9
 
@@ -207,11 +208,8 @@ class TestFastPaths:
     def test_final_layers(self, variant, drive_mode, integrated_spans):
         ham = _h_final(variant, drive_mode)
         fast = core.propagator(ham, TAU_EXC, tol=1e-11).matrix
-        if drive_mode == "rotating":
-            assert integrated_spans == []
-        else:
-            period = 2 * math.pi / abs(ham.drive_terms[0].angular_frequency)
-            assert integrated_spans == [pytest.approx(period)]
+        # Exact rotating frame or Magnus steps: neither integrates.
+        assert integrated_spans == []
         ode = core.propagator(ham, TAU_EXC, tol=1e-11, method="ode").matrix
         assert _max_diff(fast, ode) <= 1e-9
 
@@ -335,6 +333,56 @@ class TestFastPaths:
         assert _max_diff(auto, ode) <= 1e-9
 
 
+MAGNUS_CASES = {
+    "exc-3-5": lambda: _h_exc(3, 5),
+    "exc-9-41": lambda: _h_exc(9, 41),
+    "exc-24-40": lambda: _h_exc(24, 40),
+    "local_field-29-15": lambda: _h_final("detect_upup", "local_field"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tight_ode(case: str) -> np.ndarray:
+    ham = MAGNUS_CASES[case]()
+    return core.propagator(ham, TAU_EXC, tol=1e-13, method="ode").matrix
+
+
+class TestMagnus:
+    """The Floquet period's order-6 Magnus steps against DOP853 at 1e-13."""
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11])
+    @pytest.mark.parametrize("case", sorted(MAGNUS_CASES))
+    def test_meets_tol(self, case, tol):
+        u = core.propagator(MAGNUS_CASES[case](), TAU_EXC, tol=tol).matrix
+        core.check_isometry(u)
+        assert _max_diff(u, _tight_ode(case)) <= max(tol, 1e-11)
+
+    @pytest.mark.parametrize("case", sorted(MAGNUS_CASES))
+    def test_default_tol_leaves_a_tenth(self, case):
+        # The step rule aims at tol / 10, so reports at the default tol
+        # move by no more than 1e-10 from the exact U.
+        u = core.propagator(MAGNUS_CASES[case](), TAU_EXC).matrix
+        assert _max_diff(u, _tight_ode(case)) <= 1e-10
+
+    @pytest.mark.parametrize("k, l, steps", [(6, 10, 333), (8, 17, 999)])
+    def test_sampled_stack_steps_once_per_phase(self, k, l, steps, monkeypatch):
+        # 1,000 times over tau hold 726 distinct floats t mod T at (6,10),
+        # but only 333 phases beyond roundoff; at (8,17) all 999 differ.
+        widths = []
+        exponentials = core._magnus_exponentials
+
+        def spy(static, drives, left, width):
+            widths.append(len(width))
+            return exponentials(static, drives, left, width)
+
+        monkeypatch.setattr(core, "_magnus_exponentials", spy)
+        ham, times = _h_exc(k, l), np.linspace(0.0, TAU_EXC, 1000)
+        _, fast = core._local_propagators(ham, times, 1e-9)
+        assert sum(widths) == steps and max(widths) <= core._MAGNUS_CHUNK
+        _, ode = core._local_propagators(ham, times, 1e-11, "ode")
+        assert _max_diff(fast, ode) <= 1e-9
+
+
 class TestStaticPath:
     """A drive-free H takes one eigendecomposition, for one time or many."""
 
@@ -413,6 +461,16 @@ class TestValidation:
                     {"tol": 0.0}, {"method": "rk4"}):
             with pytest.raises(ValueError):
                 core.propagator(_h_exc(), **{"duration": 1.0, **bad})
+
+    @pytest.mark.parametrize("call", [
+        lambda: core.propagator(_h_exc(), 1.0, tol=0),
+        lambda: core.evolve(core.StateVector.all_down(3), _h_exc(), -1.0),
+        lambda: core.bell_state("x"),
+        lambda: core.StaticTerm(1.0, ((0, "W"),)),
+    ], ids=["tol", "duration", "bell_label", "axis"])
+    def test_malformed_arguments_raise_qsnn_errors(self, call):
+        with pytest.raises(errors.QsnnError):
+            call()
 
 
 class TestTensorEmbed:
@@ -590,7 +648,7 @@ class TestAssemblyTables:
         _, _, drives = _h_final("detect_upup", "rotating")._local_pieces()
         cached = [
             core._pauli_string(("X", "I", "Z")),
-            drives[0][1],
+            drives[0][3],  # the drive's cached Pauli string
             neurons.protocol_subspace("phase", phase_3_82)[0],
             neurons.protocol_subspace("final_upup", final)[-1],
         ]

@@ -323,6 +323,21 @@ def test_fidelity_model_rejects_a_non_unitary_propagator(phase_3_82):
         neurons.FidelityModel("final_upup")
 
 
+def test_fidelity_model_checks_u_once(phase_3_82, monkeypatch):
+    model = neurons.FidelityModel("phase")
+    model(phase_3_82)  # builds the projections, which check the ideal
+    checked = []
+    check_isometry = core.check_isometry
+
+    def spy(matrix, *args):
+        checked.append(matrix.shape)
+        return check_isometry(matrix, *args)
+
+    monkeypatch.setattr(core, "check_isometry", spy)
+    model(phase_3_82)
+    assert checked == [(8, 8)]
+
+
 @pytest.mark.parametrize("kind, params", [
     ("phase", parameters.solve_phase(3, 82)),
     ("excitation", parameters.solve_exc(8, 17)),
