@@ -69,13 +69,16 @@ def _write_trajectories(kind: str, params, traj_dir: str) -> list[str]:
     directory = Path(traj_dir)
     directory.mkdir(parents=True, exist_ok=True)
     spec = neurons.make_spec(kind, params, (0, 1), 2)
+    trajectories = neurons.record_trajectory(spec)
+    block = np.empty((len(trajectories[0].times), 4), dtype=object)
+    block[:, 0] = ("%.17g\n" * len(block) % tuple(trajectories[0].times.tolist())).split()
+    rows = _TRAJ_ROW.replace("%.17g", "%s", 1) * len(block)  # shared t, formatted once
     paths = []
-    for label, traj in zip(BELL_LABELS, neurons.record_trajectory(spec)):
+    for label, traj in zip(BELL_LABELS, trajectories):
         slug = label.lower().replace("+", "_plus").replace("-", "_minus")
         path = directory / f"trajectory_{slug}.csv"
-        columns = (traj.times, traj.output_x, traj.output_z, traj.input_fidelity)
-        values = tuple(np.column_stack(columns).ravel().tolist())
-        path.write_text(TRAJ_HEADER + "\n" + (_TRAJ_ROW * len(traj.times)) % values)
+        block[:, 1:] = np.column_stack((traj.output_x, traj.output_z, traj.input_fidelity))
+        path.write_text(TRAJ_HEADER + "\n" + rows % tuple(block.ravel().tolist()))
         paths.append(str(path))
     return paths
 

@@ -75,8 +75,8 @@ def _normalized(states: np.ndarray) -> np.ndarray:
         norms = np.sqrt(re.dot(re) + im.dot(im))
         drift = abs(norms - 1.0)
     else:  # the same dot products, one per state
-        re, im = re[..., None, :], im[..., None, :]
-        norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+        dots = np.einsum("...i,...i", re, re) + np.einsum("...i,...i", im, im)
+        norms = np.sqrt(dots)[..., None]
         drift = np.abs(norms - 1.0).max()
     if not drift <= NORM_TOL:  # also true for a NaN norm
         raise NormDriftError(f"state norm drifts from 1 by {drift} > {NORM_TOL}")
@@ -385,80 +385,101 @@ def _eigh_propagators(h: np.ndarray, times: np.ndarray, out: np.ndarray) -> None
     np.matmul(vectors * phases[:, None, :], vectors.conj().T, out=out)
 
 
-# Gauss-Legendre nodes in a step, steps per stacked eigh, C of the step rule.
+# Gauss-Legendre nodes in a step, steps per stacked exponential, C of the step rule.
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _MAGNUS_CHUNK = 128
 _MAGNUS_ERROR = 2e-4
+# Weights of I, A, ..., A^4 in the Paterson-Stockmeyer blocks of the Taylor sum.
+_TAYLOR_PS = np.array([[(i < 4 or m == 8) / math.factorial(m + i) for i in range(5)]
+                       for m in (8, 4, 0)])
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def _magnus_exponentials(static, drive, left: np.ndarray, width: np.ndarray):
+    """(cut, exp(Omega) of the steps left[cut], width[cut]) for each
+    _MAGNUS_CHUNK steps [left, left + width] of dU/dt = -iH(t)U, for
+    H(t) = H_s + a f(wt) M: the order-6 commutator Magnus exponent on three
+    Gauss-Legendre nodes (Blanes, Casas & Ros, BIT 40, 434 (2000)), a sum of 14
+    fixed matrices: with s = -i width, K = [H_s, M], L1 = [H_s, K], L2 = [M, K],
+    Omega = s H_s + s (b1 + b3/12) M + [X, Y]/240, X = s^2 b2 K - 20 s H_s
+    - s (20 b1 + b3) M, Y = s b2 M - (s^2 b3/30) K - (s^3 b2/60)(L1 + b1 L2)."""
+    amplitude, frequency, wave, string = drive
+    commutator = lambda a, b: a @ b - b @ a  # noqa: E731
+    k = commutator(static, string)
+    ys = (string, k, commutator(static, k), commutator(string, k))
+    pairs = [commutator(p, q) for p in (k, static, string) for q in ys]
+    basis = np.reshape([static, string] + pairs, (14, -1))
+    f1, f2, f3 = amplitude * wave(frequency * (left + _GAUSS_NODES[:, None] * width))
+    s = -1j * width
+    b1, b2, b3 = f2, math.sqrt(15.0) / 3.0 * (f3 - f1), 10.0 / 3.0 * (f3 - 2.0 * f2 + f1)
+    x = np.stack([s * s * b2, -20.0 * s, -s * (20.0 * b1 + b3)], -1)
+    y = np.stack([b2, s * b3 / -30.0, s * s * b2 / -60.0, s * s * b1 * b2 / -60.0], -1)
+    xy = np.einsum("ij,ik->ijk", x, y * (s / 240.0)[:, None]).reshape(-1, 12)
+    weights = np.column_stack([s, s * (b1 + b3 / 12.0), xy])
+    for lo in range(0, len(s), _MAGNUS_CHUNK):  # bounded temporaries
+        cut = slice(lo, lo + _MAGNUS_CHUNK)
+        yield cut, _expm_taylor((weights[cut] @ basis).reshape((-1,) + static.shape))
 
 
-def _magnus_exponentials(static, drives, left: np.ndarray, width: np.ndarray):
-    """exp(Omega) of each step [left, left + width] of dU/dt = -iH(t)U: the
-    order-6 commutator Magnus exponent on three Gauss-Legendre nodes (Blanes,
-    Casas & Ros, BIT 40, 434 (2000)), exponentiated by one stacked eigh."""
-    scale = (-1j * width)[:, None, None]
-    a1, a2, a3 = (scale * _h_at(static, drives, left + node * width)
-                  for node in _GAUSS_NODES)
-    b1 = a2
-    b2 = (math.sqrt(15.0) / 3.0) * (a3 - a1)
-    b3 = (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
-    c1 = _commutator(b1, b2)
-    c2 = _commutator(b1, 2.0 * b3 + c1) / -60.0
-    omega = b1 + b3 / 12.0 + _commutator(c1 - 20.0 * b1 - b3, b2 + c2) / 240.0
-    energies, vectors = np.linalg.eigh(1j * omega)  # i Omega is Hermitian
-    return vectors * np.exp(-1j * energies)[:, None, :] @ vectors.conj().swapaxes(1, 2)
+def _expm_taylor(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack by batched matmuls: scaled by 2^-j so that
+    each |A|_1 < 1/4, the degree-12 Taylor sum by Paterson-Stockmeyer (5 matmuls;
+    truncation <= sum_{k>12} 4^-k/k! < 2.4e-18), then squared j times."""
+    sums = np.ones(a.shape[-1]) @ np.abs(a.view(float))  # of |Re|, |Im| per column
+    bound = (sums[:, ::2] + sums[:, 1::2]).max(initial=0.0)
+    squarings = max(math.frexp(4.0 * bound)[1], 0)
+    powers = np.empty((5,) + a.shape, dtype=complex)  # I, A, A^2, A^3, A^4
+    powers[0], powers[1] = np.eye(a.shape[-1]), a * 0.5**squarings
+    for i in (2, 3, 4):
+        np.matmul(powers[i - 1], powers[1], out=powers[i])
+    blocks = (_TAYLOR_PS @ powers.view(float).reshape(5, -1)).view(complex)
+    result, *blocks = blocks.reshape((3,) + a.shape)
+    for block in blocks:
+        result = powers[4] @ result + block
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     """U(t) = U(t mod T) U(T)^floor(t/T) into out, for a drive of period T.
 
     Only [0, min(T, t_max)] is propagated (Shirley, Phys. Rev. 138, B979,
-    1965), to the phases t mod T, merged where they differ by roundoff, as a
-    running product of Magnus steps of at most T/n, _MAGNUS_CHUNK at a time.
-    With a the drive amplitude, |H| <= |H_s| + a and P periods spanned,
+    1965): a running product of equal Magnus steps of at most T/n, then one
+    shorter step from the node below to each phase t mod T (phases merged
+    where they differ by roundoff), _MAGNUS_CHUNK exponentials at a time.
+    With a the drive amplitude, |H| <= |H_s| + a and P periods spanned (to roundoff),
     n = max(|H| T, (P C a T (2 pi + |H| T)^5 / tol)^(1/6)), C = _MAGNUS_ERROR:
     one period errs by about C a T (2 pi + |H| T)^5 / n^6, and C is ten times
     the largest constant measured, so that U errs by about tol / 10 (README).
     """
-    period = 2.0 * math.pi / abs(drives[0][1])
+    (drive,) = drives
+    period = 2.0 * math.pi / abs(drive[1])
     roundoff = 16 * times[-1] * np.finfo(float).eps
     turns, phase = np.divmod(times, period)
-    # n whole periods, up to roundoff, are U(T) U(T)^(n-1): every phase is > 0.
-    whole = (phase <= roundoff) & (turns > 0)
-    turns[whole] -= 1
-    phase[whole] = period
-    grid, index = np.unique(np.append(phase, min(period, times[-1])),
-                            return_inverse=True)
+    grid, index = np.unique(phase, return_inverse=True)
     first = np.diff(grid, prepend=-math.inf) > roundoff  # the largest of a run
-    grid, index = grid[np.append(first[1:], True)], np.cumsum(first)[index[:-1]] - 1
-    drive = abs(drives[0][0]) * period
-    norm = drive + np.abs(np.linalg.eigvalsh(static)).max() * period
-    steps = max(norm, ((turns[-1] + 1) * _MAGNUS_ERROR * drive
+    grid, index = grid[np.append(first[1:], True)], np.cumsum(first)[index] - 1
+    span = min(period, times[-1])
+    norm = (abs(drive[0]) + np.abs(np.linalg.eigvalsh(static)).max()) * period
+    spanned = math.ceil((times[-1] - roundoff) / period)  # P of the step rule
+    steps = max(norm, (spanned * _MAGNUS_ERROR * abs(drive[0]) * period
                        * (2.0 * math.pi + norm) ** 5 / tol) ** (1 / 6))
-    edges = np.append(0.0, grid)
-    counts = np.maximum(np.ceil(np.diff(edges) * (steps / period)), 1).astype(int)
-    last = np.cumsum(counts) - 1  # the step that ends at each grid point
-    width = np.repeat(np.diff(edges) / counts, counts)
-    left = np.repeat(edges[:-1], counts) + width * (
-        np.arange(len(width)) - np.repeat(last + 1 - counts, counts))
-    within = np.empty((len(grid),) + static.shape, dtype=complex)
-    product = np.eye(len(static), dtype=complex)
-    for lo in range(0, len(width), _MAGNUS_CHUNK):
-        chunk = slice(lo, lo + _MAGNUS_CHUNK)
-        running = _magnus_exponentials(static, drives, left[chunk], width[chunk])
-        for k, step in enumerate(running):
-            product = running[k] = step @ product
-        hits = (lo <= last) & (last < lo + len(running))
-        within[hits] = running[last[hits] - lo]
-    power, done = np.eye(len(static), dtype=complex), 0
-    for count in np.unique(turns):
-        power = np.linalg.matrix_power(within[-1], int(count - done)) @ power
-        done = count
-        rows = turns == count
-        out[rows] = within[index[rows]] @ power
+    nodes = np.linspace(0.0, span, max(math.ceil(span * steps / period), 1) + 1)
+    chain = [np.eye(len(static), dtype=complex)]
+    for _, running in _magnus_exponentials(static, drive, nodes[:-1], np.diff(nodes)):
+        for step in running:
+            chain.append(step @ chain[-1])
+    below = np.searchsorted(nodes, grid, side="right") - 1
+    within = np.array(chain)[below]
+    short = np.flatnonzero(grid - nodes[below] > roundoff)
+    left = nodes[below[short]]
+    for cut, running in _magnus_exponentials(static, drive, left, grid[short] - left):
+        within[short[cut]] = running @ within[short[cut]]
+    out[:] = within[index]
+    values, starts = np.unique(turns, return_index=True)  # times increase: slices
+    for turn, lo, hi in zip(values, starts, [*starts[1:], len(turns)]):
+        block = out[lo:hi].reshape(-1, len(static))  # a view: one 2-D product
+        block[:] = block @ np.linalg.matrix_power(chain[-1], int(turn))
 
 
 def _local_propagators(

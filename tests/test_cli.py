@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from qsnn import core, neurons, parameters
-from qsnn.cli import TRAJ_HEADER, main
+from qsnn.cli import _TRAJ_ROW, TRAJ_HEADER, main
 from qsnn.errors import InvalidParamsError
 
 
@@ -181,6 +181,25 @@ class TestNeuronCommands:
             text = (tmp_path / f"trajectory_{slug}.csv").read_text()
             assert text.splitlines() == expected
             assert text.endswith("\n")
+
+    def test_trajectory_csvs_are_the_row_format_byte_for_byte(self, runner,
+                                                              tmp_path):
+        # The shared time column is formatted once and spliced into the rows;
+        # the files hold the bytes of _TRAJ_ROW applied row by row.
+        result = runner.invoke(
+            main, ["neuron", "phase", "--m", "3", "--n", "82", "--traj",
+                   str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        spec = neurons.make_spec("phase", parameters.solve_phase(3, 82),
+                                 (0, 1), 2)
+        slugs = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+        for slug, traj in zip(slugs, neurons.record_trajectory(spec)):
+            rows = zip(traj.times, traj.output_x, traj.output_z,
+                       traj.input_fidelity)
+            expected = TRAJ_HEADER + "\n" + "".join(_TRAJ_ROW % row for row in rows)
+            path = tmp_path / f"trajectory_{slug}.csv"
+            assert path.read_bytes() == expected.encode()
 
     def test_trajectories_match_the_integrator(self, runner, tmp_path,
                                                monkeypatch):

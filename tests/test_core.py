@@ -364,23 +364,108 @@ class TestMagnus:
         u = core.propagator(MAGNUS_CASES[case](), TAU_EXC).matrix
         assert _max_diff(u, _tight_ode(case)) <= 1e-10
 
-    @pytest.mark.parametrize("k, l, steps", [(6, 10, 333), (8, 17, 999)])
-    def test_sampled_stack_steps_once_per_phase(self, k, l, steps, monkeypatch):
+    @pytest.mark.parametrize("k, l, n, phases", [(6, 10, 85, 333), (8, 17, 95, 999)])
+    def test_sampled_stack_steps_once_per_phase(self, k, l, n, phases, monkeypatch):
         # 1,000 times over tau hold 726 distinct floats t mod T at (6,10),
-        # but only 333 phases beyond roundoff; at (8,17) all 999 differ.
-        widths = []
-        exponentials = core._magnus_exponentials
+        # but only 333 phases beyond roundoff; at (8,17) all 999 differ.  One
+        # period is a chain of n equal steps, the only running product; each
+        # phase off a chain node then takes one shorter step from the node
+        # below it, exponentiated and applied _MAGNUS_CHUNK at a time.
+        calls, chunks = [], []
+        exponentials, taylor = core._magnus_exponentials, core._expm_taylor
 
-        def spy(static, drives, left, width):
-            widths.append(len(width))
-            return exponentials(static, drives, left, width)
+        def spy(static, drive, left, width):
+            calls.append((left, width))
+            return exponentials(static, drive, left, width)
+
+        def chunked(a):
+            chunks.append(len(a))
+            return taylor(a)
 
         monkeypatch.setattr(core, "_magnus_exponentials", spy)
+        monkeypatch.setattr(core, "_expm_taylor", chunked)
         ham, times = _h_exc(k, l), np.linspace(0.0, TAU_EXC, 1000)
         _, fast = core._local_propagators(ham, times, 1e-9)
-        assert sum(widths) == steps and max(widths) <= core._MAGNUS_CHUNK
+        (nodes, steps), (left, width) = calls
+        period = TAU_EXC / k  # tau is k drive periods
+        assert len(steps) == n
+        assert nodes[0] == 0.0 and np.allclose(nodes[1:], np.cumsum(steps)[:-1])
+        assert steps.sum() == pytest.approx(period, rel=1e-14)
+        assert np.isin(left, nodes).all()
+        assert width.min() > 0.0 and width.max() < steps.min()
+        # The phase T itself is the chain's last node and takes no step.
+        assert len(width) == phases - 1
+        assert sum(chunks) == n + phases - 1 and max(chunks) <= core._MAGNUS_CHUNK
         _, ode = core._local_propagators(ham, times, 1e-11, "ode")
         assert _max_diff(fast, ode) <= 1e-9
+
+    def test_magnus_path_takes_no_eigendecomposition(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        ham = _h_exc(6, 10)
+        core.propagator(ham, TAU_EXC)
+        core._local_propagators(ham, np.linspace(0.0, TAU_EXC, 100), 1e-9)
+
+
+_GL_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+
+
+def _commutator_omega(static, drive, left, width):
+    """The Magnus-6 exponent from the node matrices A_i = -i h H(t_i) and
+    nested matrix commutators (Blanes, Casas & Ros, BIT 40, 434 (2000))."""
+    amplitude, frequency, wave, string = drive
+    a1, a2, a3 = (
+        (-1j * width)[:, None, None]
+        * (static + (amplitude * wave(frequency * (left + c * width)))[:, None, None]
+           * string)
+        for c in _GL_NODES
+    )
+    b1, b2, b3 = a2, math.sqrt(15.0) / 3.0 * (a3 - a1), 10.0 / 3.0 * (a3 - 2.0 * a2 + a1)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    c1 = comm(b1, b2)
+    c2 = comm(b1, 2.0 * b3 + c1) / -60.0
+    return b1 + b3 / 12.0 + comm(c1 - 20.0 * b1 - b3, b2 + c2) / 240.0
+
+
+def _random_hermitian(rng, shape):
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+
+
+class TestMagnusExponent:
+    """The affine exponent and the matmul exponential against their oracles."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("wave", [np.cos, np.sin])
+    def test_affine_exponent_matches_the_commutator_form(self, dim, wave, rng,
+                                                         monkeypatch):
+        monkeypatch.setattr(core, "_expm_taylor", lambda omega: omega)
+        for _ in range(5):
+            static = _random_hermitian(rng, (dim, dim))
+            drive = (rng.uniform(-3.0, 3.0), rng.uniform(-20.0, 20.0), wave,
+                     _random_hermitian(rng, (dim, dim)))
+            left = rng.uniform(0.0, 5.0, 300)
+            width = rng.uniform(0.0, 0.3, 300)
+            omega = np.concatenate([part for _, part in core._magnus_exponentials(
+                static, drive, left, width)])
+            assert _max_diff(omega, _commutator_omega(static, drive, left, width)) <= 1e-13
+
+    @pytest.mark.parametrize("norm", np.geomspace(1e-3, 3.0, 9))
+    def test_taylor_exponential_matches_eigh(self, norm, rng):
+        # Above a 1-norm of 1/4 the exponential squares, up to 5 times at 3.
+        h = _random_hermitian(rng, (40, 8, 8))
+        h *= norm / np.abs(h).sum(-2).max(-1)[:, None, None]
+        energies, vectors = np.linalg.eigh(h)
+        exact = vectors * np.exp(-1j * energies)[:, None, :] @ np.conj(
+            np.swapaxes(vectors, 1, 2))
+        u = core._expm_taylor(-1j * h)
+        assert _max_diff(u, exact) <= 1e-13
+        assert _max_diff(np.conj(np.swapaxes(u, 1, 2)) @ u, np.eye(8)) <= 1e-14
 
 
 class TestStaticPath:
