@@ -63,6 +63,8 @@ BELL_VECTORS = {
 
 
 def _check_qubit(qubit: int, num_qubits: int) -> None:
+    if type(qubit) is not int and not isinstance(qubit, np.integer):  # nor a bool
+        raise InvalidParamsError(f"qubit index {qubit!r} is not an integer")
     if not 0 <= qubit < num_qubits:
         raise OutOfBoundsError(f"qubit {qubit} outside register of {num_qubits}")
 
@@ -188,11 +190,9 @@ class StaticTerm:
         qubits = [q for q, _ in self.factors]
         if len(set(qubits)) != len(qubits):
             raise DuplicateTargetError("repeated qubit in a static term")
-        for q, axis in self.factors:
+        for _, axis in self.factors:
             if axis not in PAULI:
                 raise InvalidParamsError(f"unknown axis {axis!r}")
-            if q < 0:
-                raise OutOfBoundsError(f"negative qubit index {q}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,8 @@ class TimeDependentHamiltonian:
     def _local_pieces(self):
         """Support, static local matrix and the drives in affine form: on the
         support H(t) = static + sum_k a_k f_k(w_k t) M_k, one piece (a_k, w_k,
-        f_k, M_k) per wave of _AFFINE, M_k a cached Pauli string."""
+        f_k, M_k) per wave of _AFFINE, M_k a cached Pauli string.  A piece
+        with no wave or w_k = 0 is constant and joins the static matrix."""
         support = self.support()
         static = np.zeros((2 ** len(support),) * 2, dtype=complex)
         for term in self.static_terms:
@@ -247,8 +248,8 @@ class TimeDependentHamiltonian:
             a, w, q = drv.amplitude, drv.angular_frequency, drv.target_qubit
             for scale, wave, axis in _AFFINE[drv.form]:
                 string = _term_string(((q, axis),), support)
-                if wave is None:
-                    static += scale * a * string
+                if wave is None or w == 0:
+                    static += scale * a * (1.0 if wave is None else wave(0.0)) * string
                 else:
                     drives.append((scale * a, w, wave, string))
         return support, static, drives
@@ -424,8 +425,7 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     """exp of each matrix of a stack by batched matmuls: scaled by 2^-j so that
     each |A|_1 < 1/4, the degree-12 Taylor sum by Paterson-Stockmeyer (5 matmuls;
     truncation <= sum_{k>12} 4^-k/k! < 2.4e-18), then squared j times."""
-    sums = np.ones(a.shape[-1]) @ np.abs(a.view(float))  # of |Re|, |Im| per column
-    bound = (sums[:, ::2] + sums[:, 1::2]).max(initial=0.0)
+    bound = (np.ones(a.shape[-1]) @ np.abs(a)).max(initial=0.0)  # the largest |A|_1
     squarings = max(math.frexp(4.0 * bound)[1], 0)
     powers = np.empty((5,) + a.shape, dtype=complex)  # I, A, A^2, A^3, A^4
     powers[0], powers[1] = np.eye(a.shape[-1]), a * 0.5**squarings
@@ -494,11 +494,12 @@ def _local_propagators(
     This is the one propagation engine and the one place its inputs are
     checked.  Under method "auto" the method follows from H:
 
-    * no time-dependent drive: one eigendecomposition, for one time or many;
+    * no time-dependent drive (a drive at w = 0 is static): one
+      eigendecomposition, for one time or many;
     * one rotating drive whose target number operator N commutes with the
       static part: the exact rotating frame,
       U(t) = exp(-/+ i w t N) exp(-i t (H_s + A/2 X -/+ w N));
-    * one cosine drive with w != 0: Floquet, with order-6 Magnus steps over
+    * one cosine drive: Floquet, with order-6 Magnus steps over
       one period (_floquet);
     * anything else: the adaptive integrator over [0, t_max].
 
@@ -534,7 +535,7 @@ def _local_propagators(
         z = _term_string(((drv.target_qubit, "Z"),), support).diagonal()
         number = (1.0 + z.real) / 2.0  # N = |up><up| on the target
         rotating = not np.any(static[number[:, None] != number[None, :]])
-    periodic = drv is not None and drv.form == "cosine_x" and drv.angular_frequency != 0
+    periodic = drv is not None and drv.form == "cosine_x"
     if method == "auto" and not drives:
         _eigh_propagators(static, t, rest)
     elif method == "auto" and rotating:
@@ -685,24 +686,12 @@ def expectation(state: StateVector, axis: str, qubit: int) -> float:
 class MeasureResult(NamedTuple):
     p_down: float
     p_up: float
-    post_down: StateVector | None
-    post_up: StateVector | None
 
 
 def measure(state: StateVector, qubit: int) -> MeasureResult:
-    """Projective measurement of one qubit in the computational basis.
-
-    Post-states whose outcome probability is below 1e-14 are returned as
-    None (undefined) rather than as unnormalizable vectors.
-    """
+    """Outcome probabilities of a computational-basis measurement of one
+    qubit; network.back_action describes the state after an outcome."""
     _check_qubit(qubit, state.num_qubits)
     # Axis 1 of this view is the measured qubit (qubit 0 most significant).
     view = state.amplitudes.reshape(2**qubit, 2, -1)
-    probabilities = [float(np.vdot(view[:, b], view[:, b]).real) for b in (0, 1)]
-    post_states = [None, None]
-    for outcome, p in enumerate(probabilities):
-        if p >= DEGENERATE_PROB:
-            projected = np.zeros_like(view)
-            projected[:, outcome] = view[:, outcome] / math.sqrt(p)
-            post_states[outcome] = StateVector(state.num_qubits, projected)
-    return MeasureResult(*probabilities, *post_states)
+    return MeasureResult(*(float(np.vdot(view[:, b], view[:, b]).real) for b in (0, 1)))

@@ -268,6 +268,20 @@ PARAMS_TYPES = {
 }
 
 
+def _check_kind(kind: str, params) -> None:
+    """Reject an unknown neuron kind, or params not of that kind's type and,
+    for a final layer, variant."""
+    if not isinstance(kind, str) or kind not in NEURON_KINDS:
+        raise InvalidParamsError(f"unknown neuron kind {kind!r}")
+    expected = PARAMS_TYPES[kind]
+    if not isinstance(params, expected):
+        raise InvalidParamsError(f"{kind} neuron requires {expected.__name__}")
+    variant = FINAL_VARIANTS.get(kind)
+    if variant is not None and params.variant != variant:
+        raise InvalidParamsError(
+            f"{kind} neuron requires variant {variant!r}, got {params.variant!r}")
+
+
 @dataclass(frozen=True)
 class NeuronSpec:
     """A neuron kind, its parameters, wiring, and correction gates."""
@@ -280,8 +294,7 @@ class NeuronSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "input_qubits", tuple(self.input_qubits))
-        if self.kind not in NEURON_KINDS:
-            raise InvalidParamsError(f"unknown neuron kind {self.kind!r}")
+        _check_kind(self.kind, self.params)
         indices = (*self.input_qubits, self.output_qubit)
         if tuple(map(type, indices)) != (int, int, int):
             raise InvalidParamsError(
@@ -290,17 +303,6 @@ class NeuronSpec:
             )
         if len(set(indices)) != 3:
             raise InvalidParamsError(f"neuron indices must be distinct: {indices}")
-        expected = PARAMS_TYPES[self.kind]
-        if not isinstance(self.params, expected):
-            raise InvalidParamsError(
-                f"{self.kind} neuron requires {expected.__name__}"
-            )
-        variant = FINAL_VARIANTS.get(self.kind)
-        if variant is not None and self.params.variant != variant:
-            raise InvalidParamsError(
-                f"{self.kind} neuron requires variant {variant!r}, "
-                f"got {self.params.variant!r}"
-            )
         _check_corrections(self.corrections)
 
     @property
@@ -342,6 +344,7 @@ def default_corrections(kind: str, params) -> tuple:
     the Hadamard basis changes around the evolution; in a correction tuple
     the marker "evolution" separates pre- and post-evolution gates.
     """
+    _check_kind(kind, params)
     if kind == "phase":
         m = int(round(params.m))
         return (
@@ -498,6 +501,7 @@ _PROTOCOLS = {
 def protocol_subspace(kind: str, params) -> list[np.ndarray]:
     """The 6 protocol states used to define and score each neuron: every
     input with the output down, kept ones first, then flipped ones up."""
+    _check_kind(kind, params)
     vectors, kept, flipped = _PROTOCOLS[kind]
     return [vectors[b, 0] for b in kept + flipped] + [vectors[b, 1] for b in flipped]
 
@@ -510,8 +514,7 @@ def ideal_unitary(kind: str, params) -> DenseOperator:
     fidelity is only evaluated on the subspace).  Only the final layer's
     ideal, which depends on βτ, is built per call; the others are shared.
     """
-    if kind not in _PROTOCOLS:
-        raise InvalidParamsError(f"unknown neuron kind {kind!r}")
+    _check_kind(kind, params)
     if kind in ("excitation", "phase"):
         sign = -1 if kind == "excitation" else (-1) ** int(round(params.m))
         return DenseOperator(_fixed_ideal(kind, sign))

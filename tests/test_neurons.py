@@ -419,6 +419,34 @@ class TestSpecValidation:
         with pytest.raises(errors.InvalidParamsError):
             neurons.make_spec("excitation", exc_8_17, (0, 1), 1)
 
+    @pytest.mark.parametrize("entry", [
+        neurons.ideal_unitary,
+        neurons.protocol_subspace,
+        neurons.default_corrections,
+        lambda kind, params: neurons.make_spec(kind, params, (0, 1), 2),
+    ], ids=["ideal_unitary", "protocol_subspace", "default_corrections",
+            "make_spec"])
+    @pytest.mark.parametrize("kind", ["x", "phase", "final_upup", None,
+                                      ["excitation"]])
+    def test_kind_and_params_type_checked(self, entry, kind, exc_8_17):
+        # Unknown kinds, and excitation parameters given to another kind.
+        with pytest.raises(errors.InvalidParamsError):
+            entry(kind, exc_8_17)
+
+    @pytest.mark.parametrize("entry", [
+        neurons.ideal_unitary,
+        neurons.protocol_subspace,
+        neurons.default_corrections,
+        lambda kind, params: neurons.make_spec(kind, params, (0, 1), 2),
+    ], ids=["ideal_unitary", "protocol_subspace", "default_corrections",
+            "make_spec"])
+    @pytest.mark.parametrize("kind, variant", [("final_upup", "detect_downdown"),
+                                               ("final_downdown", "detect_upup")])
+    def test_final_layer_variant_checked(self, entry, kind, variant):
+        params = parameters.make_final_params(variant, 29, 15, 0)
+        with pytest.raises(errors.InvalidParamsError):
+            entry(kind, params)
+
     @pytest.mark.parametrize("corrections", [
         (("bogus",), ("evolution",)),
         (("evolution",), ("phase",)),
