@@ -274,19 +274,11 @@ def network_run(template, spec_file, input_text, truth_table,
             }
         report["back_action"] = branches
     if truth_table:
-        rows = []
-        for b1 in BELL_LABELS:
-            for b2 in BELL_LABELS:
-                pair = (network_mod.BellAmplitudes.pure(b1),
-                        network_mod.BellAmplitudes.pure(b2))
-                rows.append({
-                    "input_1": b1,
-                    "input_2": b2,
-                    "p_up": network_mod.output_excitation_probability(
-                        spec, pair
-                    ),
-                })
-        report["truth_table"] = rows
+        pure = network_mod.BellAmplitudes.pure
+        report["truth_table"] = [
+            {"input_1": b1, "input_2": b2,
+             "p_up": network_mod.output_excitation_probability(spec, (pure(b1), pure(b2)))}
+            for b1 in BELL_LABELS for b2 in BELL_LABELS]
     report["timing_seconds"] = time.perf_counter() - started
     _emit(report, output)
 

@@ -62,8 +62,12 @@ BELL_VECTORS = {
 }
 
 
+def _is_index(x) -> bool:  # an int or numpy integer, not a bool
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def _check_qubit(qubit: int, num_qubits: int) -> None:
-    if type(qubit) is not int and not isinstance(qubit, np.integer):  # nor a bool
+    if not _is_index(qubit):
         raise InvalidParamsError(f"qubit index {qubit!r} is not an integer")
     if not 0 <= qubit < num_qubits:
         raise OutOfBoundsError(f"qubit {qubit} outside register of {num_qubits}")
@@ -185,9 +189,11 @@ class StaticTerm:
     factors: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        if not math.isfinite(self.coefficient):
-            raise InvalidParamsError("coefficient must be finite")
+        if not is_finite_real(self.coefficient):
+            raise InvalidParamsError(f"coefficient {self.coefficient!r} is not finite")
         qubits = [q for q, _ in self.factors]
+        if not all(map(_is_index, qubits)):
+            raise InvalidParamsError(f"qubits {qubits!r} are not all integers")
         if len(set(qubits)) != len(qubits):
             raise DuplicateTargetError("repeated qubit in a static term")
         for _, axis in self.factors:
@@ -207,10 +213,9 @@ class DriveTerm:
     def __post_init__(self):
         if self.form not in DRIVE_FORMS:
             raise InvalidParamsError(f"unknown drive form {self.form!r}")
-        if not math.isfinite(self.amplitude) or not math.isfinite(
-            self.angular_frequency
-        ):
-            raise InvalidParamsError("drive parameters must be finite")
+        if not (is_finite_real(self.amplitude)
+                and is_finite_real(self.angular_frequency)):
+            raise InvalidParamsError("drive parameters must be finite real numbers")
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,8 @@ class TimeDependentHamiltonian:
     drive_terms: tuple[DriveTerm, ...] = ()
 
     def __post_init__(self):
+        if not (_is_index(self.num_qubits) and self.num_qubits > 0):
+            raise InvalidParamsError(f"num_qubits {self.num_qubits!r} is not positive")
         for term in self.static_terms:
             for q, _ in term.factors:
                 _check_qubit(q, self.num_qubits)
@@ -290,6 +297,8 @@ def _h_at(static: np.ndarray, drives, t) -> np.ndarray:
 
 def _qubit_order(targets: Sequence[int], num_qubits: int) -> list[int]:
     """The register's qubits with `targets` first, checked, then the rest."""
+    if type(targets) not in (tuple, list):
+        raise InvalidParamsError(f"targets must be a tuple or list, got {targets!r}")
     if len(set(targets)) != len(targets):
         raise DuplicateTargetError("targets must be distinct")
     for q in targets:
@@ -346,7 +355,10 @@ def apply_local(
     block = split_targets(states, targets)
     if op.shape[-2:] != (len(block), len(block)):
         raise DimensionMismatchError("operator size does not match target count")
-    return merge_targets(op @ block, targets, states.shape)
+    # A stack on the one block is one (m d, d) x (d, c) product, not m products.
+    product = op.reshape(-1, len(block)) @ block
+    return merge_targets(product.reshape(op.shape[:-1] + block.shape[1:]),
+                         targets, states.shape)
 
 
 def embed_matrix(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
@@ -384,6 +396,14 @@ def _eigh_propagators(h: np.ndarray, times: np.ndarray, out: np.ndarray) -> None
     energies, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * np.outer(times, energies))
     np.matmul(vectors * phases[:, None, :], vectors.conj().T, out=out)
+
+
+def static_propagator(h: np.ndarray, duration: float) -> np.ndarray:
+    """exp(-i duration h) for a Hermitian h (_eigh_propagators), checked unitary."""
+    out = np.empty((1,) + h.shape, dtype=complex)
+    _eigh_propagators(h, np.array([duration]), out)
+    check_isometry(out[0])
+    return out[0]
 
 
 # Gauss-Legendre nodes in a step, steps per stacked exponential, C of the step rule.

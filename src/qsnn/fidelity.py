@@ -29,13 +29,10 @@ class FidelityReport:
 
     def __post_init__(self):
         eps = 1e-9
-        if not -eps <= self.f_avg <= 1 + eps:
-            raise InvalidParamsError(f"f_avg {self.f_avg} outside [0, 1]")
-        if not -eps <= self.leakage <= 1 + eps:
-            raise InvalidParamsError(f"leakage {self.leakage} outside [0, 1]")
-        for v in self.per_state:
+        for name, v in (("f_avg", self.f_avg), ("leakage", self.leakage),
+                        *(("per-state overlap", p) for p in self.per_state)):
             if not -eps <= v <= 1 + eps:
-                raise InvalidParamsError(f"per-state overlap {v} outside [0, 1]")
+                raise InvalidParamsError(f"{name} {v} outside [0, 1]")
 
 
 def _subspace_matrix(subspace: Sequence, dim: int) -> np.ndarray:

@@ -191,14 +191,15 @@ def template(
     detects |↑↑⟩ on its third layer, the reduced network detects |↓↓⟩ on
     its shared middle layer; a supplied final_params must match.
     """
+    if kind not in ("full", "reduced"):
+        raise InvalidParamsError(f"unknown template kind {kind!r}")
+    variant = "detect_upup" if kind == "full" else "detect_downdown"
     exc = exc_params or parameters.solve_exc(**DEFAULT_EXC)
     phase = phase_params or parameters.solve_phase(**DEFAULT_PHASE)
+    final = final_params or parameters.make_final_params(variant, **DEFAULT_FINAL)
+    if final.variant != variant:
+        raise InvalidParamsError(f"{kind} template requires {variant}")
     if kind == "full":
-        final = final_params or parameters.make_final_params(
-            "detect_upup", **DEFAULT_FINAL
-        )
-        if final.variant != "detect_upup":
-            raise InvalidParamsError("full template requires detect_upup")
         schedule = (
             neurons.make_spec("phase", phase, (0, 1), 4),
             neurons.make_spec("excitation", exc, (0, 1), 5),
@@ -209,27 +210,20 @@ def template(
             neurons.make_spec("final_upup", final, (8, 9), 10),
         )
         return NetworkSpec(11, schedule, (0, 1, 2, 3), 10)
-    if kind == "reduced":
-        final = final_params or parameters.make_final_params(
-            "detect_downdown", **DEFAULT_FINAL
-        )
-        if final.variant != "detect_downdown":
-            raise InvalidParamsError("reduced template requires detect_downdown")
-        schedule = (
-            neurons.make_spec("phase", phase, (0, 1), 4),
-            neurons.make_spec(
-                "phase", phase, (2, 3), 4,
-                corrections=_second_probe_corrections("phase", phase),
-            ),
-            neurons.make_spec("excitation", exc, (0, 1), 5),
-            neurons.make_spec(
-                "excitation", exc, (2, 3), 5,
-                corrections=_second_probe_corrections("excitation", exc),
-            ),
-            neurons.make_spec("final_downdown", final, (4, 5), 6),
-        )
-        return NetworkSpec(7, schedule, (0, 1, 2, 3), 6)
-    raise InvalidParamsError(f"unknown template kind {kind!r}")
+    schedule = (
+        neurons.make_spec("phase", phase, (0, 1), 4),
+        neurons.make_spec(
+            "phase", phase, (2, 3), 4,
+            corrections=_second_probe_corrections("phase", phase),
+        ),
+        neurons.make_spec("excitation", exc, (0, 1), 5),
+        neurons.make_spec(
+            "excitation", exc, (2, 3), 5,
+            corrections=_second_probe_corrections("excitation", exc),
+        ),
+        neurons.make_spec("final_downdown", final, (4, 5), 6),
+    )
+    return NetworkSpec(7, schedule, (0, 1, 2, 3), 6)
 
 
 def _input_amplitudes(inputs) -> np.ndarray:

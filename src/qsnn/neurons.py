@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -303,7 +303,17 @@ class NeuronSpec:
             )
         if len(set(indices)) != 3:
             raise InvalidParamsError(f"neuron indices must be distinct: {indices}")
-        _check_corrections(self.corrections)
+        # Gates that core.check_gate accepts and one evolution marker, or
+        # none at all for bare evolution.
+        if not isinstance(self.corrections, tuple):
+            raise InvalidParamsError("corrections must be a tuple of gates")
+        for gate in self.corrections:
+            name = gate[0] if type(gate) is tuple and gate else None
+            if not (type(name) is str and gate == EVOLUTION):
+                core.check_gate(gate)
+        if self.corrections and self.corrections.count(EVOLUTION) != 1:
+            raise InvalidParamsError(
+                "correction sequence must contain exactly one 'evolution' marker")
 
     @property
     def targets(self) -> tuple[int, int, int]:
@@ -316,23 +326,6 @@ class NeuronSpec:
             return (), ()
         i = self.corrections.index(EVOLUTION)
         return self.corrections[:i], self.corrections[i + 1:]
-
-
-def _check_corrections(corrections) -> None:
-    """Gates that core.check_gate accepts, and one evolution marker.
-
-    An empty sequence means bare evolution.
-    """
-    if not isinstance(corrections, tuple):
-        raise InvalidParamsError("corrections must be a tuple of gates")
-    for gate in corrections:
-        name = gate[0] if type(gate) is tuple and gate else None
-        if not (type(name) is str and gate == EVOLUTION):
-            core.check_gate(gate)
-    if corrections and corrections.count(EVOLUTION) != 1:
-        raise InvalidParamsError(
-            "correction sequence must contain exactly one 'evolution' marker"
-        )
 
 
 def default_corrections(kind: str, params) -> tuple:
@@ -554,32 +547,44 @@ def fidelity_report(kind: str, params) -> fidelity.FidelityReport:
 
 
 class FidelityModel:
-    """fidelity_report's f_avg, up to rounding, for many parameter sets.
+    """fidelity_report's f_avg, up to rounding, at points x = (m, n) or (k, l)
+    near a start; params_at(x) is the start at x, relaxed, class-checked.
 
-    For an excitation or phase neuron, L = B†·U_ideal†·Post and R = Pre·B
-    are built once per round(m), on which the phase neuron's ideal and
-    post-phase gate depend, from the checked ideal, protocol basis B and
-    output gates.  A call builds H, takes U from core.propagator, which
-    checks it, as neuron_unitary does and returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).
+    L = B†·U_ideal†·Post and R = Pre·B come from params_at(x) once per
+    round(m), on which the phase ideal and post-phase gate depend; a call
+    returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).  The phase H/B = 2n·(XX + YY +
+    γZZ) + 2m·X₂X₃ + Z₃ is an affine sum of three matrices built once, its U
+    from core.static_propagator; the excitation neuron builds params and H
+    per call for core.propagator.  U is checked unitary once per call.
     """
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, start):
         if kind not in ("excitation", "phase"):
             raise InvalidParamsError(f"no fidelity model for kind {kind!r}")
-        self.kind, self.build, self.projections = kind, _BUILDERS[kind], {}
+        _check_kind(kind, start)
+        self.kind, self.start, self.projections = kind, start, {}
+        self.fields = ("m", "n") if kind == "phase" else ("k", "l")
+        if kind == "phase":
+            string = lambda *pairs: core._term_string(pairs, (0, 1, 2))  # noqa: E731
+            self.terms = (string((0, "X"), (1, "X")) + string((0, "Y"), (1, "Y"))
+                          + start.gamma * string((0, "Z"), (1, "Z")),
+                          string((1, "X"), (2, "X")), string((2, "Z"),))
 
-    def __call__(self, params) -> float:
-        u = core.propagator(self.build(params), params.UNIT_TAU).matrix
-        return self._f_avg(params, u)
+    def params_at(self, x):
+        """The start's parameters at x, relaxed, checked by their class."""
+        return replace(self.start, relaxed=True, **dict(zip(self.fields, map(float, x))))
 
-    def score(self, params, u: np.ndarray) -> float:
-        """f_avg of the bare propagator u of `params`, once u is unitary."""
-        core.check_isometry(u)
-        return self._f_avg(params, u)
-
-    def _f_avg(self, params, u: np.ndarray) -> float:
-        key = round(params.m) if self.kind == "phase" else None
+    def __call__(self, x) -> float:
+        if self.kind == "phase":
+            (m, n), (heisenberg, coupling, z3) = map(float, x), self.terms
+            h = (2.0 * n) * heisenberg + (2.0 * m) * coupling + z3
+            u, key = core.static_propagator(h, self.start.UNIT_TAU), round(m)
+        else:
+            params = self.params_at(x)
+            u = core.propagator(build_exc_hamiltonian(params), params.UNIT_TAU).matrix
+            key = None
         if key not in self.projections:
+            params = self.params_at(x)
             pre, post = make_spec(self.kind, params, (0, 1), 2).gates
             basis = fidelity._subspace_matrix(protocol_subspace(self.kind, params), 8)
             ideal = ideal_unitary(self.kind, params).matrix.conj().T

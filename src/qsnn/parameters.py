@@ -10,7 +10,7 @@ second-order phase errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -206,45 +206,39 @@ def tune(
     Maximizes the subspace average fidelity of each candidate against the
     ideal unitary of that candidate's own (relaxed) parameters, within a
     ±2% box around the start that, for the phase neuron, is cut off at the
-    hierarchy floors.  The simplex reads one neurons.FidelityModel, which
-    builds the ideal, gates and subspace projections once per round(m): the
-    phase neuron's ideal and post-phase gate change only where the box
-    crosses a half-integer m (m ≥ 25).  The initial and final fidelities
-    come from the same model, within 1e-15 of neurons.fidelity_report.
-    Deterministic given the seed (the search itself is deterministic; the
-    seed is accepted for interface uniformity and recorded by callers).
+    hierarchy floors.  The simplex reads one neurons.FidelityModel at points
+    x = (m, n) or (k, l), valid by construction: the box is clipped and
+    feasible() clamps to the floors, so the class checks run on the start
+    and on the returned point.  The initial and final fidelities come from
+    the same model, within 1e-15 of neurons.fidelity_report.  Deterministic
+    given the seed (the search itself is deterministic; the seed is
+    accepted for interface uniformity and recorded by callers).
     """
     if budget < 1:
         raise InvalidParamsError("budget must be at least 1")
-    if kind == "phase":
-        x0 = np.array([initial.m, initial.n], dtype=float)
-        relax = lambda x: replace(initial, m=float(x[0]), n=float(x[1]),
-                                  relaxed=True)
+    model = neurons.FidelityModel(kind, initial)  # rejects any other kind
+    x0 = np.array([getattr(initial, f) for f in model.fields], dtype=float)
+    lo, hi = x0 * (1 - TUNE_BOX_FRACTION), x0 * (1 + TUNE_BOX_FRACTION)
 
-        def feasible(x):
+    def feasible(x):
+        x = np.clip(x, lo, hi)
+        if kind == "phase":
             # A box around a floor start crosses 4m >= floor_4m or
             # 2n >= ratio_floor * 4m; raise m, then n, back onto the floor.
             m = max(x[0], initial.floor_4m / 4)
-            return np.array([m, max(x[1], initial.ratio_floor * 4 * m / 2)])
-    elif kind == "excitation":
-        x0 = np.array([initial.k, initial.l], dtype=float)
-        relax = lambda x: replace(initial, k=float(x[0]), l=float(x[1]),
-                                  relaxed=True)
-        feasible = lambda x: x
-    else:
-        raise InvalidParamsError(f"tuning is not defined for kind {kind!r}")
-    lo, hi = x0 * (1 - TUNE_BOX_FRACTION), x0 * (1 + TUNE_BOX_FRACTION)
-    model = neurons.FidelityModel(kind)
+            x = np.array([m, max(x[1], initial.ratio_floor * 4 * m / 2)])
+        return x
+
     count = 0
 
     def objective(x):
         nonlocal count
-        clipped = feasible(np.clip(x, lo, hi))
+        clipped = feasible(x)
         penalty = float(np.sum((x - clipped) ** 2))
         count += 1
-        return -model(relax(clipped)) + penalty
+        return -model(clipped) + penalty
 
-    f0 = model(relax(x0))
+    f0 = model(x0)
     # One call of the budget goes to f0.
     maxfev = max(budget - 1, 1)
     result = minimize(
@@ -254,13 +248,13 @@ def tune(
             "xatol": 1e-6, "fatol": 1e-9, "adaptive": False,
         },
     )
-    best_x = feasible(np.clip(result.x, lo, hi))
-    best_f = model(relax(best_x))
+    best_x = feasible(result.x)
+    best_f = model(best_x)
     if best_f < f0:
         best_x, best_f = x0, f0
     return TuneResult(
         initial_params=initial,
-        tuned_params=relax(best_x),
+        tuned_params=model.params_at(best_x),
         initial_fidelity=f0,
         final_fidelity=best_f,
         evaluations=count,

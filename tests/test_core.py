@@ -102,6 +102,19 @@ class TestHamiltonianConstruction:
         with pytest.raises(errors.InvalidParamsError):
             core.DriveTerm(1.0, 2.0, 0, "square_wave")
 
+    @pytest.mark.parametrize("call", [
+        lambda: core.StaticTerm("a", ((0, "Z"),)),
+        lambda: core.StaticTerm(1.0, (([0], "Z"),)),
+        lambda: core.DriveTerm("a", 1.0, 0, "cosine_x"),
+        lambda: core.TimeDependentHamiltonian(2.5),
+        lambda: core.split_targets(np.ones(8, dtype=complex), 1),
+    ], ids=["coefficient", "factor_qubit", "drive_amplitude", "num_qubits",
+            "bare_int_targets"])
+    def test_malformed_input_is_invalid_params(self, call):
+        # A non-number or non-integer is a validation error, not a TypeError.
+        with pytest.raises(errors.InvalidParamsError):
+            call()
+
 
 class TestEvolve:
     def test_zero_duration_is_identity(self, rng):

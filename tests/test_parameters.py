@@ -283,49 +283,59 @@ _MODEL_STARTS = {
 
 @st.composite
 def _box_candidates(draw):
-    """(kind, params) within the ±2% tuning box of one of the starts."""
+    """(kind, start, x): a point x within the ±2% tuning box of a start."""
     kind = draw(st.sampled_from(sorted(_MODEL_STARTS)))
     start = draw(st.sampled_from(_MODEL_STARTS[kind]))
     a, b = (draw(st.floats(0.98, 1.02)) for _ in range(2))
-    if kind == "phase":
-        return kind, replace(start, m=start.m * a, n=start.n * b, relaxed=True)
-    return kind, replace(start, k=start.k * a, l=start.l * b, relaxed=True)
+    fields = ("m", "n") if kind == "phase" else ("k", "l")
+    return kind, start, np.array([getattr(start, fields[0]) * a,
+                                  getattr(start, fields[1]) * b])
 
 
 @given(_box_candidates())
 @settings(max_examples=40, deadline=None)
 def test_fidelity_model_matches_fidelity_report(candidate):
-    kind, params = candidate
-    expected = neurons.fidelity_report(kind, params).f_avg
-    assert abs(neurons.FidelityModel(kind)(params) - expected) <= 1e-15
+    kind, start, x = candidate
+    model = neurons.FidelityModel(kind, start)
+    expected = neurons.fidelity_report(kind, model.params_at(x)).f_avg
+    assert abs(model(x) - expected) <= 1e-15
 
 
 def test_fidelity_model_follows_round_m():
     # The phase neuron's ideal and post-phase gate change with round(m), so
     # one model serves both sides of each half-integer m.
-    model = neurons.FidelityModel("phase")
     start = parameters.solve_phase(30, 600)
+    model = neurons.FidelityModel("phase", start)
     for m in (29.4, 29.6, 30.4, 30.6, 29.4):
-        params = replace(start, m=m, relaxed=True)
-        expected = neurons.fidelity_report("phase", params).f_avg
-        assert abs(model(params) - expected) <= 1e-15
+        x = (m, start.n)
+        expected = neurons.fidelity_report("phase", model.params_at(x)).f_avg
+        assert abs(model(x) - expected) <= 1e-15
     assert sorted(model.projections) == [29, 30, 31]
 
 
-def test_fidelity_model_rejects_a_non_unitary_propagator(phase_3_82):
-    model = neurons.FidelityModel("phase")
-    u = core.propagator(neurons.build_phase_hamiltonian(phase_3_82),
-                        phase_3_82.tau).matrix
-    assert model.score(phase_3_82, u) == model(phase_3_82)
+def test_fidelity_model_rejects_a_non_unitary_propagator(phase_3_82, monkeypatch):
+    model = neurons.FidelityModel("phase", phase_3_82)
+    x = (phase_3_82.m, phase_3_82.n)
+    model(x)
+    eigh_propagators = core._eigh_propagators
+
+    def drifted(h, times, out):
+        eigh_propagators(h, times, out)
+        out *= 1.001
+
+    monkeypatch.setattr(core, "_eigh_propagators", drifted)
     with pytest.raises(errors.NormDriftError):
-        model.score(phase_3_82, 1.001 * u)
+        model(x)
     with pytest.raises(errors.InvalidParamsError):
-        neurons.FidelityModel("final_upup")
+        neurons.FidelityModel("final_upup", phase_3_82)
+    with pytest.raises(errors.InvalidParamsError):  # the start's class
+        neurons.FidelityModel("phase", parameters.solve_exc(8, 17))
 
 
 def test_fidelity_model_checks_u_once(phase_3_82, monkeypatch):
-    model = neurons.FidelityModel("phase")
-    model(phase_3_82)  # builds the projections, which check the ideal
+    model = neurons.FidelityModel("phase", phase_3_82)
+    x = (phase_3_82.m, phase_3_82.n)
+    model(x)  # builds the projections, which check the ideal
     checked = []
     check_isometry = core.check_isometry
 
@@ -334,7 +344,7 @@ def test_fidelity_model_checks_u_once(phase_3_82, monkeypatch):
         return check_isometry(matrix, *args)
 
     monkeypatch.setattr(core, "check_isometry", spy)
-    model(phase_3_82)
+    model(x)
     assert checked == [(8, 8)]
 
 
@@ -343,16 +353,63 @@ def test_fidelity_model_checks_u_once(phase_3_82, monkeypatch):
     ("excitation", parameters.solve_exc(8, 17)),
 ])
 def test_fidelity_model_asks_the_engine_once(kind, params, monkeypatch):
+    # The phase neuron's static H goes to core.static_propagator, the
+    # excitation neuron's driven H to core.propagator.
     calls = []
-    propagator = core.propagator
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return propagator(*args, **kwargs)
+    def spy(name):
+        engine = getattr(core, name)
 
-    monkeypatch.setattr(core, "propagator", spy)
-    neurons.FidelityModel(kind)(params)
-    assert len(calls) == 1
+        def call(*args, **kwargs):
+            calls.append(name)
+            return engine(*args, **kwargs)
+        return call
+
+    for name in ("propagator", "static_propagator"):
+        monkeypatch.setattr(core, name, spy(name))
+    fields = ("m", "n") if kind == "phase" else ("k", "l")
+    neurons.FidelityModel(kind, params)([getattr(params, f) for f in fields])
+    assert calls == ["static_propagator" if kind == "phase" else "propagator"]
+
+
+def test_phase_model_is_bit_identical_to_the_hamiltonian_path():
+    # The affine sum 2n·(XX + YY + γZZ) + 2m·X₂X₃ + Z₃ equals the matrix
+    # the term classes build, so f_avg agrees to the last bit (==).
+    for start in _MODEL_STARTS["phase"]:
+        model = neurons.FidelityModel("phase", start)
+        for a in np.linspace(0.98, 1.02, 5):
+            for b in np.linspace(0.98, 1.02, 5):
+                x = np.array([start.m * a, start.n * b])
+                f = model(x)
+                params = model.params_at(x)
+                u = core.propagator(neurons.build_phase_hamiltonian(params),
+                                    params.UNIT_TAU).matrix
+                left, right = model.projections[round(params.m)]
+                m = left @ u @ right
+                assert f == (np.vdot(m, m).real + abs(np.trace(m)) ** 2) / (
+                    len(m) * (len(m) + 1))
+
+
+@pytest.mark.parametrize("budget", [5, 300])
+def test_phase_tune_builds_no_hamiltonian_and_two_params(budget, monkeypatch):
+    # Candidates are valid by construction, so a phase tune builds its
+    # parameters only for the start's projections and the returned point.
+    start = parameters.solve_phase(3, 82)
+    built = []
+    post_init = neurons.PhaseNeuronParams.__post_init__
+
+    def counted(self):
+        built.append((self.m, self.n))
+        post_init(self)
+
+    def no_hamiltonian(*args, **kwargs):
+        raise AssertionError("tune built a phase Hamiltonian")
+
+    monkeypatch.setattr(neurons.PhaseNeuronParams, "__post_init__", counted)
+    monkeypatch.setattr(neurons, "build_phase_hamiltonian", no_hamiltonian)
+    result = parameters.tune(start, "phase", budget=budget)
+    assert result.evaluations >= min(budget - 1, 90)
+    assert 1 <= len(built) <= 2
 
 
 @pytest.mark.parametrize("start", [(3, 82), (25, 300)])
