@@ -33,6 +33,9 @@ SCHEMA_VERSION = 1
 TRAJ_HEADER = "t,out_x,out_z,input_fidelity"
 _TRAJ_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 
+# The final-layer kind of each --variant.
+_FINAL_KINDS = {variant: kind for kind, variant in neurons.FINAL_VARIANTS.items()}
+
 _VALIDATION_ERRORS = (
     InvalidParamsError,
     NetworkValidationError,
@@ -48,21 +51,11 @@ def _fail(exc: Exception) -> None:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, default=_json_default)
+    text = json.dumps(report, indent=2)
     if output:
         Path(output).write_text(text + "\n")
     else:
         click.echo(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _write_trajectories(kind: str, params, traj_dir: str) -> list[str]:
@@ -93,7 +86,7 @@ def _neuron_report(
         "command": command,
         "seed": seed,
         "parameters": dataclasses.asdict(params),
-        "fidelity": neurons.fidelity_report(kind, params),
+        "fidelity": dataclasses.asdict(neurons.fidelity_report(kind, params)),
     }
     if tune:
         result = parameters.tune(params, kind, budget=budget, seed=seed)
@@ -185,7 +178,7 @@ def neuron_phase(m, n, drive_amplitude, do_tune, budget, seed, traj, output):
 
 
 @neuron.command("final")
-@click.option("--variant", type=click.Choice(["detect_upup", "detect_downdown"]),
+@click.option("--variant", type=click.Choice(list(_FINAL_KINDS)),
               default="detect_upup", show_default=True)
 @click.option("--l", type=int, required=True)
 @click.option("--s", type=int, required=True)
@@ -205,8 +198,7 @@ def neuron_final(variant, l, s, k_parity, gamma, drive_mode, omega,
         gamma=gamma, drive_amplitude=drive_amplitude,
         drive_mode=drive_mode, omega=omega,
     )
-    kind = "final_upup" if variant == "detect_upup" else "final_downdown"
-    _neuron_report(kind, params, False, 0, None, None, output,
+    _neuron_report(_FINAL_KINDS[variant], params, False, 0, None, None, output,
                    f"neuron final --variant {variant} --l {l} --s {s}")
 
 
@@ -375,8 +367,8 @@ def params_solve_final(gamma, l, s, k_parity, drive_amplitude):
 @click.option("--m", type=int, default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--s", type=int, default=None)
-@click.option("--variant", type=click.Choice(["detect_upup",
-              "detect_downdown"]), default="detect_upup")
+@click.option("--variant", type=click.Choice(list(_FINAL_KINDS)),
+              default="detect_upup")
 @click.option("--drive-mode", type=click.Choice(["rotating", "local_field"]),
               default="rotating")
 @click.option("--omega", type=float, default=None)
@@ -398,8 +390,7 @@ def params_detuning(kind, k, l, m, n, s, variant, drive_mode, omega):
             variant, l=l, s=s, parity_k=0, drive_mode=drive_mode,
             omega=omega,
         )
-        kind = ("final_upup" if variant == "detect_upup"
-                else "final_downdown")
+        kind = _FINAL_KINDS[variant]
     spec = neurons.make_spec(kind, p, (0, 1), 2)
     report = parameters.detuning_report(spec)
     click.echo(json.dumps({

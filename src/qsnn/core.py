@@ -38,7 +38,6 @@ PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-NOT_X = PAULI_X
 
 # Each drive form as pieces (scale, wave, axis): a drive a, w adds
 # scale * a * wave(w t) * axis on its target, or scale * a * axis with no wave.
@@ -664,7 +663,7 @@ def is_finite_real(x) -> bool:
 # angles), in the index basis (|down>, |up>).  A gate is (name, *angles).
 GATES = {
     "hadamard": (0, lambda: HADAMARD),
-    "not_x": (0, lambda: NOT_X),
+    "not_x": (0, lambda: PAULI_X),
     "phase": (1, lambda phi: np.diag([1.0, np.exp(1j * phi)])),
     "z_rotation": (1, lambda theta: np.diag(np.exp([-0.5j * theta, 0.5j * theta]))),
 }

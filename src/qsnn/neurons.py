@@ -30,7 +30,6 @@ from .errors import (
     HierarchyViolationError,
     InvalidParamsError,
     NonPythagoreanError,
-    OutOfBoundsError,
 )
 
 PYTHAGOREAN_TOL = 1e-9
@@ -39,8 +38,6 @@ DEFAULT_PHASE_RATIO_FLOOR = 5.0
 DEFAULT_PHASE_RATIO_HEADROOM = 10.0
 DEFAULT_OMEGA_FLOOR = 20.0
 DEFAULT_TRAJECTORY_SAMPLES = 1000
-
-NEURON_KINDS = ("excitation", "phase", "final_upup", "final_downdown")
 
 # In a correction sequence of gates on the output qubit (core.GATES), the
 # "evolution" marker separates pre- from post-evolution gates.
@@ -149,16 +146,6 @@ class ExcNeuronParams(_Driven):
     @property
     def coupling_j(self) -> float:
         return self.in_drive_units[0] * self.drive_amplitude
-
-    def detuning_ratios(self) -> dict[str, float]:
-        """Detuning-to-drive ratios for the three suppressed transitions."""
-        j, b = self.in_drive_units
-        root = math.sqrt(j**2 + b**2)
-        return {
-            "delta_0": abs(2 * b),
-            "delta_minus": abs(2 * b - 2 * root),
-            "delta_plus": abs(2 * b + 2 * root),
-        }
 
 
 @dataclass(frozen=True)
@@ -271,7 +258,7 @@ PARAMS_TYPES = {
 def _check_kind(kind: str, params) -> None:
     """Reject an unknown neuron kind, or params not of that kind's type and,
     for a final layer, variant."""
-    if not isinstance(kind, str) or kind not in NEURON_KINDS:
+    if not isinstance(kind, str) or kind not in PARAMS_TYPES:
         raise InvalidParamsError(f"unknown neuron kind {kind!r}")
     expected = PARAMS_TYPES[kind]
     if not isinstance(params, expected):
@@ -439,9 +426,6 @@ def apply_neuron(state: StateVector, spec: NeuronSpec) -> StateVector:
     This evolves the state through the neuron's Hamiltonian on its own
     qubits; it is the reference the tests hold network.run against.
     """
-    for q in spec.targets:
-        if not 0 <= q < state.num_qubits:
-            raise OutOfBoundsError(f"neuron qubit {q} outside register")
     pre, post = spec.gates
     for gate in pre:
         state = core.apply_gate(state, gate, spec.output_qubit)

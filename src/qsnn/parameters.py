@@ -19,7 +19,6 @@ from . import core, neurons
 from .errors import (
     InvalidParamsError,
     NoRealSolutionError,
-    NonPythagoreanError,
     SignInconsistencyError,
 )
 from .neurons import ExcNeuronParams, FinalLayerParams, NeuronSpec, PhaseNeuronParams
@@ -39,24 +38,19 @@ def solve_exc(
 ) -> ExcNeuronParams:
     """Solve the excitation-neuron phase constraints for (k, l).
 
-    unity mode requires a Pythagorean pair and sets γ=1; general mode sets
-    γ = ±(2s − k − l + 1/2)/sqrt(l² − k²).
+    unity mode sets γ=1, for which ExcNeuronParams requires a Pythagorean
+    pair; general mode sets γ = ±(2s − k − l + 1/2)/sqrt(l² − k²).
     """
     if not l > k > 0:
         raise InvalidParamsError(f"need l > k > 0, got k={k}, l={l}")
-    root = math.sqrt(l**2 - k**2)
     if gamma_mode == "unity":
-        if abs(root - round(root)) > neurons.PYTHAGOREAN_TOL:
-            raise NonPythagoreanError(
-                f"(k={k}, l={l}): sqrt(l²−k²) = {root:.6f} is not an integer"
-            )
         gamma = 1.0
     elif gamma_mode == "general":
         if s is None:
             raise InvalidParamsError("general mode requires s")
         if sign not in (1, -1):
             raise InvalidParamsError("sign must be +1 or -1")
-        gamma = sign * (2 * s - k - l + 0.5) / root
+        gamma = sign * (2 * s - k - l + 0.5) / math.sqrt(l**2 - k**2)
     else:
         raise InvalidParamsError(f"unknown gamma_mode {gamma_mode!r}")
     return ExcNeuronParams(
@@ -165,12 +159,16 @@ class DetuningReport:
 def detuning_report(spec: NeuronSpec) -> DetuningReport:
     """Detuning-to-drive ratios, from the energies in units of the drive."""
     p = spec.params
-    if spec.kind == "excitation":
-        return DetuningReport("excitation", p.detuning_ratios())
     if spec.kind == "phase":
         return DetuningReport("phase", {"two_delta": 2 * p.in_drive_units[1]})
     j, b = p.in_drive_units
     root = math.sqrt(j**2 + b**2)
+    if spec.kind == "excitation":
+        return DetuningReport("excitation", {
+            "delta_0": abs(2 * b),
+            "delta_minus": abs(2 * b - 2 * root),
+            "delta_plus": abs(2 * b + 2 * root),
+        })
     sign = 1.0 if p.variant == "detect_upup" else -1.0
     # transitions of the three non-detected computational inputs vs the
     # selective drive at frequency 2β (+ for up-up detection)
@@ -205,17 +203,17 @@ def tune(
 
     Maximizes the subspace average fidelity of each candidate against the
     ideal unitary of that candidate's own (relaxed) parameters, within a
-    ±2% box around the start that, for the phase neuron, is cut off at the
-    hierarchy floors.  The simplex reads one neurons.FidelityModel at points
-    x = (m, n) or (k, l), valid by construction: the box is clipped and
-    feasible() clamps to the floors, so the class checks run on the start
+    ±2% box around the start.  The simplex reads one neurons.FidelityModel
+    at points x = (m, n) or (k, l), valid by construction: the box is
+    clipped and feasible() clamps to the phase neuron's hierarchy floors or
+    to the excitation neuron's l > k, so the class checks run on the start
     and on the returned point.  The initial and final fidelities come from
     the same model, within 1e-15 of neurons.fidelity_report.  Deterministic
     given the seed (the search itself is deterministic; the seed is
     accepted for interface uniformity and recorded by callers).
     """
-    if budget < 1:
-        raise InvalidParamsError("budget must be at least 1")
+    if type(budget) is not int or budget < 1:
+        raise InvalidParamsError(f"budget must be an int of at least 1, got {budget!r}")
     model = neurons.FidelityModel(kind, initial)  # rejects any other kind
     x0 = np.array([getattr(initial, f) for f in model.fields], dtype=float)
     lo, hi = x0 * (1 - TUNE_BOX_FRACTION), x0 * (1 + TUNE_BOX_FRACTION)
@@ -227,6 +225,9 @@ def tune(
             # 2n >= ratio_floor * 4m; raise m, then n, back onto the floor.
             m = max(x[0], initial.floor_4m / 4)
             x = np.array([m, max(x[1], initial.ratio_floor * 4 * m / 2)])
+        else:
+            # A box around l/k < 1.02/0.98 reaches k >= l; keep l just above k.
+            x = np.array([x[0], max(x[1], np.nextafter(x[0], np.inf))])
         return x
 
     count = 0

@@ -87,6 +87,33 @@ class TestParamsCommands:
         )
         assert sorted(data["ratios"].values()) == [16.0, 18.0, 50.0]
 
+    @pytest.mark.parametrize("args, kind, make", [
+        (["--kind", "phase", "--m", "3", "--n", "82"], "phase",
+         lambda: parameters.solve_phase(3, 82)),
+        (["--kind", "final", "--l", "29", "--s", "15", "--variant",
+          "detect_downdown"], "final_downdown",
+         lambda: parameters.make_final_params("detect_downdown", 29, 15, 0)),
+        (["--kind", "final", "--l", "29", "--s", "15", "--drive-mode",
+          "local_field", "--omega", "50"], "final_upup",
+         lambda: parameters.make_final_params(
+             "detect_upup", 29, 15, 0, drive_mode="local_field", omega=50.0)),
+    ])
+    def test_detuning_phase_and_final(self, runner, args, kind, make):
+        data = _json_out(runner.invoke(main, ["params", "detuning", *args]))
+        report = parameters.detuning_report(neurons.make_spec(kind, make(), (0, 1), 2))
+        assert (data["kind"], data["ratios"]) == (kind, report.ratios)
+        if kind == "phase":
+            assert data["ratios"] == {"two_delta": 12.0}  # 2δ/B = 4m
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "phase", "--m", "3"], ["--kind", "phase", "--n", "82"],
+        ["--kind", "final", "--l", "29"], ["--kind", "final", "--s", "15"],
+    ])
+    def test_detuning_missing_arguments_exit_2(self, runner, args):
+        result = runner.invoke(main, ["params", "detuning", *args])
+        assert result.exit_code == 2
+        assert "detuning needs" in result.output
+
 
 class TestNeuronCommands:
     def test_exc_report_and_trajectories(self, runner, tmp_path):
@@ -136,6 +163,25 @@ class TestNeuronCommands:
             runner.invoke(main, ["neuron", "phase", "--m", "3", "--n", "82"])
         )
         assert data["fidelity"]["f_avg"] == pytest.approx(0.9907, abs=3e-3)
+
+    @pytest.mark.parametrize("args, budget", [
+        (["phase", "--m", "3", "--n", "82"], 40),
+        # The +-2% box around (40, 41) reaches k >= l; tuning still succeeds.
+        (["exc", "--k", "40", "--l", "41"], 60),
+    ])
+    def test_tune_section(self, runner, args, budget):
+        data = _json_out(runner.invoke(
+            main, ["neuron", *args, "--tune", "--budget", str(budget)]))
+        tune = data["tune"]
+        assert set(tune) == {"initial_params", "tuned_params", "initial_fidelity",
+                             "tuned_fidelity", "evaluations", "budget_exhausted"}
+        assert tune["initial_params"] == data["parameters"]
+        assert tune["initial_fidelity"] == data["fidelity"]["f_avg"]
+        assert tune["tuned_fidelity"] > tune["initial_fidelity"]
+        assert tune["evaluations"] <= budget
+        tuned = tune["tuned_params"]
+        assert tuned["relaxed"] is True
+        assert tuned.get("l", 1) > tuned.get("k", 0)
 
     def test_phase_hierarchy_violation_exit_2(self, runner):
         result = runner.invoke(main, ["neuron", "phase", "--m", "3", "--n", "4"])
@@ -385,6 +431,21 @@ class TestNetworkCommands:
         # The improbable outcome's branch report may be present or None,
         # but the dominant outcome must carry overlap data.
         assert data["back_action"]["down"]["probability"] >= 0.97
+
+    @pytest.mark.parametrize("template, diag_min, off_max", [
+        ("reduced", 0.97, 0.03), ("full", 0.95, 0.05),
+    ])
+    def test_run_truth_table(self, runner, template, diag_min, off_max):
+        data = _json_out(runner.invoke(
+            main, ["network", "run", "--template", template, "--truth-table"]))
+        rows = data["truth_table"]
+        assert [(r["input_1"], r["input_2"]) for r in rows] == [
+            (a, b) for a in core.BELL_LABELS for b in core.BELL_LABELS]
+        for row in rows:
+            if row["input_1"] == row["input_2"]:
+                assert row["p_up"] >= diag_min, row
+            else:
+                assert row["p_up"] <= off_max, row
 
     def test_run_requires_exactly_one_source(self, runner):
         result = runner.invoke(main, ["network", "run"])

@@ -248,6 +248,16 @@ class TestSpectrum:
         assert not report.exact
         assert report.max_deviation <= report.bound
 
+    @pytest.mark.parametrize("kind, variant", [("final_upup", "detect_upup"),
+                                               ("final_downdown", "detect_downdown")])
+    def test_local_field_final_layer_exact(self, kind, variant):
+        # The (Omega/2) Z3 field splits each doublet by +-Omega/2.
+        params = parameters.make_final_params(
+            variant, 29, 15, 0, drive_mode="local_field", omega=50.0)
+        report = neurons.spectrum_report(neurons.make_spec(kind, params, (0, 1), 2))
+        assert report.exact
+        assert report.max_deviation <= report.bound
+
     @pytest.mark.parametrize("amplitude", [1e-200, 2.5, 1e200])
     @pytest.mark.parametrize("kind, solve, point", [
         ("excitation", parameters.solve_exc, (8, 17)),
@@ -463,6 +473,18 @@ class TestSpecValidation:
     def test_invalid_corrections_rejected(self, exc_8_17, corrections):
         with pytest.raises(errors.InvalidParamsError):
             neurons.make_spec("excitation", exc_8_17, (0, 1), 2, corrections)
+
+    @pytest.mark.parametrize("kind, inputs, output, corrections", [
+        ("phase", (0, 1), 3, None),       # its first Hadamard's target
+        ("excitation", (0, 3), 2, None),  # a Hamiltonian qubit
+        ("excitation", (0, 1), 5, ()),    # bare evolution, no gates
+    ])
+    def test_apply_neuron_rejects_qubits_outside_register(
+            self, exc_8_17, phase_3_82, kind, inputs, output, corrections):
+        params = exc_8_17 if kind == "excitation" else phase_3_82
+        spec = neurons.make_spec(kind, params, inputs, output, corrections)
+        with pytest.raises(errors.OutOfBoundsError):
+            neurons.apply_neuron(core.StateVector.all_down(3), spec)
 
     def test_empty_corrections_mean_bare_evolution(self, exc_8_17):
         bare = neurons.make_spec("excitation", exc_8_17, (0, 1), 2, ())

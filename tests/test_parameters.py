@@ -165,9 +165,6 @@ class TestDetuningReport:
             for a in (1.0, amplitude)
         )
         assert scaled.ratios == pytest.approx(unit.ratios, rel=1e-12)
-        if kind == "excitation":
-            assert make(amplitude).detuning_ratios() == pytest.approx(
-                unit.ratios, rel=1e-12)
 
 
 class TestTune:
@@ -200,6 +197,20 @@ class TestTune:
     def test_zero_budget_rejected(self, exc_8_17):
         with pytest.raises(errors.InvalidParamsError):
             parameters.tune(exc_8_17, "excitation", budget=0)
+
+    @pytest.mark.parametrize("budget", ["x", 2.5, True, 0])
+    def test_budget_must_be_a_positive_int(self, exc_8_17, budget):
+        with pytest.raises(errors.InvalidParamsError, match="budget"):
+            parameters.tune(exc_8_17, "excitation", budget=budget)
+
+    def test_excitation_box_keeps_l_above_k(self):
+        # The +-2% box around (40, 41) reaches k >= l; the tuner clamps l
+        # just above k instead of failing mid-search.
+        start = parameters.solve_exc(40, 41)
+        result = parameters.tune(start, "excitation", budget=60)
+        assert result.final_fidelity > result.initial_fidelity
+        assert result.evaluations <= 60
+        assert result.tuned_params.l > result.tuned_params.k
 
     @pytest.mark.parametrize("m, n", [(2, 20), (3, 30), (6, 60)])
     def test_hierarchy_floor_start(self, m, n):
