@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatchError,
@@ -139,7 +137,7 @@ class StateVector:
 
 def bell_state(label: str) -> StateVector:
     """One of the four Bell states on a 2-qubit register."""
-    if label not in BELL_VECTORS:
+    if not isinstance(label, str) or label not in BELL_VECTORS:
         raise InvalidParamsError(f"unknown Bell label {label!r}; use one of {BELL_LABELS}")
     return StateVector(2, BELL_VECTORS[label])
 
@@ -367,6 +365,8 @@ def embed_matrix(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.
 
 def _integrate(static: np.ndarray, drives, t_eval: np.ndarray, tol: float):
     """Adaptive DOP853 solution of dU/dt = -i H(t) U, U(0) = I, at t_eval > 0."""
+    from scipy.integrate import solve_ivp  # here, so that `import qsnn` loads no scipy
+
     dim = static.shape[0]
 
     def rhs(t, y):
@@ -525,7 +525,10 @@ def _local_propagators(
     method "ode" forces the integrator.  num_qubits, when given, is the
     register size of the state the propagators will act on.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    try:
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParamsError("times must be real numbers") from None
     # Strictly increasing from >= 0 to < inf also rules out NaN anywhere.
     if times.ndim != 1 or not (
         times.size and 0 <= times[0] and times[-1] < math.inf
@@ -533,8 +536,8 @@ def _local_propagators(
     ):
         raise InvalidParamsError(
             "times must be finite, non-negative and strictly increasing")
-    if not tol > 0:
-        raise InvalidParamsError("tol must be positive")
+    if not (is_finite_real(tol) and tol > 0):
+        raise InvalidParamsError(f"tol must be finite and positive, got {tol!r}")
     if method not in ("auto", "ode"):
         raise InvalidParamsError(f"unknown method {method!r}")
     if num_qubits is not None and num_qubits != hamiltonian.num_qubits:
@@ -632,20 +635,32 @@ def piecewise_constant_evolve(
     return StateVector(state.num_qubits, op.matrix @ state.amplitudes)
 
 
+# Steps per stacked expm call of the piecewise-constant oracle.
+_PIECEWISE_CHUNK = 4096
+
+
 def piecewise_constant_propagator(
     hamiltonian: TimeDependentHamiltonian,
     duration: float,
     step: float,
 ) -> DenseOperator:
-    """Oracle propagator: expm of H sampled at each step midpoint."""
-    if step <= 0:
-        raise InvalidParamsError("step must be positive")
+    """Oracle propagator: expm of H sampled at each step midpoint, multiplied in
+    time order; the exponentials are taken _PIECEWISE_CHUNK steps per call."""
+    from scipy.linalg import expm  # here, so that `import qsnn` loads no scipy
+
+    if not (is_finite_real(duration) and duration >= 0):
+        raise InvalidParamsError(f"duration must be finite and >= 0, got {duration!r}")
+    if not (is_finite_real(step) and step > 0):
+        raise InvalidParamsError(f"step must be finite and positive, got {step!r}")
     support, static, drives = hamiltonian._local_pieces()
     steps = max(1, int(math.ceil(duration / step)))
     dt = duration / steps
     u = np.eye(len(static), dtype=complex)
-    for i in range(steps):
-        u = expm(-1j * dt * _h_at(static, drives, (i + 0.5) * dt)) @ u
+    for lo in range(0, steps, _PIECEWISE_CHUNK):
+        t = (np.arange(lo, min(lo + _PIECEWISE_CHUNK, steps)) + 0.5) * dt  # midpoints
+        h = np.broadcast_to(_h_at(static, drives, t), t.shape + static.shape)
+        for exponential in expm(-1j * dt * h):
+            u = exponential @ u
     return DenseOperator(embed_matrix(u, support, hamiltonian.num_qubits))
 
 

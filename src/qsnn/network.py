@@ -444,6 +444,8 @@ def from_json(text: str) -> NetworkSpec:
     Every malformed document raises NetworkValidationError.
     """
     try:
+        if not isinstance(text, str):
+            raise InvalidParamsError(f"document must be a str, got {type(text).__name__}")
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise InvalidParamsError("document root must be an object")

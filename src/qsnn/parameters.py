@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import core, neurons
 from .errors import (
@@ -158,6 +157,8 @@ class DetuningReport:
 
 def detuning_report(spec: NeuronSpec) -> DetuningReport:
     """Detuning-to-drive ratios, from the energies in units of the drive."""
+    if not isinstance(spec, NeuronSpec):
+        raise InvalidParamsError(f"detuning_report needs a NeuronSpec, got {spec!r}")
     p = spec.params
     if spec.kind == "phase":
         return DetuningReport("phase", {"two_delta": 2 * p.in_drive_units[1]})
@@ -212,6 +213,8 @@ def tune(
     given the seed (the search itself is deterministic; the seed is
     accepted for interface uniformity and recorded by callers).
     """
+    from scipy.optimize import minimize  # here, so that `import qsnn` loads no scipy
+
     if type(budget) is not int or budget < 1:
         raise InvalidParamsError(f"budget must be an int of at least 1, got {budget!r}")
     model = neurons.FidelityModel(kind, initial)  # rejects any other kind
@@ -265,8 +268,8 @@ def tune(
 
 def pythagorean_triples(max_l: int) -> list[tuple[int, int, int]]:
     """All (k, j, l) with k² + j² = l², k < j, l ≤ max_l (Euclid's formula)."""
-    if max_l < 1:
-        raise InvalidParamsError(f"max_l must be at least 1, got {max_l}")
+    if not (core._is_index(max_l) and max_l >= 1):
+        raise InvalidParamsError(f"max_l must be an integer of at least 1, got {max_l!r}")
     triples = set()
     for p in range(2, int(math.isqrt(max_l)) + 2):
         for q in range(1, p):

@@ -204,6 +204,39 @@ class TestPropagator:
             assert abs(np.vdot(target, moved)) >= 0.999
 
 
+def _piecewise_loop(ham, duration, step):
+    """The oracle as a per-step loop: one expm per midpoint, in time order."""
+    support, static, drives = ham._local_pieces()
+    steps = max(1, int(math.ceil(duration / step)))
+    dt = duration / steps
+    u = np.eye(len(static), dtype=complex)
+    for i in range(steps):
+        u = expm(-1j * dt * core._h_at(static, drives, (i + 0.5) * dt)) @ u
+    return core.embed_matrix(u, support, ham.num_qubits)
+
+
+class TestPiecewiseOracle:
+    """The stacked-chunk oracle multiplies the per-step loop's exponentials."""
+
+    @pytest.mark.parametrize("ham", [
+        _h_exc(),
+        core.TimeDependentHamiltonian(
+            2, (core.StaticTerm(0.3, ((0, "Z"), (1, "Z"))),),
+            (core.DriveTerm(0.8, 8.0, 1, "rotating_plus"),),
+        ),
+    ], ids=["cosine_x", "rotating_plus"])
+    def test_equals_the_per_step_loop(self, ham):
+        # 4,500 steps: one full chunk and part of a second.
+        steps = core._PIECEWISE_CHUNK + 404
+        oracle = core.piecewise_constant_propagator(ham, 0.9, 0.9 / steps).matrix
+        assert np.array_equal(oracle, _piecewise_loop(ham, 0.9, 0.9 / steps))
+
+    def test_static_hamiltonian(self):
+        ham = core.TimeDependentHamiltonian(2, (core.StaticTerm(0.7, ((0, "X"),)),))
+        oracle = core.piecewise_constant_propagator(ham, 0.5, 0.1).matrix
+        assert np.array_equal(oracle, _piecewise_loop(ham, 0.5, 0.1))
+
+
 class TestFastPaths:
     """Each exact method against the adaptive integrator at tol = 1e-11."""
 
@@ -552,6 +585,13 @@ class TestStaticPath:
         self._check_against_expm(ham, times)
 
 
+_BAD_PIECEWISE = [
+    {"duration": math.nan}, {"duration": math.inf}, {"duration": -math.inf},
+    {"duration": "x"}, {"duration": -1.0},
+    {"step": math.nan}, {"step": math.inf}, {"step": "x"},
+]
+
+
 class TestValidation:
     """Inputs are checked once, at the engine, for every wrapper."""
 
@@ -587,6 +627,31 @@ class TestValidation:
             with pytest.raises(ValueError):
                 core.propagator(_h_exc(), **{"duration": 1.0, **bad})
 
+    @pytest.mark.parametrize("bad", _BAD_PIECEWISE, ids=str)
+    def test_piecewise_constant_propagator(self, bad):
+        with pytest.raises(errors.InvalidParamsError):
+            core.piecewise_constant_propagator(
+                _h_exc(), **{"duration": 1.0, "step": 0.1, **bad})
+
+    @pytest.mark.parametrize("bad", _BAD_PIECEWISE, ids=str)
+    def test_piecewise_constant_evolve(self, bad):
+        state = core.StateVector.all_down(3)
+        with pytest.raises(errors.InvalidParamsError):
+            core.piecewise_constant_evolve(
+                state, _h_exc(), **{"duration": 1.0, "step": 0.1, **bad})
+
+    @pytest.mark.parametrize("call", [
+        lambda: core.propagator(_h_exc(), 1.0, tol="x"),
+        lambda: core.propagator(_h_exc(), 1.0, tol=math.inf),
+        lambda: core.evolve(core.StateVector.all_down(3), _h_exc(), "x"),
+        lambda: core.evolve_sampled([core.StateVector.all_down(3)], _h_exc(),
+                                    [0.5, "x"]),
+        lambda: core.evolve(core.StateVector.all_down(3), _h_exc(), 10**400),
+    ], ids=["tol_str", "tol_inf", "duration_str", "times_str", "duration_huge"])
+    def test_local_propagators(self, call):
+        with pytest.raises(errors.InvalidParamsError):
+            call()
+
     @pytest.mark.parametrize("call", [
         lambda: core.propagator(_h_exc(), 1.0, tol=0),
         lambda: core.evolve(core.StateVector.all_down(3), _h_exc(), -1.0),
@@ -596,6 +661,11 @@ class TestValidation:
     def test_malformed_arguments_raise_qsnn_errors(self, call):
         with pytest.raises(errors.QsnnError):
             call()
+
+    @pytest.mark.parametrize("label", [[], None, 1, ("Phi+",)], ids=str)
+    def test_bell_state_rejects_a_label_that_is_no_str(self, label):
+        with pytest.raises(errors.InvalidParamsError):
+            core.bell_state(label)
 
 
 class TestTensorEmbed:

@@ -498,6 +498,11 @@ class TestSerialization:
             assert again == spec
             assert network.to_json(again) == text
 
+    @pytest.mark.parametrize("text", [5, None, b"{}", ["{}"]], ids=str)
+    def test_a_document_that_is_no_str_is_rejected(self, text):
+        with pytest.raises(errors.NetworkValidationError):
+            network.from_json(text)
+
     def test_schema_version_embedded(self, reduced):
         data = json.loads(network.to_json(reduced))
         assert data["schema_version"] == network.SCHEMA_VERSION

@@ -26,6 +26,11 @@ class TestPythagoreanTriples:
             assert k * k + j * j == l * l
             assert l <= 60
 
+    @pytest.mark.parametrize("max_l", [2.5, "x", True, 0])
+    def test_max_l_must_be_a_positive_integer(self, max_l):
+        with pytest.raises(errors.InvalidParamsError):
+            parameters.pythagorean_triples(max_l)
+
 
 class TestSolveExc:
     def test_3_5_unity(self):
@@ -165,6 +170,12 @@ class TestDetuningReport:
             for a in (1.0, amplitude)
         )
         assert scaled.ratios == pytest.approx(unit.ratios, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [5, None, "phase", parameters.solve_phase(3, 82)],
+                             ids=["int", "none", "str", "params"])
+    def test_rejects_what_is_no_neuron_spec(self, spec):
+        with pytest.raises(errors.InvalidParamsError):
+            parameters.detuning_report(spec)
 
 
 class TestTune:
