@@ -29,6 +29,9 @@ from .errors import (
 NORM_TOL = 1e-9
 UNITARITY_TOL = 1e-8
 DEGENERATE_PROB = 1e-14
+# The largest register one array of complex amplitudes can hold: 2^n · 16
+# bytes must stay below numpy's largest array, 2^63 bytes.
+MAX_REGISTER = 58
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
@@ -63,6 +66,19 @@ def _is_index(x) -> bool:  # an int or numpy integer, not a bool
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _check_register(num_qubits) -> None:
+    if not (_is_index(num_qubits) and 1 <= num_qubits <= MAX_REGISTER):
+        raise InvalidParamsError(
+            f"num_qubits must be an integer from 1 to {MAX_REGISTER}, got {num_qubits!r}")
+
+
+def _as_complex(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParamsError(f"{what} must be complex numbers") from None
+
+
 def _check_qubit(qubit: int, num_qubits: int) -> None:
     if not _is_index(qubit):
         raise InvalidParamsError(f"qubit index {qubit!r} is not an integer")
@@ -92,9 +108,8 @@ class StateVector:
     __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: Sequence[complex]):
-        if num_qubits < 1:
-            raise InvalidParamsError("num_qubits must be positive")
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        _check_register(num_qubits)
+        amp = _as_complex(amplitudes, "amplitudes").reshape(-1)
         if amp.size != 2**num_qubits:
             raise DimensionMismatchError(
                 f"expected {2**num_qubits} amplitudes, got {amp.size}"
@@ -105,7 +120,11 @@ class StateVector:
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "StateVector":
         """Computational basis state; bits[0] is qubit 0 (most significant)."""
+        if not (isinstance(bits, (Sequence, np.ndarray))
+                and all(_is_index(b) and 0 <= b <= 1 for b in bits)):
+            raise InvalidParamsError(f"bits must be a sequence of 0s and 1s, got {bits!r}")
         n = len(bits)
+        _check_register(n)
         index = 0
         for b in bits:
             index = (index << 1) | int(b)
@@ -115,6 +134,7 @@ class StateVector:
 
     @classmethod
     def all_down(cls, num_qubits: int) -> "StateVector":
+        _check_register(num_qubits)
         return cls.from_bits([0] * num_qubits)
 
     def tensor(self, other: "StateVector") -> "StateVector":
@@ -158,7 +178,7 @@ class DenseOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        m = _as_complex(matrix, "operator entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError("operator must be square")
         self.matrix = m
@@ -224,8 +244,7 @@ class TimeDependentHamiltonian:
     drive_terms: tuple[DriveTerm, ...] = ()
 
     def __post_init__(self):
-        if not (_is_index(self.num_qubits) and self.num_qubits > 0):
-            raise InvalidParamsError(f"num_qubits {self.num_qubits!r} is not positive")
+        _check_register(self.num_qubits)
         for term in self.static_terms:
             for q, _ in term.factors:
                 _check_qubit(q, self.num_qubits)
@@ -652,6 +671,8 @@ def piecewise_constant_propagator(
         raise InvalidParamsError(f"duration must be finite and >= 0, got {duration!r}")
     if not (is_finite_real(step) and step > 0):
         raise InvalidParamsError(f"step must be finite and positive, got {step!r}")
+    if not math.isfinite(duration / step):
+        raise InvalidParamsError(f"duration/step = {duration}/{step} is no finite step count")
     support, static, drives = hamiltonian._local_pieces()
     steps = max(1, int(math.ceil(duration / step)))
     dt = duration / steps

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseOperator
+from .core import DenseOperator, _is_index
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -93,8 +93,8 @@ def mc_average_fidelity(
     Haar sampling on the subspace: normalized standard complex Gaussian
     coefficients over the basis states.
     """
-    if n_samples < 2:
-        raise InvalidParamsError("n_samples must be at least 2")
+    if not (_is_index(n_samples) and n_samples >= 2):
+        raise InvalidParamsError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     if u_actual.dim != u_ideal.dim:
         raise DimensionMismatchError("operators must share dimension")
     basis = _subspace_matrix(subspace, u_actual.dim)

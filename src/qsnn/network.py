@@ -383,6 +383,8 @@ _PARAM_REQUIRED = {
           if f.default is dataclasses.MISSING}
     for cls in _PARAM_FIELDS
 }
+# The values FinalLayerParams solves (beta, coupling_j), which documents carry.
+_SOLVED = tuple(f.name for f in dataclasses.fields(FinalLayerParams) if not f.init)
 
 
 def _check_fields(data, allowed, required, what: str) -> None:
@@ -393,6 +395,18 @@ def _check_fields(data, allowed, required, what: str) -> None:
         raise InvalidParamsError(f"{what}: unknown fields "
                                  f"{sorted(keys - allowed)}, missing fields "
                                  f"{sorted(required - keys)}")
+
+
+def _final_params(params: dict) -> FinalLayerParams:
+    """A document's final layer: its beta and coupling_j must be the values
+    FinalLayerParams solves, within 1e-9·|l|·A."""
+    solved = FinalLayerParams(**{k: v for k, v in params.items() if k not in _SOLVED})
+    tol = 1e-9 * abs(solved.l) * solved.drive_amplitude
+    for name in _SOLVED:
+        value, expected = params[name], getattr(solved, name)
+        if not (core.is_finite_real(value) and abs(value - expected) <= tol):
+            raise InvalidParamsError(f"{name} {value!r} is not the solved {expected!r}")
+    return solved
 
 
 def _entry_from_dict(entry, version: int) -> NeuronSpec:
@@ -413,7 +427,8 @@ def _entry_from_dict(entry, version: int) -> NeuronSpec:
         params = {k: v for k, v in params.items() if k != "detuning_floor"}
     _check_fields(params, _PARAM_FIELDS[cls], _PARAM_REQUIRED[cls], "params")
     return neurons.make_spec(
-        kind, cls(**params), inputs, entry["output"],
+        kind, _final_params(params) if cls is FinalLayerParams else cls(**params),
+        inputs, entry["output"],
         tuple(map(tuple, gates)) if "corrections" in entry else None,
     )
 

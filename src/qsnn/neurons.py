@@ -30,6 +30,8 @@ from .errors import (
     HierarchyViolationError,
     InvalidParamsError,
     NonPythagoreanError,
+    NoRealSolutionError,
+    SignInconsistencyError,
 )
 
 PYTHAGOREAN_TOL = 1e-9
@@ -78,6 +80,8 @@ _ACCEPTS = {
 def _check_fields(params) -> None:
     """Checks every neuron's parameters share: field types, drive, tau."""
     for f in params.__dataclass_fields__.values():
+        if not f.init:  # a value the class solves
+            continue
         accepts, what = _ACCEPTS[f.type]
         value = getattr(params, f.name)
         if not accepts(value):
@@ -200,9 +204,44 @@ class PhaseNeuronParams(_Driven):
         return 2 * self.n < DEFAULT_PHASE_RATIO_HEADROOM * 4 * self.m
 
 
+def _phase_matching(gamma: float, l: int, s: int, parity_k: int) -> tuple[float, float]:
+    """(β, J)/A of the final layer: β = ((2s−l) + (−1)^k·γ·sqrt(l²(1+γ²) −
+    (2s−l)²))/(1+γ²), and the J = ±sqrt(l² − β²) that satisfies the
+    un-squared identity γJ = (2s−l) − β.  In units of A, the tolerances do
+    not depend on A."""
+    q = 2 * s - l
+    disc = l**2 * (1 + gamma**2) - q**2
+    if disc < 0:
+        raise NoRealSolutionError(
+            f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
+        )
+    beta = 1 / (1 + gamma**2) * (q + (-1) ** parity_k * gamma * math.sqrt(disc))
+    if abs(beta) > abs(l) + 1e-12:
+        raise SignInconsistencyError(f"|beta|/A = {abs(beta)} exceeds |l| = {l}")
+    j_mag = math.sqrt(max(l**2 - beta**2, 0.0))
+    rhs = q - beta
+    # Near the discriminant's zero, sqrt amplifies roundoff in j_mag by
+    # ~sqrt(eps); select the J sign with a sqrt-aware tolerance, then return
+    # the value that satisfies the un-squared identity to machine precision.
+    best = min((j_mag, -j_mag), key=lambda j: abs(gamma * j - rhs))
+    if abs(gamma * best - rhs) > 1e-6 * max(abs(l), 1.0):
+        raise SignInconsistencyError(
+            f"no J sign satisfies the un-squared phase identity: "
+            f"γ|J| = {gamma * j_mag:.6g}, target {rhs:.6g}"
+        )
+    j = rhs / gamma if abs(gamma) > 1e-12 else best
+    return beta, j
+
+
 @dataclass(frozen=True)
 class FinalLayerParams(_Driven):
-    """Final-layer neuron: flips the output only for one designated pair."""
+    """Final-layer neuron: flips the output only for one designated pair.
+
+    β and J are solved from (l, s, parity_k, γ): γJ = (2s−l)A − β aligns the
+    phases of the |↑↑⟩ detector; the |↓↓⟩ detector swaps the two extreme
+    states, γJ = (2s−l)A + β, so its β is negated.  Only the local field
+    takes an ω.
+    """
 
     variant: str  # "detect_upup" | "detect_downdown"
     l: int
@@ -213,9 +252,8 @@ class FinalLayerParams(_Driven):
     drive_mode: str = "rotating"  # or "local_field"
     omega: float | None = None
     omega_floor: float = DEFAULT_OMEGA_FLOOR
-    # beta and coupling_j come from parameters.solve_final_beta
-    beta: float = field(kw_only=True)
-    coupling_j: float = field(kw_only=True)
+    beta: float = field(init=False)
+    coupling_j: float = field(init=False)
 
     @in_arithmetic_range
     def __post_init__(self):
@@ -224,13 +262,6 @@ class FinalLayerParams(_Driven):
             raise InvalidParamsError(f"unknown final-layer variant {self.variant!r}")
         if self.drive_mode not in ("rotating", "local_field"):
             raise InvalidParamsError(f"unknown drive mode {self.drive_mode!r}")
-        disc = self.l**2 * (1 + self.gamma**2) - (2 * self.s - self.l) ** 2
-        if disc < 0:
-            raise InvalidParamsError(
-                f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
-            )
-        if abs(self.beta / self.drive_amplitude) > abs(self.l) + 1e-9:
-            raise InvalidParamsError("|beta| exceeds |l·A|")
         if self.drive_mode == "local_field":
             if self.omega is None:
                 raise InvalidParamsError("local_field mode requires omega")
@@ -239,6 +270,13 @@ class FinalLayerParams(_Driven):
                     f"|Omega|/A = {abs(self.omega) / self.drive_amplitude:.2f} "
                     f"below floor {self.omega_floor}"
                 )
+        elif self.omega is not None:
+            raise InvalidParamsError("the rotating drive takes no omega")
+        beta, j = _phase_matching(self.gamma, self.l, self.s, self.parity_k)
+        if self.variant == "detect_downdown":
+            beta = -beta
+        object.__setattr__(self, "beta", beta * self.drive_amplitude)
+        object.__setattr__(self, "coupling_j", j * self.drive_amplitude)
 
     @property
     def in_drive_units(self) -> tuple[float, float]:

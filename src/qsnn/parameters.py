@@ -15,14 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, neurons
-from .errors import (
-    InvalidParamsError,
-    NoRealSolutionError,
-    SignInconsistencyError,
-)
+from .errors import InvalidParamsError
 from .neurons import ExcNeuronParams, FinalLayerParams, NeuronSpec, PhaseNeuronParams
 
 TUNE_BOX_FRACTION = 0.02
+
+
+def _check_real(**values) -> None:
+    for name, value in values.items():
+        if not core.is_finite_real(value):
+            raise InvalidParamsError(f"{name} must be a finite real number, got {value!r}")
 
 
 @neurons.in_arithmetic_range
@@ -40,6 +42,7 @@ def solve_exc(
     unity mode sets γ=1, for which ExcNeuronParams requires a Pythagorean
     pair; general mode sets γ = ±(2s − k − l + 1/2)/sqrt(l² − k²).
     """
+    _check_real(k=k, l=l)
     if not l > k > 0:
         raise InvalidParamsError(f"need l > k > 0, got k={k}, l={l}")
     if gamma_mode == "unity":
@@ -47,6 +50,7 @@ def solve_exc(
     elif gamma_mode == "general":
         if s is None:
             raise InvalidParamsError("general mode requires s")
+        _check_real(s=s)
         if sign not in (1, -1):
             raise InvalidParamsError("sign must be +1 or -1")
         gamma = sign * (2 * s - k - l + 0.5) / math.sqrt(l**2 - k**2)
@@ -65,12 +69,12 @@ def solve_phase(
     drive_amplitude: float = 1.0,
 ) -> PhaseNeuronParams:
     """Solve the phase-neuron constraints: J = 2nB, δ = 2mB, τ = π/(2B)."""
+    _check_real(m=m, n=n)
     return PhaseNeuronParams(
         m=float(m), n=float(n), drive_amplitude=drive_amplitude,
     )
 
 
-@neurons.in_arithmetic_range
 def solve_final_beta(
     gamma: float,
     l: int,
@@ -78,68 +82,14 @@ def solve_final_beta(
     parity_k: int,
     drive_amplitude: float = 1.0,
 ) -> tuple[float, float]:
-    """Solve the final-layer phase-matching condition for (β, J).
-
-    β = A/(1+γ²)·((2s−l) + (−1)^k·γ·sqrt(l²(1+γ²) − (2s−l)²)); the J sign
-    is fixed by re-verifying the un-squared matching identity
-    γJ = (2s−l)A − β with J = ±sqrt(l²A² − β²).  The solve runs in units
-    of the drive (A = 1), so its tolerances do not depend on A; β and J
-    are scaled by A only on return.
-    """
-    if not (core.is_finite_real(gamma) and core.is_finite_real(drive_amplitude)
-            and drive_amplitude > 0):
-        raise InvalidParamsError(f"need a finite gamma and a finite positive drive "
-                                 f"amplitude, got {gamma!r} and {drive_amplitude!r}")
-    q = 2 * s - l
-    disc = l**2 * (1 + gamma**2) - q**2
-    if disc < 0:
-        raise NoRealSolutionError(
-            f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
-        )
-    beta = 1 / (1 + gamma**2) * (q + (-1) ** parity_k * gamma * math.sqrt(disc))
-    if abs(beta) > abs(l) + 1e-12:
-        raise SignInconsistencyError(f"|beta|/A = {abs(beta)} exceeds |l| = {l}")
-    j_mag = math.sqrt(max(l**2 - beta**2, 0.0))
-    rhs = q - beta
-    # Near the discriminant's zero, sqrt amplifies roundoff in j_mag by
-    # ~sqrt(eps); select the J sign with a sqrt-aware tolerance, then return
-    # the value that satisfies the un-squared identity to machine precision.
-    best = min((j_mag, -j_mag), key=lambda j: abs(gamma * j - rhs))
-    if abs(gamma * best - rhs) > 1e-6 * max(abs(l), 1.0):
-        raise SignInconsistencyError(
-            f"no J sign satisfies the un-squared phase identity: "
-            f"γ|J| = {gamma * j_mag:.6g}, target {rhs:.6g}"
-        )
-    j = rhs / gamma if abs(gamma) > 1e-12 else best
-    return beta * drive_amplitude, j * drive_amplitude
+    """The final-layer phase-matching solution (β, J) of the |↑↑⟩ detector,
+    as FinalLayerParams solves it; the |↓↓⟩ detector negates β."""
+    p = FinalLayerParams("detect_upup", l, s, parity_k, gamma, drive_amplitude)
+    return p.beta, p.coupling_j
 
 
-def make_final_params(
-    variant: str,
-    l: int,
-    s: int,
-    parity_k: int,
-    gamma: float = 1.0,
-    drive_amplitude: float = 1.0,
-    drive_mode: str = "rotating",
-    omega: float | None = None,
-) -> FinalLayerParams:
-    """FinalLayerParams with β and J filled in from the constraint solver.
-
-    The phase-matching identity γJ = (2s−l)A − β aligns the relative
-    phases for the hot |↑↑⟩ detector.  For the |↓↓⟩ detector the roles of
-    the two extreme computational states swap, which maps the identity to
-    γJ = (2s−l)A + β; negating the solved β converts one into the other
-    while leaving |β| ≤ |lA| and the J magnitude untouched.
-    """
-    beta, j = solve_final_beta(gamma, l, s, parity_k, drive_amplitude)
-    if variant == "detect_downdown":
-        beta = -beta
-    return FinalLayerParams(
-        variant=variant, l=l, s=s, parity_k=parity_k, gamma=gamma,
-        drive_amplitude=drive_amplitude, drive_mode=drive_mode, omega=omega,
-        beta=beta, coupling_j=j,
-    )
+# FinalLayerParams solves its own β and J; this is its older name.
+make_final_params = FinalLayerParams
 
 
 @dataclass(frozen=True)

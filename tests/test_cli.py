@@ -108,11 +108,23 @@ class TestParamsCommands:
     @pytest.mark.parametrize("args", [
         ["--kind", "phase", "--m", "3"], ["--kind", "phase", "--n", "82"],
         ["--kind", "final", "--l", "29"], ["--kind", "final", "--s", "15"],
+        ["--kind", "exc", "--k", "8"],
     ])
     def test_detuning_missing_arguments_exit_2(self, runner, args):
         result = runner.invoke(main, ["params", "detuning", *args])
         assert result.exit_code == 2
         assert "detuning needs" in result.output
+
+    @pytest.mark.parametrize("command", [
+        ["neuron", "final"], ["params", "detuning", "--kind", "final"],
+    ])
+    def test_omega_with_rotating_drive_exit_2(self, runner, command):
+        # Omega drives the local field only; with the rotating drive it is an error.
+        args = [*command, "--l", "29", "--s", "15"]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, [*args, "--omega", "50"])
+        assert result.exit_code == 2
+        assert "rotating drive takes no omega" in result.output
 
 
 class TestNeuronCommands:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qsnn import core, errors, neurons, parameters
+from qsnn import core, errors, fidelity, neurons, parameters
 
 from conftest import bell_with_output, random_state
 
@@ -72,6 +72,31 @@ class TestStateVector:
         state = core.StateVector.all_down(1)
         assert state.amplitudes[0] == pytest.approx(1.0)
         assert core.expectation(state, "Z", 0) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: core.StateVector(10**400, [1]),
+        lambda: core.StateVector(10**7, [1]),
+        lambda: core.StateVector(0, [1]),
+        lambda: core.StateVector("x", [1]),
+        lambda: core.StateVector(1, "ab"),
+        lambda: core.StateVector(1, [10**400, 0]),
+        lambda: core.StateVector(True, [1, 0]),
+        lambda: core.StateVector(2.0, [1, 0, 0, 0]),
+        lambda: core.StateVector.from_bits("x"),
+        lambda: core.StateVector.from_bits([2]),
+        lambda: core.StateVector.from_bits([]),
+        lambda: core.StateVector.from_bits(5),
+        lambda: core.StateVector.all_down(100),
+        lambda: core.StateVector.all_down(10**400),
+        lambda: core.DenseOperator("x"),
+    ], ids=["googol_qubits", "ten_million_qubits", "no_qubits", "str_qubits",
+            "str_amplitudes", "huge_amplitude", "bool_qubits", "float_qubits",
+            "str_bits", "bit_2", "no_bits", "scalar_bits", "all_down_100",
+            "all_down_googol", "str_operator"])
+    def test_only_an_integer_register_an_array_holds(self, call):
+        # Each fails at once: no 2**n is formed for a register no array holds.
+        with pytest.raises(errors.InvalidParamsError):
+            call()
 
 
 class TestHamiltonianConstruction:
@@ -657,9 +682,49 @@ class TestValidation:
         lambda: core.evolve(core.StateVector.all_down(3), _h_exc(), -1.0),
         lambda: core.bell_state("x"),
         lambda: core.StaticTerm(1.0, ((0, "W"),)),
-    ], ids=["tol", "duration", "bell_label", "axis"])
+        lambda: core.StateVector.all_down(2).overlap(core.StateVector.all_down(3)),
+        lambda: core.DenseOperator(np.ones((2, 3))),
+        lambda: core.piecewise_constant_evolve(
+            core.StateVector.all_down(2), _h_exc(), 1.0, 0.1),
+        lambda: core.expectation(core.StateVector.all_down(1), "W", 0),
+        lambda: fidelity.average_fidelity(
+            core.DenseOperator.identity(8), core.DenseOperator.identity(8),
+            [np.eye(4)[0]]),
+        lambda: fidelity.mc_average_fidelity(
+            core.DenseOperator.identity(8), core.DenseOperator.identity(4),
+            [np.eye(8)[0]]),
+    ], ids=["tol", "duration", "bell_label", "axis", "overlap_registers",
+            "operator_not_square", "piecewise_register", "expectation_axis",
+            "subspace_length", "mc_dimensions"])
     def test_malformed_arguments_raise_qsnn_errors(self, call):
         with pytest.raises(errors.QsnnError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: parameters.solve_exc("a", 5),
+        lambda: parameters.solve_exc(3, "b"),
+        lambda: parameters.solve_exc(3, 5, gamma_mode="general", s="x"),
+        lambda: parameters.solve_exc(5, 3),
+        lambda: parameters.solve_exc(3, 5, gamma_mode="general"),
+        lambda: parameters.solve_exc(3, 5, gamma_mode="general", s=4, sign=2),
+        lambda: parameters.solve_exc(3, 5, gamma_mode="bogus"),
+        lambda: parameters.solve_phase("a", 5),
+        lambda: parameters.solve_final_beta(1, "a", 15, 0),
+        lambda: parameters.solve_final_beta(1, 29, 15, "x"),
+        lambda: parameters.solve_final_beta(1, 29, "s", 0),
+        lambda: fidelity.mc_average_fidelity(
+            core.DenseOperator.identity(2), core.DenseOperator.identity(2),
+            [np.eye(2)[0]], n_samples="x"),
+        lambda: fidelity.mc_average_fidelity(
+            core.DenseOperator.identity(2), core.DenseOperator.identity(2),
+            [np.eye(2)[0]], n_samples=1),
+        lambda: core.piecewise_constant_propagator(_h_exc(), 1e300, 1e-10),
+    ], ids=["exc_k_str", "exc_l_str", "exc_s_str", "exc_l_below_k", "exc_no_s",
+            "exc_sign", "exc_gamma_mode", "phase_m_str", "final_l_str",
+            "final_parity_str", "final_s_str", "mc_samples_str", "mc_one_sample",
+            "piecewise_step_count"])
+    def test_malformed_arguments_raise_invalid_params(self, call):
+        with pytest.raises(errors.InvalidParamsError):
             call()
 
     @pytest.mark.parametrize("label", [[], None, 1, ("Phi+",)], ids=str)

@@ -184,6 +184,27 @@ class TestValidation:
         wide.num_qubits = network.MAX_QUBITS
         assert network.validate(wide) == []
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda r: network.BellAmplitudes.pure("Phi"), errors.InvalidParamsError),
+        (lambda r: network.BellAmplitudes.from_sequence([1, 0, 0]),
+         errors.DimensionMismatchError),
+        (lambda r: network.template("half"), errors.InvalidParamsError),
+        (lambda r: network.template("full", final_params=parameters.make_final_params(
+            "detect_downdown", 29, 15, 0)), errors.InvalidParamsError),
+        (lambda r: network.back_action(network.run(r, (_pure("Phi+"),) * 2), r,
+                                       "sideways"), errors.InvalidParamsError),
+        (lambda r: network.NetworkSpec(5, (
+            neurons.make_spec("excitation", r.schedule[2].params, (0, 1), 7),
+            neurons.make_spec("excitation", r.schedule[2].params, (2, 3), 4),
+        ), (0, 1, 2, 3), 4), errors.NetworkValidationError),
+        (lambda r: network.NetworkSpec(5, (), (0, 1, 2, 3), 4),
+         errors.NetworkValidationError),
+    ], ids=["bell_label", "three_amplitudes", "template_kind", "template_variant",
+            "outcome", "entry_outside_register", "empty_schedule"])
+    def test_rejected_calls(self, reduced, call, error):
+        with pytest.raises(error):
+            call(reduced)
+
     def test_integer_indices_required(self, reduced):
         for inputs, output in (((0, 1, 2, 3), 6.0), ((False, True, 2, 3), 6)):
             with pytest.raises(errors.NetworkValidationError):
@@ -306,6 +327,12 @@ class TestIsometry:
                 network.output_excitation_probability(reduced, bad)
         assert np.array_equal(network.run(reduced, [a, a]).amplitudes,
                               network.run(reduced, (a, a)).amplitudes)
+        # A 4-qubit StateVector input is the pair's product state.
+        pair = (_pure("Psi+"), _pure("Phi-"))
+        state = core.StateVector(4, np.kron(*(p.pair_state() for p in pair)))
+        # StateVector rescales by 1/norm, which may move the last bit.
+        assert np.max(np.abs(network.run(reduced, state).amplitudes
+                             - network.run(reduced, pair).amplitudes)) <= 1e-15
 
     def test_spec_from_lists_is_hashable_and_equal(self, reduced):
         # run() caches V by spec, so a spec holds tuples whatever it is given.
@@ -525,6 +552,16 @@ class TestSerialization:
         with pytest.raises(errors.NetworkValidationError):
             network.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("edit", [{"s": 18}, {"l": 35, "s": 18},
+                                      {"beta": 2.0}, {"coupling_j": 3.0}])
+    def test_stale_final_layer_names_its_entry(self, full, edit):
+        doc = json.loads(network.to_json(full))
+        doc["schedule"][6]["params"].update(edit)
+        with pytest.raises(errors.NetworkValidationError,
+                           match="schedule entry 6: (beta|coupling_j) .* is not "
+                                 "the solved"):
+            network.from_json(json.dumps(doc))
+
     def test_round_trip_keeps_every_param_field(self):
         final = dataclasses.replace(
             parameters.make_final_params(
@@ -584,7 +621,7 @@ def _as_v1(doc, corrections):
 
 
 MALFORMED = {
-    "not_json": None,
+    "not_json": "{not json",
     "missing_kind": lambda d: d["schedule"][0].pop("kind"),
     "entry_not_object": lambda d: _set(d, ("schedule", 0), 3),
     "schedule_not_list": lambda d: _set(d, ("schedule",), 5),
@@ -617,14 +654,26 @@ MALFORMED = {
                                                   "final_upup"),
     "v3_detuning_floor": lambda d: _set(
         d, ("schedule", 2, "params", "detuning_floor"), 10.0),
+    "unknown_kind": lambda d: _set(d, ("schedule", 0, "kind"), "bogus"),
+    "root_not_object": "[]",
+    # A final layer's beta and coupling_j are the ones its (l, s) solve.
+    "stale_final_s": lambda d: _set(d, ("schedule", 4, "params", "s"), 18),
+    "stale_final_l_and_s": lambda d: d["schedule"][4]["params"].update(
+        l=35, s=18),
+    "edited_beta": lambda d: _set(d, ("schedule", 4, "params", "beta"), 2.0),
+    "edited_coupling_j": lambda d: _set(
+        d, ("schedule", 4, "params", "coupling_j"), 3.0),
+    "str_beta": lambda d: _set(d, ("schedule", 4, "params", "beta"), "-21.0"),
+    "omega_with_rotating_drive": lambda d: _set(
+        d, ("schedule", 4, "params", "omega"), 50.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_rejected(case, tmp_path):
     doc = _reduced_doc()
-    if MALFORMED[case] is None:
-        text = "{not json"
+    if isinstance(MALFORMED[case], str):
+        text = MALFORMED[case]
     else:
         MALFORMED[case](doc)
         text = json.dumps(doc)

@@ -508,13 +508,32 @@ class TestSpecValidation:
         (parameters.solve_phase(3, 82), "floor_4m", math.nan),
         (parameters.solve_phase(3, 82), "drive_amplitude", -1.0),
         (parameters.make_final_params("detect_upup", 29, 15, 0), "l", 29.0),
-        (parameters.make_final_params("detect_upup", 29, 15, 0), "beta",
-         math.nan),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "parity_k",
+         True),
         (parameters.make_final_params("detect_upup", 29, 15, 0), "omega",
          "50"),
+        # Values of the right type that the classes reject.
+        (parameters.solve_exc(8, 17), "j_sign", 2),
+        (parameters.solve_exc(8, 17), "k", 8.5),
+        (parameters.solve_phase(3, 82), "n", 2.0),
+        (parameters.solve_phase(3, 82), "m", 3.5),
+        (parameters.solve_phase(3, 82), "m", 1.0),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "variant",
+         "detect_updown"),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "drive_mode",
+         "static"),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "drive_mode",
+         "local_field"),
+        (parameters.make_final_params(
+            "detect_upup", 29, 15, 0, drive_mode="local_field", omega=50.0),
+         "omega", 5.0),
+        (parameters.make_final_params("detect_upup", 29, 15, 0), "omega", 50.0),
     ], ids=["exc-j_sign", "exc-k", "exc-gamma", "exc-relaxed", "phase-m",
             "phase-floor_4m", "phase-drive_amplitude", "final-l",
-            "final-beta", "final-omega"])
+            "final-parity_k", "final-omega", "exc-j_sign_2", "exc-k_not_integer",
+            "phase-n_below_m", "phase-m_not_integer", "phase-4m_below_floor",
+            "final-variant", "final-drive_mode", "final-local_field_without_omega",
+            "final-omega_below_floor", "final-omega_with_rotating_drive"])
     def test_params_reject_wrong_types(self, params, field, value):
         with pytest.raises(errors.InvalidParamsError):
             dataclasses.replace(params, **{field: value})
@@ -530,8 +549,16 @@ class TestSpecValidation:
             neurons.fidelity_report(kind, params)
 
     def test_final_params_need_beta_and_j(self):
+        # The class solves beta and J itself; neither is an argument.
         with pytest.raises(TypeError):
-            neurons.FinalLayerParams("detect_upup", 29, 15, 0)
+            neurons.FinalLayerParams("detect_upup", 29, 15, 0, beta=21.0)
+        params = neurons.FinalLayerParams("detect_upup", 29, 15, 0)
+        assert (params.beta, params.coupling_j) == (21.0, -20.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, beta=2.0, coupling_j=3.0)
+        moved = dataclasses.replace(params, l=35, s=18)
+        assert (moved.beta, moved.coupling_j) == parameters.solve_final_beta(
+            1.0, 35, 18, 0)
 
     def test_default_corrections_present(self, exc_8_17, phase_3_82):
         exc_seq = neurons.default_corrections("excitation", exc_8_17)
