@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -32,6 +33,8 @@ DEGENERATE_PROB = 1e-14
 # The largest register one array of complex amplitudes can hold: 2^n · 16
 # bytes must stay below numpy's largest array, 2^63 bytes.
 MAX_REGISTER = 58
+# Bytes of physical memory: from_bits refuses a register that would not fit.
+HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
@@ -125,6 +128,8 @@ class StateVector:
             raise InvalidParamsError(f"bits must be a sequence of 0s and 1s, got {bits!r}")
         n = len(bits)
         _check_register(n)
+        if 16 * 2**n > HOST_MEMORY:  # before np.zeros, which overcommit lets succeed
+            raise InvalidParamsError(f"{n} qubits need {16 * 2**n} bytes, more than this host has")
         index = 0
         for b in bits:
             index = (index << 1) | int(b)

@@ -9,6 +9,7 @@ second-order phase errors.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,58 @@ class TuneResult:
             raise InvalidParamsError("tuner must never return a worse point")
 
 
+class _BudgetSpent(Exception):
+    """A call would exceed the simplex's budget."""
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float = 1e-6, fatol: float = 1e-9):
+    """Minimize f from x0 by the downhill simplex of Nelder & Mead (Comput.
+    J. 7, 308 (1965)), step for step as scipy's minimize(method="Nelder-Mead",
+    adaptive=False) takes it.  A call that would exceed maxfev is not made:
+    the iteration ends there.  Returns the best vertex and the calls made."""
+    n, calls = len(x0), 0
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(sim[0] != 0, 1.05 * sim[0], 0.00025)
+    fsim = np.full(n + 1, np.inf)
+
+    def fun(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(np.copy(x))
+
+    with contextlib.suppress(_BudgetSpent):
+        for k in range(n + 1):
+            fsim[k] = fun(sim[k])
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+        if calls >= maxfev or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                               and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            return sim[0], calls
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        with contextlib.suppress(_BudgetSpent):
+            xr = 2 * xbar - sim[-1]
+            fxr = fun(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fun(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside xr's side, or inside; else shrink
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fun(sim[j])
+
+
 def tune(
     initial, kind: str, budget: int = 300, seed: int | None = None
 ) -> TuneResult:
@@ -159,12 +212,9 @@ def tune(
     clipped and feasible() clamps to the phase neuron's hierarchy floors or
     to the excitation neuron's l > k, so the class checks run on the start
     and on the returned point.  The initial and final fidelities come from
-    the same model, within 1e-15 of neurons.fidelity_report.  Deterministic
-    given the seed (the search itself is deterministic; the seed is
-    accepted for interface uniformity and recorded by callers).
+    the same model, within 1e-15 of neurons.fidelity_report.  The search is
+    deterministic; the seed is accepted for interface uniformity.
     """
-    from scipy.optimize import minimize  # here, so that `import qsnn` loads no scipy
-
     if type(budget) is not int or budget < 1:
         raise InvalidParamsError(f"budget must be an int of at least 1, got {budget!r}")
     model = neurons.FidelityModel(kind, initial)  # rejects any other kind
@@ -183,26 +233,16 @@ def tune(
             x = np.array([x[0], max(x[1], np.nextafter(x[0], np.inf))])
         return x
 
-    count = 0
-
     def objective(x):
-        nonlocal count
         clipped = feasible(x)
         penalty = float(np.sum((x - clipped) ** 2))
-        count += 1
         return -model(clipped) + penalty
 
     f0 = model(x0)
     # One call of the budget goes to f0.
     maxfev = max(budget - 1, 1)
-    result = minimize(
-        objective, x0, method="Nelder-Mead",
-        options={
-            "maxfev": maxfev,
-            "xatol": 1e-6, "fatol": 1e-9, "adaptive": False,
-        },
-    )
-    best_x = feasible(result.x)
+    x, count = _nelder_mead(objective, x0, maxfev)
+    best_x = feasible(x)
     best_f = model(best_x)
     if best_f < f0:
         best_x, best_f = x0, f0

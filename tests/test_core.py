@@ -98,6 +98,16 @@ class TestStateVector:
         with pytest.raises(errors.InvalidParamsError):
             call()
 
+    def test_register_beyond_host_memory_is_refused(self, monkeypatch):
+        # 16 PiB of amplitudes: refused before np.zeros, which overcommit
+        # lets succeed, so that normalising would touch every page.
+        with pytest.raises(errors.InvalidParamsError, match="50 qubits"):
+            core.StateVector.all_down(50)
+        monkeypatch.setattr(core, "HOST_MEMORY", 2**20)
+        with pytest.raises(errors.InvalidParamsError, match="17 qubits"):
+            core.StateVector.all_down(17)
+        assert core.StateVector.all_down(16).num_qubits == 16
+
 
 class TestHamiltonianConstruction:
     def test_hermitian_at_sampled_times(self):

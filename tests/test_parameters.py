@@ -296,6 +296,37 @@ def test_tune_matches_the_report_driven_tuner(kind, start, budget):
     assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
+_SIMPLEX_FUNCTIONS = {
+    "rosenbrock": lambda x: 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2,
+    "shifted_quadratic": lambda x: (x[0] - 0.3) ** 2 + 2 * (x[1] + 1.7) ** 2,
+    "constant": lambda x: 1.0,  # every comparison ties
+    "kinks": lambda x: abs(x[0] - 0.5) + 2 * abs(x[1] + 0.25),
+    "floor_steps": lambda x: float(math.floor(x[0]) + math.floor(2 * x[1])),
+    "nan_half": lambda x: math.nan if x[0] > x[1] else (x[0] - 1) ** 2 + x[1] ** 2,
+}
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 10, 50, 299, 2000])
+@pytest.mark.parametrize("x0", [(-1.2, 1.0), (0.0, 2.0), (0.0, 0.0), (3.0, 82.0)])
+@pytest.mark.parametrize("name", sorted(_SIMPLEX_FUNCTIONS))
+def test_simplex_steps_as_scipy_nelder_mead(name, x0, budget):
+    # scipy's simplex is the oracle: the same point after the same calls,
+    # also when the budget stops it inside the start simplex or a shrink.
+    f = _SIMPLEX_FUNCTIONS[name]
+    seen = {"ours": [], "scipy": []}
+
+    def recorded(side):
+        return lambda x: seen[side].append(x.copy()) or f(x)
+
+    x, calls = parameters._nelder_mead(recorded("ours"), np.array(x0), budget)
+    want = minimize(recorded("scipy"), np.array(x0), method="Nelder-Mead",
+                    options={"maxfev": budget, "xatol": 1e-6, "fatol": 1e-9,
+                             "adaptive": False})
+    assert np.array_equal(x, want.x)
+    assert calls == want.nfev == len(seen["ours"]) == len(seen["scipy"])
+    assert np.array_equal(seen["ours"], seen["scipy"])
+
+
 _MODEL_STARTS = {
     "phase": [parameters.solve_phase(3, 82), parameters.solve_phase(5, 80),
               parameters.solve_phase(25, 300), parameters.solve_phase(30, 600)],
