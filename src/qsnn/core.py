@@ -438,20 +438,25 @@ _TAYLOR_PS = np.array([[(i < 4 or m == 8) / math.factorial(m + i) for i in range
                        for m in (8, 4, 0)])
 
 
-def _magnus_exponentials(static, drive, left: np.ndarray, width: np.ndarray):
-    """(cut, exp(Omega) of the steps left[cut], width[cut]) for each
-    _MAGNUS_CHUNK steps [left, left + width] of dU/dt = -iH(t)U, for
-    H(t) = H_s + a f(wt) M: the order-6 commutator Magnus exponent on three
-    Gauss-Legendre nodes (Blanes, Casas & Ros, BIT 40, 434 (2000)), a sum of 14
-    fixed matrices: with s = -i width, K = [H_s, M], L1 = [H_s, K], L2 = [M, K],
-    Omega = s H_s + s (b1 + b3/12) M + [X, Y]/240, X = s^2 b2 K - 20 s H_s
-    - s (20 b1 + b3) M, Y = s b2 M - (s^2 b3/30) K - (s^3 b2/60)(L1 + b1 L2)."""
-    amplitude, frequency, wave, string = drive
+def _magnus_basis(static, string) -> np.ndarray:
+    """The 14 fixed matrices of _magnus_exponentials, shape (14, d*d)."""
     commutator = lambda a, b: a @ b - b @ a  # noqa: E731
     k = commutator(static, string)
     ys = (string, k, commutator(static, k), commutator(string, k))
     pairs = [commutator(p, q) for p in (k, static, string) for q in ys]
-    basis = np.reshape([static, string] + pairs, (14, -1))
+    return np.reshape([static, string] + pairs, (14, -1))
+
+
+def _magnus_exponentials(static, drive, left: np.ndarray, width: np.ndarray, basis=None):
+    """(cut, exp(Omega) of the steps left[cut], width[cut]) for each
+    _MAGNUS_CHUNK steps [left, left + width] of dU/dt = -iH(t)U, for
+    H(t) = H_s + a f(wt) M: the order-6 commutator Magnus exponent on three
+    Gauss-Legendre nodes (Blanes, Casas & Ros, BIT 40, 434 (2000)), a sum of 14
+    fixed matrices (the basis): with s = -i width, K = [H_s, M], L1 = [H_s, K],
+    L2 = [M, K], Omega = s H_s + s (b1 + b3/12) M + [X, Y]/240, X = s^2 b2 K
+    - 20 s H_s - s (20 b1 + b3) M, Y = s b2 M - (s^2 b3/30) K - (s^3 b2/60)(L1 + b1 L2)."""
+    amplitude, frequency, wave, string = drive
+    basis = _magnus_basis(static, string) if basis is None else basis
     f1, f2, f3 = amplitude * wave(frequency * (left + _GAUSS_NODES[:, None] * width))
     s = -1j * width
     b1, b2, b3 = f2, math.sqrt(15.0) / 3.0 * (f3 - f1), 10.0 / 3.0 * (f3 - 2.0 * f2 + f1)
@@ -499,6 +504,8 @@ def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     period = 2.0 * math.pi / abs(drive[1])
     roundoff = 16 * times[-1] * np.finfo(float).eps
     turns, phase = np.divmod(times, period)
+    full = phase > period - roundoff  # t mod T within roundoff of T: next turn
+    turns[full], phase[full] = turns[full] + 1, 0.0
     grid, index = np.unique(phase, return_inverse=True)
     first = np.diff(grid, prepend=-math.inf) > roundoff  # the largest of a run
     grid, index = grid[np.append(first[1:], True)], np.cumsum(first)[index] - 1
@@ -508,16 +515,18 @@ def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     steps = max(norm, (spanned * _MAGNUS_ERROR * abs(drive[0]) * period
                        * (2.0 * math.pi + norm) ** 5 / tol) ** (1 / 6))
     nodes = np.linspace(0.0, span, max(math.ceil(span * steps / period), 1) + 1)
-    chain = [np.eye(len(static), dtype=complex)]
-    for _, running in _magnus_exponentials(static, drive, nodes[:-1], np.diff(nodes)):
-        for step in running:
-            chain.append(step @ chain[-1])
+    basis = _magnus_basis(static, drive[3])
+    chain = np.tile(np.eye(len(static), dtype=complex), (len(nodes), 1, 1))
+    for cut, running in _magnus_exponentials(static, drive, nodes[:-1], np.diff(nodes), basis):
+        for i, step in enumerate(running, cut.start):
+            np.matmul(step, chain[i], out=chain[i + 1])
     below = np.searchsorted(nodes, grid, side="right") - 1
-    within = np.array(chain)[below]
+    within = chain[below]
     short = np.flatnonzero(grid - nodes[below] > roundoff)
-    left = nodes[below[short]]
-    for cut, running in _magnus_exponentials(static, drive, left, grid[short] - left):
-        within[short[cut]] = running @ within[short[cut]]
+    if short.size:  # phases off the chain's nodes: one shorter step each
+        left = nodes[below[short]]
+        for cut, running in _magnus_exponentials(static, drive, left, grid[short] - left, basis):
+            within[short[cut]] = running @ within[short[cut]]
     out[:] = within[index]
     values, starts = np.unique(turns, return_index=True)  # times increase: slices
     for turn, lo, hi in zip(values, starts, [*starts[1:], len(turns)]):

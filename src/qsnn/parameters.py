@@ -12,8 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache, reduce
 
 from . import core, neurons
 from .errors import InvalidParamsError
@@ -155,48 +154,53 @@ class _BudgetSpent(Exception):
 def _nelder_mead(f, x0, maxfev: int, xatol: float = 1e-6, fatol: float = 1e-9):
     """Minimize f from x0 by the downhill simplex of Nelder & Mead (Comput.
     J. 7, 308 (1965)), step for step as scipy's minimize(method="Nelder-Mead",
-    adaptive=False) takes it.  A call that would exceed maxfev is not made:
-    the iteration ends there.  Returns the best vertex and the calls made."""
+    adaptive=False) takes it, on lists of floats.  A call that would exceed
+    maxfev is not made: the iteration ends there.  Returns the best vertex
+    and the calls made."""
     n, calls = len(x0), 0
-    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
-    sim[1:][np.diag_indices(n)] = np.where(sim[0] != 0, 1.05 * sim[0], 0.00025)
-    fsim = np.full(n + 1, np.inf)
+    x0 = [float(v) for v in x0]
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [math.inf] * (n + 1)
 
     def fun(x):
         nonlocal calls
         if calls >= maxfev:
             raise _BudgetSpent
         calls += 1
-        return f(np.copy(x))
+        return f(list(x))
 
     with contextlib.suppress(_BudgetSpent):
         for k in range(n + 1):
             fsim[k] = fun(sim[k])
     while True:
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
-        if calls >= maxfev or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                               and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        # Stable, NaN last: np.argsort's order for the 3 vertices of a 2-D search.
+        order = sorted(range(n + 1), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        # all() of NaN comparisons is false, as np.max(...) <= tol is.
+        if calls >= maxfev or (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0]))
+                               and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
             return sim[0], calls
-        xbar = np.add.reduce(sim[:-1], 0) / n
+        xbar = [reduce(float.__add__, c) / n for c in zip(*sim[:-1])]  # rows in order
         with contextlib.suppress(_BudgetSpent):
-            xr = 2 * xbar - sim[-1]
+            xr = [2 * a - b for a, b in zip(xbar, sim[-1])]
             fxr = fun(xr)
             if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = [3 * a - 2 * b for a, b in zip(xbar, sim[-1])]
                 fxe = fun(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:  # contract outside xr's side, or inside; else shrink
                 outside = fxr < fsim[-1]
-                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                xc = [1.5 * a - 0.5 * b if outside else 0.5 * a + 0.5 * b
+                      for a, b in zip(xbar, sim[-1])]
                 fxc = fun(xc)
                 if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])]
                         fsim[j] = fun(sim[j])
 
 
@@ -211,39 +215,42 @@ def tune(
     at points x = (m, n) or (k, l), valid by construction: the box is
     clipped and feasible() clamps to the phase neuron's hierarchy floors or
     to the excitation neuron's l > k, so the class checks run on the start
-    and on the returned point.  The initial and final fidelities come from
-    the same model, within 1e-15 of neurons.fidelity_report.  The search is
-    deterministic; the seed is accepted for interface uniformity.
+    and on the returned point.  Each distinct point is scored once, so the
+    start (the first vertex) and the returned vertex cost no extra call:
+    the model runs at most `evaluations` times.  The initial and final
+    fidelities come from the same model, within 1e-15 of
+    neurons.fidelity_report.  The search is deterministic; the seed is
+    accepted for interface uniformity.
     """
     if type(budget) is not int or budget < 1:
         raise InvalidParamsError(f"budget must be an int of at least 1, got {budget!r}")
     model = neurons.FidelityModel(kind, initial)  # rejects any other kind
-    x0 = np.array([getattr(initial, f) for f in model.fields], dtype=float)
-    lo, hi = x0 * (1 - TUNE_BOX_FRACTION), x0 * (1 + TUNE_BOX_FRACTION)
+    x0 = tuple(float(getattr(initial, f)) for f in model.fields)
+    lo = tuple(v * (1 - TUNE_BOX_FRACTION) for v in x0)
+    hi = tuple(v * (1 + TUNE_BOX_FRACTION) for v in x0)
+    score = cache(model)  # each distinct point costs one model call
 
     def feasible(x):
-        x = np.clip(x, lo, hi)
+        a, b = (min(max(v, low), high) for v, low, high in zip(x, lo, hi))
         if kind == "phase":
             # A box around a floor start crosses 4m >= floor_4m or
             # 2n >= ratio_floor * 4m; raise m, then n, back onto the floor.
-            m = max(x[0], initial.floor_4m / 4)
-            x = np.array([m, max(x[1], initial.ratio_floor * 4 * m / 2)])
-        else:
-            # A box around l/k < 1.02/0.98 reaches k >= l; keep l just above k.
-            x = np.array([x[0], max(x[1], np.nextafter(x[0], np.inf))])
-        return x
+            a = max(a, initial.floor_4m / 4)
+            return a, max(b, initial.ratio_floor * 4 * a / 2)
+        # A box around l/k < 1.02/0.98 reaches k >= l; keep l just above k.
+        return a, max(b, math.nextafter(a, math.inf))
 
     def objective(x):
         clipped = feasible(x)
-        penalty = float(np.sum((x - clipped) ** 2))
-        return -model(clipped) + penalty
+        dm, dn = x[0] - clipped[0], x[1] - clipped[1]
+        return -score(clipped) + (dm * dm + dn * dn)
 
-    f0 = model(x0)
-    # One call of the budget goes to f0.
+    f0 = score(x0)
+    # The simplex's budget leaves out f0, though its first vertex is x0.
     maxfev = max(budget - 1, 1)
     x, count = _nelder_mead(objective, x0, maxfev)
     best_x = feasible(x)
-    best_f = model(best_x)
+    best_f = score(best_x)
     if best_f < f0:
         best_x, best_f = x0, f0
     return TuneResult(

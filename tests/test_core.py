@@ -275,7 +275,8 @@ class TestPiecewiseOracle:
 class TestFastPaths:
     """Each exact method against the adaptive integrator at tol = 1e-11."""
 
-    @pytest.mark.parametrize("k, l", [(3, 5), (8, 17), (9, 41)])
+    # At (21, 35) tau mod T falls within roundoff of T and counts as a turn.
+    @pytest.mark.parametrize("k, l", [(3, 5), (8, 17), (9, 41), (21, 35)])
     def test_floquet_excitation(self, k, l, integrated_spans):
         ham = _h_exc(k, l)
         fast = core.propagator(ham, TAU_EXC, tol=1e-11).matrix
@@ -481,9 +482,9 @@ class TestMagnus:
         calls, chunks = [], []
         exponentials, taylor = core._magnus_exponentials, core._expm_taylor
 
-        def spy(static, drive, left, width):
+        def spy(static, drive, left, width, basis):
             calls.append((left, width))
-            return exponentials(static, drive, left, width)
+            return exponentials(static, drive, left, width, basis)
 
         def chunked(a):
             chunks.append(len(a))
@@ -505,6 +506,24 @@ class TestMagnus:
         assert sum(chunks) == n + phases - 1 and max(chunks) <= core._MAGNUS_CHUNK
         _, ode = core._local_propagators(ham, times, 1e-11, "ode")
         assert _max_diff(fast, ode) <= 1e-9
+
+    @pytest.mark.parametrize("k, l", [(8, 17), (20, 29), (21, 35)])
+    def test_whole_periods_take_only_the_chain(self, k, l, monkeypatch):
+        # tau is k drive periods, so U(tau) = U(T)^k takes no shorter step,
+        # also at (21, 35), where tau mod T falls within roundoff of T; the
+        # 14 basis matrices are built once.
+        calls, bases, powers = [], [], []
+        exponentials, basis = core._magnus_exponentials, core._magnus_basis
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(core, "_magnus_exponentials",
+                            lambda *args: calls.append(args) or exponentials(*args))
+        monkeypatch.setattr(core, "_magnus_basis",
+                            lambda *args: bases.append(args) or basis(*args))
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda a, n: powers.append(n) or matrix_power(a, n))
+        core.propagator(_h_exc(k, l), TAU_EXC)
+        assert len(calls) == len(bases) == 1
+        assert powers == [k]
 
     def test_magnus_path_takes_no_eigendecomposition(self, monkeypatch):
         def eigh(*args, **kwargs):

@@ -223,6 +223,22 @@ class TestTune:
         assert result.evaluations <= 60
         assert result.tuned_params.l > result.tuned_params.k
 
+    @pytest.mark.parametrize("budget", [1, 5, 300])
+    @pytest.mark.parametrize("kind, a, b", [
+        ("phase", 3, 82), ("phase", 2, 20), ("excitation", 8, 17), ("excitation", 40, 41),
+    ])
+    def test_model_scores_each_point_once(self, kind, a, b, budget, monkeypatch):
+        # The start is the simplex's first vertex and the returned vertex was
+        # scored in the search, so neither costs a second model call.
+        solve = parameters.solve_phase if kind == "phase" else parameters.solve_exc
+        calls = []
+        score = neurons.FidelityModel.__call__
+        monkeypatch.setattr(neurons.FidelityModel, "__call__",
+                            lambda model, x: calls.append(x) or score(model, x))
+        result = parameters.tune(solve(a, b), kind, budget=budget)
+        assert len(calls) <= result.evaluations <= budget
+        assert len(set(calls)) == len(calls)
+
     @pytest.mark.parametrize("m, n", [(2, 20), (3, 30), (6, 60)])
     def test_hierarchy_floor_start(self, m, n):
         # The +-2% box around a start on 4m = floor_4m or 2n = 5*4m reaches
@@ -322,6 +338,53 @@ def test_simplex_steps_as_scipy_nelder_mead(name, x0, budget):
     want = minimize(recorded("scipy"), np.array(x0), method="Nelder-Mead",
                     options={"maxfev": budget, "xatol": 1e-6, "fatol": 1e-9,
                              "adaptive": False})
+    assert np.array_equal(x, want.x)
+    assert calls == want.nfev == len(seen["ours"]) == len(seen["scipy"])
+    assert np.array_equal(seen["ours"], seen["scipy"])
+
+
+@st.composite
+def _quadratics(draw):
+    """(f, x0): a 2- or 3-D quadratic, with NaN on a half-space or not, and a
+    start.  Small integer weights, centres and starts make exact ties."""
+    n = draw(st.sampled_from([2, 3]))
+    small = st.sampled_from([0.0, 1.0, -1.0, 2.0])
+    number = st.one_of(small, st.floats(-3.0, 3.0))
+    weights, centre, x0 = (draw(st.lists(number, min_size=n, max_size=n))
+                           for _ in range(3))
+    normal = draw(st.one_of(st.none(), st.lists(small, min_size=n, max_size=n)))
+    offset = draw(number)
+
+    def f(x):
+        if normal is not None and sum(a * b for a, b in zip(normal, x)) > offset:
+            return math.nan
+        return sum(abs(w) * (a - c) ** 2 for w, a, c in zip(weights, x, centre))
+    return f, x0
+
+
+_ARGSORT = np.argsort
+
+
+@given(_quadratics(), st.integers(1, 400))
+@settings(max_examples=200, deadline=None)
+def test_float_simplex_steps_as_scipy_on_quadratics(quadratic, budget):
+    # The port's vertex order is stable, NaN last.  np.argsort agrees for the
+    # three vertices of a 2-D search, but its default sort need not keep ties
+    # in place for four (numpy's AVX-512 sort does not), so in 3-D scipy runs
+    # with numpy's stable sort.
+    f, x0 = quadratic
+    seen = {"ours": [], "scipy": []}
+
+    def recorded(side):
+        return lambda x: seen[side].append(np.array(x, dtype=float)) or f(x)
+
+    x, calls = parameters._nelder_mead(recorded("ours"), x0, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        if len(x0) > 2:
+            patch.setattr(np, "argsort", lambda a: _ARGSORT(a, kind="stable"))
+        want = minimize(recorded("scipy"), np.array(x0), method="Nelder-Mead",
+                        options={"maxfev": budget, "xatol": 1e-6, "fatol": 1e-9,
+                                 "adaptive": False})
     assert np.array_equal(x, want.x)
     assert calls == want.nfev == len(seen["ours"]) == len(seen["scipy"])
     assert np.array_equal(seen["ours"], seen["scipy"])
