@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 simulation/runtime failure, 2 validation failure.
 Reports are single JSON documents with a schema_version field; trajectory
 tables are CSV with header ``t,out_x,out_z,input_fidelity`` at 17
 significant digits, in program units (ħ=1, energy unit = drive amplitude A,
-so t is in units of 1/A).
+so t is in units of 1/A).  With --traj, one propagator stack gives the tables
+and the report's U(tau), and equal tables are formatted once.
 """
 
 from __future__ import annotations
@@ -58,22 +59,24 @@ def _emit(report: dict, output: str | None) -> None:
         click.echo(text)
 
 
-def _write_trajectories(kind: str, params, traj_dir: str) -> list[str]:
+def _write_trajectories(kind: str, params, traj_dir: str) -> tuple[list[str], np.ndarray]:
     directory = Path(traj_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    spec = neurons.make_spec(kind, params, (0, 1), 2)
-    trajectories = neurons.record_trajectory(spec)
+    trajectories = neurons.record_trajectory(neurons.make_spec(kind, params, (0, 1), 2))
     block = np.empty((len(trajectories[0].times), 4), dtype=object)
     block[:, 0] = ("%.17g\n" * len(block) % tuple(trajectories[0].times.tolist())).split()
     rows = _TRAJ_ROW.replace("%.17g", "%s", 1) * len(block)  # shared t, formatted once
-    paths = []
+    paths, texts = [], {}  # each distinct trajectory's text, by its columns' bits
     for label, traj in zip(BELL_LABELS, trajectories):
         slug = label.lower().replace("+", "_plus").replace("-", "_minus")
         path = directory / f"trajectory_{slug}.csv"
-        block[:, 1:] = np.column_stack((traj.output_x, traj.output_z, traj.input_fidelity))
-        path.write_text(TRAJ_HEADER + "\n" + rows % tuple(block.ravel().tolist()))
+        columns = np.column_stack((traj.output_x, traj.output_z, traj.input_fidelity))
+        if (key := columns.tobytes()) not in texts:
+            block[:, 1:] = columns
+            texts[key] = TRAJ_HEADER + "\n" + rows % tuple(block.ravel().tolist())
+        path.write_text(texts[key])
         paths.append(str(path))
-    return paths
+    return paths, trajectories[0].propagator
 
 
 def _neuron_report(
@@ -81,12 +84,13 @@ def _neuron_report(
     traj: str | None, output: str | None, command: str,
 ) -> None:
     started = time.perf_counter()
+    artifacts, bare = _write_trajectories(kind, params, traj) if traj else ([], None)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "seed": seed,
         "parameters": dataclasses.asdict(params),
-        "fidelity": dataclasses.asdict(neurons.fidelity_report(kind, params)),
+        "fidelity": dataclasses.asdict(neurons.fidelity_report(kind, params, bare)),
     }
     if tune:
         result = parameters.tune(params, kind, budget=budget, seed=seed)
@@ -98,7 +102,7 @@ def _neuron_report(
             "evaluations": result.evaluations,
             "budget_exhausted": result.budget_exhausted,
         }
-    report["artifacts"] = _write_trajectories(kind, params, traj) if traj else []
+    report["artifacts"] = artifacts
     report["timing_seconds"] = time.perf_counter() - started
     _emit(report, output)
 

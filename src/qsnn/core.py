@@ -629,14 +629,18 @@ def evolve_sampled(
     hamiltonian: TimeDependentHamiltonian,
     times: Sequence[float],
     tol: float = 1e-9,
+    final: list | None = None,
 ) -> np.ndarray:
-    """Each state's amplitudes at `times` of one evolution from t=0, shape
-    (len(states), len(times), 2^n), from one propagator stack and block."""
+    """Each state's amplitudes at `times` from t=0, (len(states), len(times), 2^n), from one
+    stack and block; a list `final` receives its last row (on H's support), checked unitary."""
     registers = {state.num_qubits for state in states}
     if len(registers) != 1:
         raise DimensionMismatchError(f"states on {len(registers)} registers, not one")
     support, local = _local_propagators(hamiltonian, times, tol, "auto", *registers)
     evolved = apply_local(local, support, np.stack([s.amplitudes for s in states], 1))
+    if final is not None:  # a read-only copy, so that the stack is freed
+        final.append(read_only(local[-1].copy()))
+        check_isometry(final[-1])
     return _normalized(np.ascontiguousarray(evolved.transpose(2, 0, 1)))
 
 

@@ -353,6 +353,11 @@ class NeuronSpec:
         return self.corrections[:i], self.corrections[i + 1:]
 
 
+def check_spec(spec) -> None:  # the one check of each function that takes a spec
+    if not isinstance(spec, NeuronSpec):
+        raise InvalidParamsError(f"expected a NeuronSpec, got {spec!r}")
+
+
 def default_corrections(kind: str, params) -> tuple:
     """Analytic correction-gate sequence on the output qubit.
 
@@ -453,6 +458,7 @@ _BUILDERS = {
 def build_hamiltonian(
     spec: NeuronSpec, num_qubits: int = 3, targets: Sequence[int] | None = None
 ) -> TimeDependentHamiltonian:
+    check_spec(spec)
     if targets is None:
         targets = spec.targets
     return _BUILDERS[spec.kind](spec.params, num_qubits, targets)
@@ -464,6 +470,7 @@ def apply_neuron(state: StateVector, spec: NeuronSpec) -> StateVector:
     This evolves the state through the neuron's Hamiltonian on its own
     qubits; it is the reference the tests hold network.run against.
     """
+    check_spec(spec)
     pre, post = spec.gates
     for gate in pre:
         state = core.apply_gate(state, gate, spec.output_qubit)
@@ -482,10 +489,11 @@ def _output_gates(gates) -> np.ndarray:
     return core.embed_matrix(m, (2,), 3)
 
 
-def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9) -> DenseOperator:
-    """The corrected neuron's 8-dim unitary on (input1, input2, output)."""
-    hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
-    u = core.propagator(hamiltonian, spec.params.UNIT_TAU, tol).matrix
+def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9, bare=None) -> DenseOperator:
+    """The corrected 8-dim unitary on (input1, input2, output); bare: U(UNIT_TAU) if known."""
+    check_spec(spec)
+    u = (core.propagator(build_hamiltonian(spec, 3, (0, 1, 2)), spec.params.UNIT_TAU, tol)
+         if bare is None else DenseOperator(bare)).matrix
     pre, post = spec.gates
     op = DenseOperator(_output_gates(post) @ u @ _output_gates(pre))
     op.assert_unitary()
@@ -558,11 +566,11 @@ def _ideal_matrix(kind: str, stay: complex, flip_back: complex) -> np.ndarray:
     return u
 
 
-def fidelity_report(kind: str, params) -> fidelity.FidelityReport:
-    """Fidelity of the default-corrected neuron on its protocol subspace."""
+def fidelity_report(kind: str, params, bare=None) -> fidelity.FidelityReport:
+    """Fidelity of the default-corrected neuron on its protocol subspace; see neuron_unitary."""
     spec = make_spec(kind, params, (0, 1), 2)
     return fidelity.average_fidelity(
-        neuron_unitary(spec),
+        neuron_unitary(spec, bare=bare),
         ideal_unitary(kind, params),
         protocol_subspace(kind, params),
     )
@@ -619,13 +627,14 @@ class FidelityModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled bare-evolution observables for one Bell input, at times from
-    0 to the neuron's UNIT_TAU in units of 1/A, whatever the amplitude A."""
+    """Sampled bare-evolution observables for one Bell input, at times from 0
+    to UNIT_TAU in units of 1/A, whatever A, and the bare U(UNIT_TAU) reached."""
 
     times: np.ndarray
     output_x: np.ndarray
     output_z: np.ndarray
     input_fidelity: np.ndarray
+    propagator: np.ndarray
 
 
 def record_trajectory(
@@ -633,8 +642,8 @@ def record_trajectory(
     input_labels: Sequence[str] = BELL_LABELS,
     samples: int = DEFAULT_TRAJECTORY_SAMPLES,
 ) -> list[Trajectory]:
-    """Bare (correction-free) evolution from |input⟩|↓⟩ on 3 qubits, one
-    Trajectory per input label, all from one core.evolve_sampled call.
+    """Bare evolution from |input⟩|↓⟩ on 3 qubits: one Trajectory per input label,
+    all from one core.evolve_sampled stack, which ends at their shared propagator.
 
     input_fidelity is the overlap with the initial state after tracing out
     the output flip: ⟨Ψ(t)| (|Ψ₀⟩⟨Ψ₀| + X₃|Ψ₀⟩⟨Ψ₀|X₃) |Ψ(t)⟩.
@@ -647,9 +656,8 @@ def record_trajectory(
             f"input_labels must list Bell labels, got {input_labels!r}")
     hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
     starts = [bell_state(label).tensor(StateVector.all_down(1)) for label in labels]
-    times = np.linspace(0.0, spec.params.UNIT_TAU, samples)
-    trajectories = []
-    for psi0, amps in zip(starts, core.evolve_sampled(starts, hamiltonian, times)):
+    times, final, trajectories = np.linspace(0.0, spec.params.UNIT_TAU, samples), [], []
+    for psi0, amps in zip(starts, core.evolve_sampled(starts, hamiltonian, times, final=final)):
         flipped = core.apply_gate(psi0, ("not_x",), 2)
         # The output is qubit 2, the least significant index bit.
         down, up = amps[:, 0::2], amps[:, 1::2]
@@ -660,7 +668,7 @@ def record_trajectory(
             + np.abs(amps @ flipped.amplitudes.conj()) ** 2, 0.0, None
         )
         # Its own copy, so that editing one Trajectory leaves the others.
-        trajectories.append(Trajectory(times.copy(), out_x, out_z, in_f))
+        trajectories.append(Trajectory(times.copy(), out_x, out_z, in_f, final[0]))
     return trajectories
 
 

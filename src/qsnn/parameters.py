@@ -107,8 +107,7 @@ class DetuningReport:
 
 def detuning_report(spec: NeuronSpec) -> DetuningReport:
     """Detuning-to-drive ratios, from the energies in units of the drive."""
-    if not isinstance(spec, NeuronSpec):
-        raise InvalidParamsError(f"detuning_report needs a NeuronSpec, got {spec!r}")
+    neurons.check_spec(spec)
     p = spec.params
     if spec.kind == "phase":
         return DetuningReport("phase", {"two_delta": 2 * p.in_drive_units[1]})

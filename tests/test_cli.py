@@ -283,7 +283,7 @@ class TestNeuronCommands:
 
     def test_trajectories_share_one_propagator_stack(self, runner, tmp_path,
                                                      monkeypatch):
-        # One propagator for the report, one stack for all four inputs.
+        # One stack for all four inputs, whose last row is the report's U(tau).
         calls = []
         local_propagators = core._local_propagators
 
@@ -297,7 +297,43 @@ class TestNeuronCommands:
                    str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["exc", "--k", "6", "--l", "10"],
+        ["exc", "--k", "8", "--l", "17"],
+        ["phase", "--m", "3", "--n", "82"],
+    ])
+    def test_trajectory_report_reads_the_plain_fidelity(self, runner, tmp_path,
+                                                       args):
+        # U(tau) from the trajectory stack's last row gives the report the
+        # fidelity that a propagation of tau alone gives.
+        plain = _json_out(runner.invoke(main, ["neuron", *args]))
+        traj = _json_out(runner.invoke(
+            main, ["neuron", *args, "--traj", str(tmp_path)]))
+        assert traj["fidelity"] == plain["fidelity"]
+        assert list(traj) == list(plain)
+
+    def test_excitation_csvs_are_the_row_format_byte_for_byte(self, runner,
+                                                              tmp_path):
+        # Phi+ and Phi- are the same trajectory for the excitation neuron:
+        # its text is formatted once and written to both files.
+        result = runner.invoke(
+            main, ["neuron", "exc", "--k", "6", "--l", "10", "--traj",
+                   str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        spec = neurons.make_spec("excitation", parameters.solve_exc(6, 10),
+                                 (0, 1), 2)
+        slugs = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+        texts = []
+        for slug, traj in zip(slugs, neurons.record_trajectory(spec)):
+            rows = zip(traj.times, traj.output_x, traj.output_z,
+                       traj.input_fidelity)
+            expected = TRAJ_HEADER + "\n" + "".join(_TRAJ_ROW % row for row in rows)
+            texts.append((tmp_path / f"trajectory_{slug}.csv").read_bytes())
+            assert texts[-1] == expected.encode()
+        assert texts[0] == texts[1] and len(set(texts)) == 3
         assert len(sorted(tmp_path.glob("trajectory_*.csv"))) == 4
 
 

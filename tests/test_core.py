@@ -360,6 +360,39 @@ class TestFastPaths:
             alone = core.evolve_sampled([state], ham, times)[0]
             assert np.array_equal(amplitudes, alone)
 
+    @pytest.mark.parametrize("ham", [
+        _h_exc(6, 10),
+        _h_final("detect_downdown", "rotating"),
+        neurons.build_phase_hamiltonian(parameters.solve_phase(3, 82)),
+        core.TimeDependentHamiltonian(
+            3, (core.StaticTerm(2.0, ((0, "X"), (1, "Y"))),), ()),
+    ], ids=["floquet", "rotating", "static", "embedded"])
+    def test_sampled_final_is_the_propagator(self, ham):
+        # The stack's last row, handed back on H's support, is propagator's
+        # U(t_max) bit for bit, and read-only.
+        times, final = np.linspace(0.0, TAU_EXC, 300), []
+        states = [core.StateVector.all_down(3)]
+        block = core.evolve_sampled(states, ham, times, final=final)
+        (u,) = final
+        full = core.embed_matrix(u, ham.support(), 3)
+        assert np.array_equal(full, core.propagator(ham, TAU_EXC).matrix)
+        assert np.array_equal(block, core.evolve_sampled(states, ham, times))
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
+    def test_sampled_final_unitarity_checked(self, monkeypatch):
+        local_propagators = core._local_propagators
+
+        def drifting(*args):
+            support, local = local_propagators(*args)
+            local[-1] *= 1.001
+            return support, local
+
+        monkeypatch.setattr(core, "_local_propagators", drifting)
+        with pytest.raises(errors.NormDriftError, match="unitarity"):
+            core.evolve_sampled([bell_with_output("Phi+", 0)], _h_exc(),
+                                [0.5, 1.0], final=[])
+
     def test_sampled_norm_drift_raises(self, monkeypatch):
         local_propagators = core._local_propagators
 

@@ -379,6 +379,24 @@ class TestTrajectories:
         first.times[:] = 0.0
         assert second.times[-1] == math.pi
 
+    @pytest.mark.parametrize("kind, params", [
+        ("excitation", parameters.solve_exc(6, 10)),
+        ("excitation", parameters.solve_exc(8, 17)),
+        ("phase", parameters.solve_phase(3, 82)),
+    ])
+    def test_propagator_is_the_bare_unitary(self, kind, params):
+        # Every Trajectory of one call carries the stack's last row, the bare
+        # U(tau) that neuron_unitary would propagate, bit for bit, read-only.
+        spec = neurons.make_spec(kind, params, (0, 1), 2)
+        trajectories = neurons.record_trajectory(spec)
+        bare = core.propagator(neurons.build_hamiltonian(spec), params.UNIT_TAU)
+        assert all(t.propagator is trajectories[0].propagator for t in trajectories)
+        assert np.array_equal(trajectories[0].propagator, bare.matrix)
+        assert not trajectories[0].propagator.flags.writeable
+        assert np.array_equal(
+            neurons.neuron_unitary(spec, bare=trajectories[0].propagator).matrix,
+            neurons.neuron_unitary(spec).matrix)
+
     @pytest.mark.parametrize("bad", [
         {"samples": 1}, {"samples": 2.5}, {"samples": "x"}, {"samples": True},
         {"input_labels": "Phi+"}, {"input_labels": ()},
@@ -485,6 +503,31 @@ class TestSpecValidation:
         spec = neurons.make_spec(kind, params, inputs, output, corrections)
         with pytest.raises(errors.OutOfBoundsError):
             neurons.apply_neuron(core.StateVector.all_down(3), spec)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: neurons.record_trajectory(spec),
+        lambda spec: neurons.neuron_unitary(spec),
+        lambda spec: neurons.neuron_unitary(spec=spec, tol=1e-9),
+        lambda spec: neurons.neuron_unitary(spec, bare=np.eye(8)),
+        lambda spec: neurons.spectrum_report(spec),
+        lambda spec: neurons.build_hamiltonian(spec),
+        lambda spec: neurons.apply_neuron(5, spec),
+        lambda spec: neurons.apply_neuron(core.StateVector.all_down(3), spec=spec),
+        lambda spec: parameters.detuning_report(spec),
+    ], ids=["record_trajectory", "neuron_unitary", "neuron_unitary-keyword",
+            "neuron_unitary-bare", "spectrum_report", "build_hamiltonian",
+            "apply_neuron", "apply_neuron-keyword", "detuning_report"])
+    @pytest.mark.parametrize("spec", [5, None, "excitation", (0, 1, 2)])
+    def test_wrong_typed_spec_rejected(self, call, spec):
+        with pytest.raises(errors.InvalidParamsError, match="expected a NeuronSpec"):
+            call(spec)
+
+    @pytest.mark.parametrize("bare", ["x", [[1.0, 2.0]], np.ones((8, 8)),
+                                      2 * np.eye(8)])
+    def test_malformed_bare_unitary_rejected(self, exc_8_17, bare):
+        spec = neurons.make_spec("excitation", exc_8_17, (0, 1), 2)
+        with pytest.raises(errors.QsnnError):
+            neurons.neuron_unitary(spec, bare=bare)
 
     def test_empty_corrections_mean_bare_evolution(self, exc_8_17):
         bare = neurons.make_spec("excitation", exc_8_17, (0, 1), 2, ())
