@@ -93,7 +93,8 @@ def _neuron_report(
         "fidelity": dataclasses.asdict(neurons.fidelity_report(kind, params, bare)),
     }
     if tune:
-        result = parameters.tune(params, kind, budget=budget, seed=seed)
+        result = parameters.tune(params, kind, budget=budget, seed=seed,
+                                 f0=report["fidelity"]["f_avg"])
         report["tune"] = {
             "initial_params": dataclasses.asdict(result.initial_params),
             "tuned_params": dataclasses.asdict(result.tuned_params),

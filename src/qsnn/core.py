@@ -491,10 +491,12 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
 def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     """U(t) = U(t mod T) U(T)^floor(t/T) into out, for a drive of period T.
 
-    Only [0, min(T, t_max)] is propagated (Shirley, Phys. Rev. 138, B979,
+    Only [0, min(S, t_max)] is propagated (Shirley, Phys. Rev. 138, B979,
     1965): a running product of equal Magnus steps of at most T/n, then one
     shorter step from the node below to each phase t mod T (phases merged
     where they differ by roundoff), _MAGNUS_CHUNK exponentials at a time.
+    A real H has H(T - t) = H(t) = H(t)^T: S = T/2, U(T) = V^T V for V = U(T/2),
+    and U(p) = conj(U(T - p)) U(T) for p > T/2.  A complex H (one Y) spans S = T.
     With a the drive amplitude, |H| <= |H_s| + a and P periods spanned (to roundoff),
     n = max(|H| T, (P C a T (2 pi + |H| T)^5 / tol)^(1/6)), C = _MAGNUS_ERROR:
     one period errs by about C a T (2 pi + |H| T)^5 / n^6, and C is ten times
@@ -502,14 +504,17 @@ def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     """
     (drive,) = drives
     period = 2.0 * math.pi / abs(drive[1])
+    real = not (static.imag.any() or drive[3].imag.any())  # H(T - t) = H(t) = H(t)^T
     roundoff = 16 * times[-1] * np.finfo(float).eps
     turns, phase = np.divmod(times, period)
     full = phase > period - roundoff  # t mod T within roundoff of T: next turn
     turns[full], phase[full] = turns[full] + 1, 0.0
+    folded = real & (phase > period / 2.0 + roundoff)  # U(p) = conj(U(T - p)) U(T)
+    phase[folded] = period - phase[folded]
     grid, index = np.unique(phase, return_inverse=True)
     first = np.diff(grid, prepend=-math.inf) > roundoff  # the largest of a run
     grid, index = grid[np.append(first[1:], True)], np.cumsum(first)[index] - 1
-    span = min(period, times[-1])
+    span = min(period / 2.0 if real else period, times[-1])
     norm = (abs(drive[0]) + np.abs(np.linalg.eigvalsh(static)).max()) * period
     spanned = math.ceil((times[-1] - roundoff) / period)  # P of the step rule
     steps = max(norm, (spanned * _MAGNUS_ERROR * abs(drive[0]) * period
@@ -527,11 +532,13 @@ def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
         left = nodes[below[short]]
         for cut, running in _magnus_exponentials(static, drive, left, grid[short] - left, basis):
             within[short[cut]] = running @ within[short[cut]]
+    whole = chain[-1].T @ chain[-1] if real else chain[-1]  # U(T) wherever it is used
     out[:] = within[index]
+    out[folded] = out[folded].conj() @ whole
     values, starts = np.unique(turns, return_index=True)  # times increase: slices
     for turn, lo, hi in zip(values, starts, [*starts[1:], len(turns)]):
         block = out[lo:hi].reshape(-1, len(static))  # a view: one 2-D product
-        block[:] = block @ np.linalg.matrix_power(chain[-1], int(turn))
+        block[:] = block @ np.linalg.matrix_power(whole, int(turn))
 
 
 def _local_propagators(

@@ -27,6 +27,7 @@ from .core import (
     bell_state,
 )
 from .errors import (
+    DimensionMismatchError,
     HierarchyViolationError,
     InvalidParamsError,
     NonPythagoreanError,
@@ -494,6 +495,8 @@ def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9, bare=None) -> DenseOpera
     check_spec(spec)
     u = (core.propagator(build_hamiltonian(spec, 3, (0, 1, 2)), spec.params.UNIT_TAU, tol)
          if bare is None else DenseOperator(bare)).matrix
+    if u.shape != (8, 8):
+        raise DimensionMismatchError(f"bare U must be 8x8, got {u.shape[0]}x{u.shape[1]}")
     pre, post = spec.gates
     op = DenseOperator(_output_gates(post) @ u @ _output_gates(pre))
     op.assert_unitary()

@@ -204,7 +204,8 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float = 1e-6, fatol: float = 1e-9):
 
 
 def tune(
-    initial, kind: str, budget: int = 300, seed: int | None = None
+    initial, kind: str, budget: int = 300, seed: int | None = None,
+    f0: float | None = None,
 ) -> TuneResult:
     """Simplex tuning of the continuous constraint parameters.
 
@@ -214,20 +215,23 @@ def tune(
     at points x = (m, n) or (k, l), valid by construction: the box is
     clipped and feasible() clamps to the phase neuron's hierarchy floors or
     to the excitation neuron's l > k, so the class checks run on the start
-    and on the returned point.  Each distinct point is scored once, so the
-    start (the first vertex) and the returned vertex cost no extra call:
-    the model runs at most `evaluations` times.  The initial and final
-    fidelities come from the same model, within 1e-15 of
-    neurons.fidelity_report.  The search is deterministic; the seed is
-    accepted for interface uniformity.
+    and on the returned point.  Each distinct point is scored once, the
+    start (the first vertex) by f0 when given (the CLI passes its report's
+    f_avg, so initial_fidelity is that f_avg), else by the model, which is
+    within 1e-15 of neurons.fidelity_report: the model runs at most
+    `evaluations` times.  The search is deterministic; the seed is accepted
+    for interface uniformity.
     """
     if type(budget) is not int or budget < 1:
         raise InvalidParamsError(f"budget must be an int of at least 1, got {budget!r}")
+    if f0 is not None:
+        _check_real(f0=f0)
     model = neurons.FidelityModel(kind, initial)  # rejects any other kind
     x0 = tuple(float(getattr(initial, f)) for f in model.fields)
     lo = tuple(v * (1 - TUNE_BOX_FRACTION) for v in x0)
     hi = tuple(v * (1 + TUNE_BOX_FRACTION) for v in x0)
-    score = cache(model)  # each distinct point costs one model call
+    # Each distinct point costs one model call; a given f0 scores the start.
+    score = cache(lambda x: f0 if x == x0 and f0 is not None else model(x))
 
     def feasible(x):
         a, b = (min(max(v, low), high) for v, low, high in zip(x, lo, hi))
@@ -244,18 +248,18 @@ def tune(
         dm, dn = x[0] - clipped[0], x[1] - clipped[1]
         return -score(clipped) + (dm * dm + dn * dn)
 
-    f0 = score(x0)
-    # The simplex's budget leaves out f0, though its first vertex is x0.
+    start = score(x0)
+    # The simplex's budget leaves out the start, though its first vertex is x0.
     maxfev = max(budget - 1, 1)
     x, count = _nelder_mead(objective, x0, maxfev)
     best_x = feasible(x)
     best_f = score(best_x)
-    if best_f < f0:
-        best_x, best_f = x0, f0
+    if best_f < start:
+        best_x, best_f = x0, start
     return TuneResult(
         initial_params=initial,
         tuned_params=model.params_at(best_x),
-        initial_fidelity=f0,
+        initial_fidelity=start,
         final_fidelity=best_f,
         evaluations=count,
         budget_exhausted=count >= maxfev,

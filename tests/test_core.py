@@ -505,13 +505,16 @@ class TestMagnus:
         u = core.propagator(MAGNUS_CASES[case](), TAU_EXC).matrix
         assert _max_diff(u, _tight_ode(case)) <= 1e-10
 
-    @pytest.mark.parametrize("k, l, n, phases", [(6, 10, 85, 333), (8, 17, 95, 999)])
-    def test_sampled_stack_steps_once_per_phase(self, k, l, n, phases, monkeypatch):
+    @pytest.mark.parametrize("k, l, n, short", [(6, 10, 43, 166), (8, 17, 48, 498)])
+    def test_sampled_stack_steps_once_per_phase(self, k, l, n, short, monkeypatch):
         # 1,000 times over tau hold 726 distinct floats t mod T at (6,10),
-        # but only 333 phases beyond roundoff; at (8,17) all 999 differ.  One
-        # period is a chain of n equal steps, the only running product; each
-        # phase off a chain node then takes one shorter step from the node
-        # below it, exponentiated and applied _MAGNUS_CHUNK at a time.
+        # but only 333 phases beyond roundoff; at (8,17) all 999 differ.  H is
+        # real, so half a period is a chain of n equal steps, the only running
+        # product, and a phase p above T/2 is folded to T - p.  Each folded
+        # phase lands on one below T/2, so (6,10) keeps 167 phases and (8,17)
+        # 500; each off a chain node (all but 0, and at (8,17) also 333T/999)
+        # takes one shorter step from the node below it, exponentiated and
+        # applied _MAGNUS_CHUNK at a time.
         calls, chunks = [], []
         exponentials, taylor = core._magnus_exponentials, core._expm_taylor
 
@@ -531,12 +534,11 @@ class TestMagnus:
         period = TAU_EXC / k  # tau is k drive periods
         assert len(steps) == n
         assert nodes[0] == 0.0 and np.allclose(nodes[1:], np.cumsum(steps)[:-1])
-        assert steps.sum() == pytest.approx(period, rel=1e-14)
+        assert steps.sum() == pytest.approx(period / 2, rel=1e-14)
         assert np.isin(left, nodes).all()
         assert width.min() > 0.0 and width.max() < steps.min()
-        # The phase T itself is the chain's last node and takes no step.
-        assert len(width) == phases - 1
-        assert sum(chunks) == n + phases - 1 and max(chunks) <= core._MAGNUS_CHUNK
+        assert len(width) == short
+        assert sum(chunks) == n + short and max(chunks) <= core._MAGNUS_CHUNK
         _, ode = core._local_propagators(ham, times, 1e-11, "ode")
         assert _max_diff(fast, ode) <= 1e-9
 
@@ -557,6 +559,59 @@ class TestMagnus:
         core.propagator(_h_exc(k, l), TAU_EXC)
         assert len(calls) == len(bases) == 1
         assert powers == [k]
+
+    @staticmethod
+    def _edges(period):
+        """Strictly increasing times within a few ulps of T/2, T and 3T/2."""
+        times = []
+        for edge in (period / 2, period, 1.5 * period):
+            below = np.nextafter(np.nextafter(edge, 0.0), 0.0)
+            above = np.nextafter(np.nextafter(edge, np.inf), np.inf)
+            times += [below, np.nextafter(below, np.inf), edge,
+                      np.nextafter(edge, np.inf), above]
+        return np.array(times)
+
+    @pytest.mark.parametrize("case", ["exc-3-5", "local_field-29-15"])
+    @pytest.mark.parametrize("span", [
+        "inside-second-half", "one-time-in-second-half", "several-periods",
+        "near-half-and-whole-periods"])
+    def test_folded_phases_match_ode(self, case, span):
+        # For a real H a phase p in (T/2, T) is U(p) = conj(U(T - p)) U(T),
+        # from the half-period chain; the fold must hold wherever a sample
+        # falls, roundoff from T/2 or T included.
+        ham = MAGNUS_CASES[case]()
+        (drive,) = [d for d in ham.drive_terms if d.form == "cosine_x"]
+        period = 2.0 * math.pi / abs(drive.angular_frequency)
+        times = {
+            "inside-second-half": np.linspace(0.0, 0.8 * period, 57),
+            "one-time-in-second-half": np.array([0.7 * period]),
+            "several-periods": np.linspace(0.0, 3.4 * period, 301),
+            "near-half-and-whole-periods": self._edges(period),
+        }[span]
+        _, fast = core._local_propagators(ham, times, 1e-9)
+        _, ode = core._local_propagators(ham, times, 1e-11, "ode")
+        assert _max_diff(fast, ode) <= 1e-9
+
+    @pytest.mark.parametrize("axes, span", [(("Y", "Y"), 0.5), (("Y", "I"), 1.0)])
+    def test_chain_spans_half_a_period_only_for_a_real_h(self, axes, span, monkeypatch):
+        # Y Y is real, so the chain spans T/2; a static term with one Y makes
+        # H complex, H(t)^T != H(t), and the chain spans the whole period.
+        calls = []
+        exponentials = core._magnus_exponentials
+        monkeypatch.setattr(core, "_magnus_exponentials",
+                            lambda *args: calls.append(args[3]) or exponentials(*args))
+        factors = tuple((q, a) for q, a in enumerate(axes) if a != "I")
+        ham = core.TimeDependentHamiltonian(2, (
+            core.StaticTerm(0.8, factors),
+            core.StaticTerm(0.6, ((0, "X"), (1, "X"))),
+            core.StaticTerm(0.3, ((1, "Z"),)),
+        ), (core.DriveTerm(1.1, 3.0, 1, "cosine_x"),))
+        period = 2.0 * math.pi / 3.0
+        times = np.linspace(0.0, 1.7 * period, 40)
+        _, fast = core._local_propagators(ham, times, 1e-9)
+        assert calls[0].sum() == pytest.approx(span * period, rel=1e-14)
+        _, ode = core._local_propagators(ham, times, 1e-11, "ode")
+        assert _max_diff(fast, ode) <= 1e-9
 
     def test_magnus_path_takes_no_eigendecomposition(self, monkeypatch):
         def eigh(*args, **kwargs):

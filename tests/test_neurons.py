@@ -529,6 +529,14 @@ class TestSpecValidation:
         with pytest.raises(errors.QsnnError):
             neurons.neuron_unitary(spec, bare=bare)
 
+    @pytest.mark.parametrize("size", [1, 2, 4, 16])
+    def test_bare_unitary_of_another_size_rejected(self, exc_8_17, size):
+        # A square, unitary bare U that is not 8x8 is refused before the
+        # correction gates' 8x8 product is taken.
+        spec = neurons.make_spec("excitation", exc_8_17, (0, 1), 2)
+        with pytest.raises(errors.DimensionMismatchError, match="8x8"):
+            neurons.neuron_unitary(spec, bare=np.eye(size))
+
     def test_empty_corrections_mean_bare_evolution(self, exc_8_17):
         bare = neurons.make_spec("excitation", exc_8_17, (0, 1), 2, ())
         marked = neurons.make_spec("excitation", exc_8_17, (0, 1), 2,

@@ -239,6 +239,27 @@ class TestTune:
         assert len(calls) <= result.evaluations <= budget
         assert len(set(calls)) == len(calls)
 
+    @pytest.mark.parametrize("kind, a, b", [("phase", 3, 82), ("excitation", 40, 41)])
+    def test_given_f0_scores_the_start(self, kind, a, b, monkeypatch):
+        # The CLI hands its report's f_avg to the tuner as f0: that is the
+        # initial fidelity exactly, and the start costs no model call.
+        start = (parameters.solve_phase if kind == "phase" else parameters.solve_exc)(a, b)
+        f0 = neurons.fidelity_report(kind, start).f_avg
+        calls = []
+        score = neurons.FidelityModel.__call__
+        monkeypatch.setattr(neurons.FidelityModel, "__call__",
+                            lambda model, x: calls.append(x) or score(model, x))
+        result = parameters.tune(start, kind, budget=40, f0=f0)
+        x0 = (float(a), float(b))
+        assert result.initial_fidelity == f0
+        assert x0 not in calls and len(set(calls)) == len(calls)
+        assert result.final_fidelity > f0 and len(calls) < result.evaluations <= 40
+
+    @pytest.mark.parametrize("f0", ["x", math.nan, math.inf, True, [0.9]])
+    def test_f0_must_be_a_finite_real(self, exc_8_17, f0):
+        with pytest.raises(errors.InvalidParamsError, match="f0"):
+            parameters.tune(exc_8_17, "excitation", budget=5, f0=f0)
+
     @pytest.mark.parametrize("m, n", [(2, 20), (3, 30), (6, 60)])
     def test_hierarchy_floor_start(self, m, n):
         # The +-2% box around a start on 4m = floor_4m or 2n = 5*4m reaches
