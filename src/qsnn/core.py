@@ -143,12 +143,14 @@ class StateVector:
         return cls.from_bits([0] * num_qubits)
 
     def tensor(self, other: "StateVector") -> "StateVector":
+        check_type(StateVector, other)
         return StateVector(
             self.num_qubits + other.num_qubits,
             np.kron(self.amplitudes, other.amplitudes),
         )
 
     def overlap(self, other: "StateVector") -> complex:
+        check_type(StateVector, other)
         if self.num_qubits != other.num_qubits:
             raise DimensionMismatchError("register sizes differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -170,7 +172,7 @@ def bell_state(label: str) -> StateVector:
 def check_isometry(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> None:
     """Raise NormDriftError unless M†M = I within tol in every entry."""
     gram = matrix.conj().T @ matrix
-    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    gram.reshape(-1)[::len(gram) + 1] -= 1.0  # the diagonal; a view, as gram is a new array
     drift = np.abs(gram).max()
     if not drift < tol:  # also true for a NaN drift
         raise NormDriftError(f"operator failed the unitarity check: "
@@ -384,6 +386,7 @@ def apply_local(
 
 def embed_matrix(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
     """Embed an operator on `targets` (in that order) into the full register."""
+    _check_register(num_qubits)
     return apply_local(op, targets, np.eye(2**num_qubits, dtype=complex))
 
 
@@ -415,9 +418,10 @@ def _integrate(static: np.ndarray, drives, t_eval: np.ndarray, tol: float):
 
 
 def _eigh_propagators(h: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
-    """exp(-i t H) for each t into out, from one eigendecomposition of H."""
-    energies, vectors = np.linalg.eigh(h)
-    phases = np.exp(-1j * np.outer(times, energies))
+    """exp(-itH) = (V e^{-itE}) V† for each t into out, from one eigendecomposition H = V E V†
+    of h.real by the real symmetric solver (V† = V^T) when H has no imaginary entry, else of H."""
+    energies, vectors = np.linalg.eigh(h.real if h.dtype.kind == "c" and not h.imag.any() else h)
+    phases = np.exp(-1j * (times[:, None] * energies))
     np.matmul(vectors * phases[:, None, :], vectors.conj().T, out=out)
 
 
@@ -565,6 +569,7 @@ def _local_propagators(
     method "ode" forces the integrator.  num_qubits, when given, is the
     register size of the state the propagators will act on.
     """
+    check_type(TimeDependentHamiltonian, hamiltonian)
     try:
         times = np.atleast_1d(np.asarray(times, dtype=float))
     except (TypeError, ValueError, OverflowError):
@@ -624,6 +629,7 @@ def evolve(
     exists and the adaptive integrator otherwise; "ode" forces the
     integrator (useful for convergence studies).
     """
+    check_type(StateVector, state)
     support, local = _local_propagators(
         hamiltonian, duration, tol, method, state.num_qubits
     )
@@ -640,6 +646,7 @@ def evolve_sampled(
 ) -> np.ndarray:
     """Each state's amplitudes at `times` from t=0, (len(states), len(times), 2^n), from one
     stack and block; a list `final` receives its last row (on H's support), checked unitary."""
+    check_type(StateVector, *states)
     registers = {state.num_qubits for state in states}
     if len(registers) != 1:
         raise DimensionMismatchError(f"states on {len(registers)} registers, not one")
@@ -673,6 +680,7 @@ def piecewise_constant_evolve(
     step: float,
 ) -> StateVector:
     """Independent oracle: midpoint-sampled piecewise-constant exponentials."""
+    check_type(StateVector, state)
     op = piecewise_constant_propagator(hamiltonian, duration, step)
     if op.dim != state.amplitudes.size:
         raise DimensionMismatchError("operator/state dimensions differ")
@@ -692,6 +700,7 @@ def piecewise_constant_propagator(
     time order; the exponentials are taken _PIECEWISE_CHUNK steps per call."""
     from scipy.linalg import expm  # here, so that `import qsnn` loads no scipy
 
+    check_type(TimeDependentHamiltonian, hamiltonian)
     if not (is_finite_real(duration) and duration >= 0):
         raise InvalidParamsError(f"duration must be finite and >= 0, got {duration!r}")
     if not (is_finite_real(step) and step > 0):
@@ -718,6 +727,13 @@ def is_finite_real(x) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def check_type(kind: type, *values) -> None:
+    """Raise InvalidParamsError unless every value is an instance of `kind`."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise InvalidParamsError(f"expected a {kind.__name__}, got {value!r}")
 
 
 # The single-qubit gates: name -> (number of angles, 2x2 matrix of the
@@ -751,12 +767,14 @@ def gate_matrix(gate) -> np.ndarray:
 
 def apply_gate(state: StateVector, gate, target: int) -> StateVector:
     """Apply a single-qubit gate (name, *angles) on `target`."""
+    check_type(StateVector, state)
     amplitudes = apply_local(gate_matrix(gate), (target,), state.amplitudes)
     return StateVector(state.num_qubits, amplitudes)
 
 
 def expectation(state: StateVector, axis: str, qubit: int) -> float:
     """<psi| sigma^axis_qubit |psi>."""
+    check_type(StateVector, state)
     if axis not in PAULI:
         raise InvalidParamsError(f"unknown axis {axis!r}")
     block = split_targets(state.amplitudes, (qubit,))
@@ -771,6 +789,7 @@ class MeasureResult(NamedTuple):
 def measure(state: StateVector, qubit: int) -> MeasureResult:
     """Outcome probabilities of a computational-basis measurement of one
     qubit; network.back_action describes the state after an outcome."""
+    check_type(StateVector, state)
     _check_qubit(qubit, state.num_qubits)
     # Axis 1 of this view is the measured qubit (qubit 0 most significant).
     view = state.amplitudes.reshape(2**qubit, 2, -1)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseOperator, _is_index
+from .core import DenseOperator, _is_index, check_type
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -49,6 +49,15 @@ def _subspace_matrix(subspace: Sequence, dim: int) -> np.ndarray:
     return basis
 
 
+def _restricted(u_actual, u_ideal, subspace) -> tuple[np.ndarray, np.ndarray]:
+    """The checked subspace basis B and M = B†·u_ideal†·u_actual·B."""
+    check_type(DenseOperator, u_actual, u_ideal)
+    if u_actual.dim != u_ideal.dim:
+        raise DimensionMismatchError("operators must share dimension")
+    basis = _subspace_matrix(subspace, u_actual.dim)
+    return basis, basis.conj().T @ (u_ideal.matrix.conj().T @ u_actual.matrix) @ basis
+
+
 def average_fidelity(
     u_actual: DenseOperator,
     u_ideal: DenseOperator,
@@ -61,12 +70,8 @@ def average_fidelity(
     M̃ = P·u_actual·P.  Leakage out of the subspace is fully accounted for
     by the fidelity metric itself.
     """
-    if u_actual.dim != u_ideal.dim:
-        raise DimensionMismatchError("operators must share dimension")
-    basis = _subspace_matrix(subspace, u_actual.dim)
+    basis, m = _restricted(u_actual, u_ideal, subspace)
     d = basis.shape[1]
-    v = u_ideal.matrix.conj().T @ u_actual.matrix
-    m = basis.conj().T @ v @ basis
     f_avg = (float(np.trace(m @ m.conj().T).real) + abs(np.trace(m)) ** 2) / (
         d * (d + 1)
     )
@@ -95,13 +100,9 @@ def mc_average_fidelity(
     """
     if not (_is_index(n_samples) and n_samples >= 2):
         raise InvalidParamsError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
-    if u_actual.dim != u_ideal.dim:
-        raise DimensionMismatchError("operators must share dimension")
-    basis = _subspace_matrix(subspace, u_actual.dim)
+    basis, m = _restricted(u_actual, u_ideal, subspace)
     d = basis.shape[1]
     rng = np.random.default_rng(seed)
-    v = u_ideal.matrix.conj().T @ u_actual.matrix
-    m = basis.conj().T @ v @ basis
     coeffs = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     overlaps = np.einsum("si,ij,sj->s", coeffs.conj(), m, coeffs)

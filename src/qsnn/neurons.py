@@ -355,8 +355,7 @@ class NeuronSpec:
 
 
 def check_spec(spec) -> None:  # the one check of each function that takes a spec
-    if not isinstance(spec, NeuronSpec):
-        raise InvalidParamsError(f"expected a NeuronSpec, got {spec!r}")
+    core.check_type(NeuronSpec, spec)
 
 
 def default_corrections(kind: str, params) -> tuple:
@@ -482,12 +481,13 @@ def apply_neuron(state: StateVector, spec: NeuronSpec) -> StateVector:
     return state
 
 
-def _output_gates(gates) -> np.ndarray:
-    """A gate sequence on the output qubit (qubit 2) as an 8-dim matrix."""
+@functools.lru_cache(maxsize=128)
+def _output_gates(gates: tuple) -> np.ndarray:
+    """A gate sequence on the output qubit (qubit 2) as an 8-dim matrix, read-only."""
     m = np.eye(2, dtype=complex)
     for gate in gates:
         m = core.gate_matrix(gate) @ m
-    return core.embed_matrix(m, (2,), 3)
+    return core.read_only(core.embed_matrix(m, (2,), 3))
 
 
 def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9, bare=None) -> DenseOperator:
@@ -586,9 +586,9 @@ class FidelityModel:
     L = B†·U_ideal†·Post and R = Pre·B come from params_at(x) once per
     round(m), on which the phase ideal and post-phase gate depend; a call
     returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).  The phase H/B = 2n·(XX + YY +
-    γZZ) + 2m·X₂X₃ + Z₃ is an affine sum of three matrices built once, its U
-    from core.static_propagator; the excitation neuron builds params and H
-    per call for core.propagator.  U is checked unitary once per call.
+    γZZ) + 2m·X₂X₃ + Z₃ is an affine sum of three float64 matrices built once, so
+    core.static_propagator takes the real symmetric eigh; the excitation neuron
+    builds params and H per call for core.propagator.  U is checked unitary once per call.
     """
 
     def __init__(self, kind: str, start):
@@ -598,7 +598,7 @@ class FidelityModel:
         self.kind, self.start, self.projections = kind, start, {}
         self.fields = ("m", "n") if kind == "phase" else ("k", "l")
         if kind == "phase":
-            string = lambda *pairs: core._term_string(pairs, (0, 1, 2))  # noqa: E731
+            string = lambda *pairs: core._term_string(pairs, (0, 1, 2)).real.copy()  # noqa: E731
             self.terms = (string((0, "X"), (1, "X")) + string((0, "Y"), (1, "Y"))
                           + start.gamma * string((0, "Z"), (1, "Z")),
                           string((1, "X"), (2, "X")), string((2, "Z"),))
@@ -625,7 +625,7 @@ class FidelityModel:
                                      _output_gates(pre) @ basis)
         left, right = self.projections[key]
         m = left @ u @ right
-        return (np.vdot(m, m).real + abs(np.trace(m)) ** 2) / (len(m) * (len(m) + 1))
+        return (np.vdot(m, m).real + abs(m.trace()) ** 2) / (len(m) * (len(m) + 1))
 
 
 @dataclass(frozen=True)

@@ -228,13 +228,13 @@ def tune(
         _check_real(f0=f0)
     model = neurons.FidelityModel(kind, initial)  # rejects any other kind
     x0 = tuple(float(getattr(initial, f)) for f in model.fields)
-    lo = tuple(v * (1 - TUNE_BOX_FRACTION) for v in x0)
-    hi = tuple(v * (1 + TUNE_BOX_FRACTION) for v in x0)
+    lo_a, lo_b = (v * (1 - TUNE_BOX_FRACTION) for v in x0)
+    hi_a, hi_b = (v * (1 + TUNE_BOX_FRACTION) for v in x0)
     # Each distinct point costs one model call; a given f0 scores the start.
     score = cache(lambda x: f0 if x == x0 and f0 is not None else model(x))
 
     def feasible(x):
-        a, b = (min(max(v, low), high) for v, low, high in zip(x, lo, hi))
+        a, b = min(max(x[0], lo_a), hi_a), min(max(x[1], lo_b), hi_b)
         if kind == "phase":
             # A box around a floor start crosses 4m >= floor_4m or
             # 2n >= ratio_floor * 4m; raise m, then n, back onto the floor.

@@ -727,6 +727,54 @@ class TestStaticPath:
         self._check_against_expm(ham, times)
 
 
+@pytest.fixture
+def eigh_inputs(monkeypatch):
+    """The dtype of every matrix np.linalg.eigh decomposes while the test runs."""
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def spy(h, *args, **kwargs):
+        dtypes.append(h.dtype)
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return dtypes
+
+
+class TestRealKernel:
+    """A static H with no imaginary entry takes the real symmetric eigh, and the
+    output-gate matrices the phase tune reads are built once per gate tuple."""
+
+    def test_phase_model_and_propagator_decompose_a_real_matrix(self, eigh_inputs):
+        params = parameters.solve_phase(3, 82)
+        neurons.FidelityModel("phase", params)((3.0, 82.0))
+        core.propagator(neurons.build_phase_hamiltonian(params), params.UNIT_TAU)
+        assert eigh_inputs == [np.float64, np.float64]
+
+    def test_rotating_final_layer_decomposes_a_real_matrix(self, eigh_inputs):
+        ham = _h_final("detect_upup", "rotating")
+        u = core.propagator(ham, math.pi).matrix
+        assert eigh_inputs == [np.float64]
+        _, reference = core._local_propagators(ham, math.pi, 1e-12, method="ode")
+        assert _max_diff(u, reference[0]) <= 1e-9
+
+    def test_a_y_factor_keeps_the_complex_eigh(self, eigh_inputs):
+        ham = core.TimeDependentHamiltonian(2, (
+            core.StaticTerm(1.3, ((0, "X"), (1, "X"))),
+            core.StaticTerm(0.7, ((0, "Y"),)),
+            core.StaticTerm(-0.4, ((1, "Z"),)),
+        ))
+        TestStaticPath._check_against_expm(ham, [0.3, 1.0, 7.5])
+        assert eigh_inputs == [np.complex128]
+
+    def test_output_gates_are_built_once_per_gate_tuple(self):
+        gates = (("hadamard",), ("phase", 0.25))
+        first = neurons._output_gates(gates)
+        assert neurons._output_gates(tuple(gates)) is first
+        assert not first.flags.writeable
+        assert neurons._output_gates(gates[:1]) is not first
+
+
 _BAD_PIECEWISE = [
     {"duration": math.nan}, {"duration": math.inf}, {"duration": -math.inf},
     {"duration": "x"}, {"duration": -1.0},
@@ -843,6 +891,31 @@ class TestValidation:
     def test_malformed_arguments_raise_invalid_params(self, call):
         with pytest.raises(errors.InvalidParamsError):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda h: fidelity.average_fidelity(5, 5, []),
+        lambda h: fidelity.mc_average_fidelity(5, 5, []),
+        lambda h: core.evolve(5, h, 1.0),
+        lambda h: core.evolve(core.StateVector.all_down(3), 5, 1.0),
+        lambda h: core.propagator(5, 1.0),
+        lambda h: core.evolve_sampled([5], h, [0.0, 1.0]),
+        lambda h: core.StateVector.all_down(1).tensor(5),
+        lambda h: core.StateVector.all_down(1).overlap(5),
+        lambda h: core.measure(5, 0),
+        lambda h: core.apply_gate(5, ("hadamard",), 0),
+        lambda h: core.expectation(5, "X", 0),
+        lambda h: core.piecewise_constant_evolve(5, h, 1.0, 0.1),
+        lambda h: core.piecewise_constant_propagator(5, 1.0, 0.1),
+        lambda h: core.embed_matrix(np.eye(2), (0,), "x"),
+    ], ids=["average_fidelity", "mc_average_fidelity", "evolve_state",
+            "evolve_hamiltonian", "propagator", "evolve_sampled", "tensor",
+            "overlap", "measure", "apply_gate", "expectation",
+            "piecewise_constant_evolve", "piecewise_constant_propagator",
+            "embed_matrix"])
+    def test_wrong_typed_object_raises_invalid_params(self, call):
+        # An int where a state, operator, Hamiltonian or register size belongs.
+        with pytest.raises(errors.InvalidParamsError):
+            call(_h_exc())
 
     @pytest.mark.parametrize("label", [[], None, 1, ("Phi+",)], ids=str)
     def test_bell_state_rejects_a_label_that_is_no_str(self, label):
