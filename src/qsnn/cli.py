@@ -30,7 +30,7 @@ from .errors import (
     QsnnError,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TRAJ_HEADER = "t,out_x,out_z,input_fidelity"
 _TRAJ_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 
@@ -80,20 +80,19 @@ def _write_trajectories(kind: str, params, traj_dir: str) -> tuple[list[str], np
 
 
 def _neuron_report(
-    kind: str, params, tune: bool, budget: int, seed: int | None,
-    traj: str | None, output: str | None, command: str,
+    kind: str, params, tune: bool, budget: int, traj: str | None,
+    output: str | None, command: str,
 ) -> None:
     started = time.perf_counter()
     artifacts, bare = _write_trajectories(kind, params, traj) if traj else ([], None)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "seed": seed,
         "parameters": dataclasses.asdict(params),
         "fidelity": dataclasses.asdict(neurons.fidelity_report(kind, params, bare)),
     }
     if tune:
-        result = parameters.tune(params, kind, budget=budget, seed=seed,
+        result = parameters.tune(params, kind, budget=budget,
                                  f0=report["fidelity"]["f_avg"])
         report["tune"] = {
             "initial_params": dataclasses.asdict(result.initial_params),
@@ -140,8 +139,6 @@ def _neuron_options(fn):
         click.option("--tune", "do_tune", is_flag=True,
                      help="Run the simplex tuner from this start point."),
         click.option("--budget", type=int, default=300, show_default=True),
-        click.option("--seed", type=int, default=None, envvar="QSNN_SEED",
-                     help="Default taken from QSNN_SEED."),
         click.option("--traj", type=click.Path(file_okay=False),
                      help="Directory for per-Bell-input trajectory CSVs."),
         click.option("--output", type=click.Path(dir_okay=False),
@@ -161,24 +158,24 @@ def _neuron_options(fn):
 @click.option("--j-sign", type=click.Choice(["1", "-1"]), default="1")
 @_neuron_options
 def neuron_exc(k, l, gamma_mode, s, j_sign, drive_amplitude, do_tune,
-               budget, seed, traj, output):
+               budget, traj, output):
     """Excitation-parity neuron at the (k, l) constraint point."""
     params = parameters.solve_exc(
         k, l, drive_amplitude, gamma_mode=gamma_mode, s=s,
         j_sign=int(j_sign),
     )
-    _neuron_report("excitation", params, do_tune, budget, seed, traj,
-                   output, f"neuron exc --k {k} --l {l}")
+    _neuron_report("excitation", params, do_tune, budget, traj, output,
+                   f"neuron exc --k {k} --l {l}")
 
 
 @neuron.command("phase")
 @click.option("--m", type=int, required=True)
 @click.option("--n", type=int, required=True)
 @_neuron_options
-def neuron_phase(m, n, drive_amplitude, do_tune, budget, seed, traj, output):
+def neuron_phase(m, n, drive_amplitude, do_tune, budget, traj, output):
     """Relative-phase neuron at the (m, n) constraint point."""
     params = parameters.solve_phase(m, n, drive_amplitude)
-    _neuron_report("phase", params, do_tune, budget, seed, traj, output,
+    _neuron_report("phase", params, do_tune, budget, traj, output,
                    f"neuron phase --m {m} --n {n}")
 
 
@@ -203,7 +200,7 @@ def neuron_final(variant, l, s, k_parity, gamma, drive_mode, omega,
         gamma=gamma, drive_amplitude=drive_amplitude,
         drive_mode=drive_mode, omega=omega,
     )
-    _neuron_report(_FINAL_KINDS[variant], params, False, 0, None, None, output,
+    _neuron_report(_FINAL_KINDS[variant], params, False, 0, None, output,
                    f"neuron final --variant {variant} --l {l} --s {s}")
 
 

@@ -117,8 +117,10 @@ class NetworkSpec:
     output_qubit: int
 
     def __post_init__(self):
+        core.check_type(Sequence, self.schedule)
         # Tuples, so that a spec is hashable: run() caches by spec.
         object.__setattr__(self, "schedule", tuple(self.schedule))
+        core.check_type(NeuronSpec, *self.schedule)
         object.__setattr__(self, "input_qubits", tuple(self.input_qubits))
         violations = validate(self)
         if violations:
@@ -132,6 +134,7 @@ def validate(spec) -> list[str]:
     first, so a spec that fails them is reported before anything reads or
     allocates its register.
     """
+    core.check_type(NetworkSpec, spec)
     n = spec.num_qubits
     if type(n) is not int or not 3 <= n <= MAX_QUBITS:
         return [f"num_qubits must be an integer from 3 to {MAX_QUBITS}, "
@@ -197,6 +200,7 @@ def template(
     exc = exc_params or parameters.solve_exc(**DEFAULT_EXC)
     phase = phase_params or parameters.solve_phase(**DEFAULT_PHASE)
     final = final_params or parameters.make_final_params(variant, **DEFAULT_FINAL)
+    core.check_type(FinalLayerParams, final)
     if final.variant != variant:
         raise InvalidParamsError(f"{kind} template requires {variant}")
     if kind == "full":
@@ -248,17 +252,12 @@ def _input_amplitudes(inputs) -> np.ndarray:
 
 def initial_state(spec: NetworkSpec, inputs) -> StateVector:
     """Full-register initial state: inputs in place, everything else |↓⟩."""
+    core.check_type(NetworkSpec, spec)
     # With the inputs leading, column 0 holds every other qubit in |↓⟩.
     block = np.zeros((16, 2 ** (spec.num_qubits - 4)), dtype=complex)
     block[:, 0] = _input_amplitudes(inputs)
     full = core.merge_targets(block, spec.input_qubits, (2**spec.num_qubits,))
     return StateVector(spec.num_qubits, full)
-
-
-@lru_cache(maxsize=128)
-def _cached_unitary(kind, params, corrections) -> np.ndarray:
-    local = NeuronSpec(kind, params, (0, 1), 2, corrections)
-    return neurons.neuron_unitary(local).matrix
 
 
 # Each V holds 2^n x 16 complex amplitudes: 512 KB for the full template,
@@ -268,8 +267,12 @@ def _isometry(spec: NetworkSpec) -> np.ndarray:
     """V: the schedule applied to the 16 input basis states, as columns."""
     columns = np.stack([initial_state(spec, basis).amplitudes
                         for basis in np.eye(16)], axis=1)
+    bare = {}  # U of each distinct neuron; a spec with no corrections is bare evolution
     for entry in spec.schedule:
-        u8 = _cached_unitary(entry.kind, entry.params, entry.corrections)
+        key = (entry.kind, entry.params)
+        if key not in bare:
+            bare[key] = neurons.neuron_unitary(dataclasses.replace(entry, corrections=())).matrix
+        u8 = neurons.neuron_unitary(entry, bare=bare[key]).matrix
         columns = core.apply_local(u8, entry.targets, columns)
     core.check_isometry(columns)
     return core.read_only(columns)
@@ -281,10 +284,11 @@ def run(spec: NetworkSpec, inputs) -> StateVector:
     All but the four input qubits start in |↓⟩, so the schedule is one
     isometry V (2^n x 16) from the input space into the register, and the
     final state is V times the input amplitudes.  V is built once per
-    spec from each neuron's cached 8-dim corrected unitary, checked
-    for V†V = I (NormDriftError otherwise) and cached read-only, the last
+    spec from each distinct neuron's U, corrected per entry, checked for
+    V†V = I (NormDriftError otherwise) and cached read-only, the last
     four only: 512 KB each for the full template, 16 MB at MAX_QUBITS.
     """
+    core.check_type(NetworkSpec, spec)
     return StateVector(spec.num_qubits,
                        _isometry(spec) @ _input_amplitudes(inputs))
 
@@ -324,6 +328,8 @@ def back_action(
     block (B_down, B_up) of 16 x rest matrices: outcome o has p_o = ‖B_o‖²
     and ρ_in = B_o·B_o†/p_o.  branch_overlaps holds √⟨branch|ρ_in|branch⟩.
     """
+    core.check_type(StateVector, final_state)
+    core.check_type(NetworkSpec, spec)
     if outcome not in ("up", "down"):
         raise InvalidParamsError("outcome must be 'up' or 'down'")
     if final_state.num_qubits != spec.num_qubits:
@@ -347,6 +353,7 @@ def back_action(
 
 def bell_kernel(a: BellAmplitudes, b: BellAmplitudes) -> float:
     """Closed-form output-excitation probability Σ_i |a_i|²|b_i|²."""
+    core.check_type(BellAmplitudes, a, b)
     return float(
         sum(abs(x) ** 2 * abs(y) ** 2 for x, y in zip(a.as_tuple(), b.as_tuple()))
     )
@@ -434,6 +441,7 @@ def _entry_from_dict(entry, version: int) -> NeuronSpec:
 
 
 def to_json(spec: NetworkSpec) -> str:
+    core.check_type(NetworkSpec, spec)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "num_qubits": spec.num_qubits,

@@ -37,7 +37,7 @@ class TestParamsCommands:
         )
         assert data["beta"] == pytest.approx(3.0)
         assert data["coupling_j"] == pytest.approx(4.0)
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
 
     def test_solve_exc_invalid_exit_2(self, runner):
         result = runner.invoke(main, ["params", "solve-exc", "--k", "2", "--l", "3"])
@@ -202,24 +202,15 @@ class TestNeuronCommands:
             result.stderr if hasattr(result, "stderr") else ""
         )
 
-    def test_seed_from_environment(self, runner, monkeypatch):
-        monkeypatch.setenv("QSNN_SEED", "1234")
-        data = _json_out(
-            runner.invoke(
-                main, ["params", "solve-exc", "--k", "3", "--l", "5"]
-            )
-        )
-        assert data is not None  # seed only affects stochastic commands
-
-    def test_seed_option_reads_environment(self, runner, monkeypatch):
-        monkeypatch.setenv("QSNN_SEED", "1234")
-        data = _json_out(
-            runner.invoke(main, ["neuron", "phase", "--m", "3", "--n", "82"])
-        )
-        assert data["seed"] == 1234
+    def test_no_seed(self, runner, monkeypatch):
+        # No command is stochastic: --seed is an unknown option, QSNN_SEED
+        # is not read, and the report records no seed.
+        command = ["neuron", "phase", "--m", "3", "--n", "82"]
+        assert runner.invoke(main, command + ["--seed", "1"]).exit_code == 2
         monkeypatch.setenv("QSNN_SEED", "abc")
-        result = runner.invoke(main, ["neuron", "phase", "--m", "3", "--n", "82"])
-        assert result.exit_code == 2
+        data = _json_out(runner.invoke(main, command))
+        assert "seed" not in data
+        assert data["schema_version"] == 2
 
     def test_trajectory_rows_have_17_significant_digits(self, runner, tmp_path):
         result = runner.invoke(

@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,17 +170,15 @@ class TestValidation:
 
     def test_register_size_capped(self, reduced):
         # Rejected by validate() alone, before any register is allocated.
+        # validate() takes only a NetworkSpec, so its size is edited in place.
+        wide = copy.copy(reduced)
         for n in (network.MAX_QUBITS + 1, 64, 7.0, True):
-            wide = SimpleNamespace(
-                num_qubits=n, schedule=reduced.schedule,
-                input_qubits=reduced.input_qubits,
-                output_qubit=reduced.output_qubit,
-            )
+            object.__setattr__(wide, "num_qubits", n)
             assert len(network.validate(wide)) == 1
             with pytest.raises(errors.NetworkValidationError):
                 network.NetworkSpec(n, reduced.schedule, reduced.input_qubits,
                                     reduced.output_qubit)
-        wide.num_qubits = network.MAX_QUBITS
+        object.__setattr__(wide, "num_qubits", network.MAX_QUBITS)
         assert network.validate(wide) == []
 
     @pytest.mark.parametrize("call, error", [
@@ -204,6 +201,30 @@ class TestValidation:
     def test_rejected_calls(self, reduced, call, error):
         with pytest.raises(error):
             call(reduced)
+
+    @pytest.mark.parametrize("call", [
+        lambda r, a: network.run(5, (a, a)),
+        lambda r, a: network.initial_state(5, (a, a)),
+        lambda r, a: network.output_excitation_probability(5, (a, a)),
+        lambda r, a: network.back_action(5, r, "up"),
+        lambda r, a: network.back_action(network.run(r, (a, a)), 5, "up"),
+        lambda r, a: network.bell_kernel(5, a),
+        lambda r, a: network.bell_kernel(a, 5),
+        lambda r, a: network.simulated_bell_kernel(5, a, a),
+        lambda r, a: network.to_json(5),
+        lambda r, a: network.validate(5),
+        lambda r, a: network.template("full", final_params=5),
+        lambda r, a: network.NetworkSpec(11, [5], (0, 1, 2, 3), 10),
+        lambda r, a: network.NetworkSpec(11, 5, (0, 1, 2, 3), 10),
+    ], ids=["run", "initial_state", "output_excitation_probability",
+            "back_action_state", "back_action_spec", "bell_kernel_a",
+            "bell_kernel_b", "simulated_bell_kernel", "to_json", "validate",
+            "template_final_params", "schedule_entry", "schedule"])
+    def test_wrong_typed_object_rejected(self, reduced, call):
+        # A wrong-typed object raises a QsnnError, never AttributeError or
+        # TypeError from deeper inside.
+        with pytest.raises(errors.QsnnError):
+            call(reduced, _pure("Phi+"))
 
     def test_integer_indices_required(self, reduced):
         for inputs, output in (((0, 1, 2, 3), 6.0), ((False, True, 2, 3), 6)):
@@ -293,18 +314,31 @@ class TestIsometry:
         # from its Floquet integration at tol 1e-9).
         def drift(m):
             return np.max(np.abs(m.conj().T @ m - np.eye(len(m.T))))
-        budget = sum(drift(network._cached_unitary(
-            entry.kind, entry.params, entry.corrections))
-            for entry in spec.schedule)
+        budget = sum(drift(neurons.neuron_unitary(entry).matrix)
+                     for entry in spec.schedule)
         assert drift(v) <= budget + 1e-14
         assert drift(v) <= 1e-11
 
     def test_drifting_isometry_rejected_when_built(self, reduced, monkeypatch):
-        monkeypatch.setattr(network, "_cached_unitary",
-                            lambda *args: 1.001 * np.eye(8))
+        monkeypatch.setattr(neurons, "neuron_unitary",
+                            lambda *args, **kwargs: core.DenseOperator(1.001 * np.eye(8)))
         network._isometry.cache_clear()  # so that V is built, not looked up
         with pytest.raises(errors.NormDriftError):
             network._isometry(reduced)
+
+    @pytest.mark.parametrize("kind", ["reduced", "full"])
+    def test_cold_build_propagates_each_distinct_neuron_once(self, kind, monkeypatch):
+        # The reduced template probes each shared target twice with the same
+        # neuron: its 5 entries hold 3 distinct (kind, params), as the full
+        # template's 7 do, and each is propagated once per cold build.
+        spec = network.template(kind)
+        calls = []
+        propagator = core.propagator
+        monkeypatch.setattr(core, "propagator",
+                            lambda *args, **kwargs: calls.append(1) or propagator(*args, **kwargs))
+        network._isometry.cache_clear()
+        network._isometry(spec)
+        assert len(calls) == 3
 
     def test_input_boundary(self, reduced):
         x = _haar_inputs(1, seed=3)[0]
