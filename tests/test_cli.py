@@ -202,12 +202,25 @@ class TestNeuronCommands:
             result.stderr if hasattr(result, "stderr") else ""
         )
 
-    def test_no_seed(self, runner, monkeypatch):
-        # No command is stochastic: --seed is an unknown option, QSNN_SEED
-        # is not read, and the report records no seed.
+    def test_seed_from_environment(self, runner, monkeypatch):
+        # No command is stochastic: QSNN_SEED is not read, so even a value
+        # that is not a number leaves every command working.
+        monkeypatch.setenv("QSNN_SEED", "abc")
+        data = _json_out(
+            runner.invoke(main, ["params", "solve-exc", "--k", "3", "--l", "5"])
+        )
+        assert data is not None
+        data = _json_out(
+            runner.invoke(main, ["neuron", "phase", "--m", "3", "--n", "82"])
+        )
+        assert "seed" not in data
+
+    def test_seed_option_reads_environment(self, runner, monkeypatch):
+        # The neuron commands take no --seed option and read no seed from
+        # the environment; the report records no seed.
         command = ["neuron", "phase", "--m", "3", "--n", "82"]
         assert runner.invoke(main, command + ["--seed", "1"]).exit_code == 2
-        monkeypatch.setenv("QSNN_SEED", "abc")
+        monkeypatch.setenv("QSNN_SEED", "1234")
         data = _json_out(runner.invoke(main, command))
         assert "seed" not in data
         assert data["schema_version"] == 2
