@@ -58,6 +58,11 @@ def _restricted(u_actual, u_ideal, subspace) -> tuple[np.ndarray, np.ndarray]:
     return basis, basis.conj().T @ (u_ideal.matrix.conj().T @ u_actual.matrix) @ basis
 
 
+def _f_avg(m: np.ndarray) -> float:
+    """(Tr MM† + |Tr M|²)/(d(d+1)) of a restricted d×d gate M, unclipped (Pedersen et al. 2007)."""
+    return float(np.vdot(m, m).real + abs(m.trace()) ** 2) / (len(m) * (len(m) + 1))
+
+
 def average_fidelity(
     u_actual: DenseOperator,
     u_ideal: DenseOperator,
@@ -66,20 +71,17 @@ def average_fidelity(
     """Average gate fidelity over Haar-random states of the subspace.
 
     With M = P·u_ideal†·u_actual·P restricted to the d-dim subspace,
-    f_avg = (Tr(MM†) + |Tr M|²)/(d(d+1)); leakage = 1 − Tr(M̃M̃†)/d with
+    f_avg = _f_avg(M), clipped to [0, 1]; leakage = 1 − Tr(M̃M̃†)/d with
     M̃ = P·u_actual·P.  Leakage out of the subspace is fully accounted for
     by the fidelity metric itself.
     """
     basis, m = _restricted(u_actual, u_ideal, subspace)
     d = basis.shape[1]
-    f_avg = (float(np.trace(m @ m.conj().T).real) + abs(np.trace(m)) ** 2) / (
-        d * (d + 1)
-    )
     m_tilde = basis.conj().T @ u_actual.matrix @ basis
     leakage = 1.0 - float(np.trace(m_tilde @ m_tilde.conj().T).real) / d
     per_state = tuple(abs(m[i, i]) for i in range(d))
     return FidelityReport(
-        f_avg=min(max(f_avg, 0.0), 1.0),
+        f_avg=min(max(_f_avg(m), 0.0), 1.0),
         leakage=min(max(leakage, 0.0), 1.0),
         per_state=per_state,
         subspace_dim=d,

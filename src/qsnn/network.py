@@ -197,9 +197,10 @@ def template(
     if kind not in ("full", "reduced"):
         raise InvalidParamsError(f"unknown template kind {kind!r}")
     variant = "detect_upup" if kind == "full" else "detect_downdown"
-    exc = exc_params or parameters.solve_exc(**DEFAULT_EXC)
-    phase = phase_params or parameters.solve_phase(**DEFAULT_PHASE)
-    final = final_params or parameters.make_final_params(variant, **DEFAULT_FINAL)
+    exc = parameters.solve_exc(**DEFAULT_EXC) if exc_params is None else exc_params
+    phase = parameters.solve_phase(**DEFAULT_PHASE) if phase_params is None else phase_params
+    final = (parameters.make_final_params(variant, **DEFAULT_FINAL)
+             if final_params is None else final_params)
     core.check_type(FinalLayerParams, final)
     if final.variant != variant:
         raise InvalidParamsError(f"{kind} template requires {variant}")

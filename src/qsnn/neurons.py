@@ -354,10 +354,6 @@ class NeuronSpec:
         return self.corrections[:i], self.corrections[i + 1:]
 
 
-def check_spec(spec) -> None:  # the one check of each function that takes a spec
-    core.check_type(NeuronSpec, spec)
-
-
 def default_corrections(kind: str, params) -> tuple:
     """Analytic correction-gate sequence on the output qubit.
 
@@ -458,7 +454,7 @@ _BUILDERS = {
 def build_hamiltonian(
     spec: NeuronSpec, num_qubits: int = 3, targets: Sequence[int] | None = None
 ) -> TimeDependentHamiltonian:
-    check_spec(spec)
+    core.check_type(NeuronSpec, spec)
     if targets is None:
         targets = spec.targets
     return _BUILDERS[spec.kind](spec.params, num_qubits, targets)
@@ -470,7 +466,7 @@ def apply_neuron(state: StateVector, spec: NeuronSpec) -> StateVector:
     This evolves the state through the neuron's Hamiltonian on its own
     qubits; it is the reference the tests hold network.run against.
     """
-    check_spec(spec)
+    core.check_type(NeuronSpec, spec)
     pre, post = spec.gates
     for gate in pre:
         state = core.apply_gate(state, gate, spec.output_qubit)
@@ -492,7 +488,7 @@ def _output_gates(gates: tuple) -> np.ndarray:
 
 def neuron_unitary(spec: NeuronSpec, tol: float = 1e-9, bare=None) -> DenseOperator:
     """The corrected 8-dim unitary on (input1, input2, output); bare: U(UNIT_TAU) if known."""
-    check_spec(spec)
+    core.check_type(NeuronSpec, spec)
     u = (core.propagator(build_hamiltonian(spec, 3, (0, 1, 2)), spec.params.UNIT_TAU, tol)
          if bare is None else DenseOperator(bare)).matrix
     if u.shape != (8, 8):
@@ -537,26 +533,23 @@ def ideal_unitary(kind: str, params) -> DenseOperator:
 
     Entries outside the protocol subspace complete the operator unitarily
     with phases consistent with the corrected dynamics (test-invisible:
-    fidelity is only evaluated on the subspace).  Only the final layer's
-    ideal, which depends on βτ, is built per call; the others are shared.
+    fidelity is only evaluated on the subspace).  Each distinct ideal is
+    built once and shared read-only: the excitation and phase ideals by
+    kind and the sign (-1)^round(m), the final layer's by its βτ phase.
     """
     _check_kind(kind, params)
     if kind in ("excitation", "phase"):
         sign = -1 if kind == "excitation" else (-1) ** int(round(params.m))
-        return DenseOperator(_fixed_ideal(kind, sign))
-    rate = 2j if kind == "final_upup" else -2j
-    flip_back = -1j * np.exp(rate * params.in_drive_units[1] * params.UNIT_TAU)
-    return DenseOperator(_ideal_matrix(kind, 1, flip_back))
+        stay, flip_back = -1j * sign, 1j * sign
+    else:
+        rate = 2j if kind == "final_upup" else -2j
+        stay, flip_back = 1, -1j * np.exp(rate * params.in_drive_units[1] * params.UNIT_TAU)
+    return DenseOperator(_ideal_matrix(kind, stay, flip_back))
 
 
-@functools.lru_cache(maxsize=4)
-def _fixed_ideal(kind: str, sign: int) -> np.ndarray:
-    """The excitation (sign -1) or phase ((-1)^round(m)) ideal, read-only."""
-    return core.read_only(_ideal_matrix(kind, -1j * sign, 1j * sign))
-
-
+@functools.lru_cache(maxsize=128)
 def _ideal_matrix(kind: str, stay: complex, flip_back: complex) -> np.ndarray:
-    """Kept inputs gain `stay` with the output up, flipped ones `flip_back`."""
+    """Kept inputs gain `stay` with the output up, flipped ones `flip_back`; read-only."""
     vectors, kept, flipped = _PROTOCOLS[kind]
     u = np.zeros((8, 8), dtype=complex)
     for b in kept:
@@ -566,7 +559,7 @@ def _ideal_matrix(kind: str, stay: complex, flip_back: complex) -> np.ndarray:
         u += np.outer(vectors[b, 1], vectors[b, 0])
         u += flip_back * np.outer(vectors[b, 0], vectors[b, 1])
     core.check_isometry(u, 1e-12)
-    return u
+    return core.read_only(u)
 
 
 def fidelity_report(kind: str, params, bare=None) -> fidelity.FidelityReport:
@@ -585,10 +578,10 @@ class FidelityModel:
 
     L = B†·U_ideal†·Post and R = Pre·B come from params_at(x) once per
     round(m), on which the phase ideal and post-phase gate depend; a call
-    returns (‖LUR‖² + |tr LUR|²)/(d(d+1)).  The phase H/B = 2n·(XX + YY +
-    γZZ) + 2m·X₂X₃ + Z₃ is an affine sum of three float64 matrices built once, so
-    core.static_propagator takes the real symmetric eigh; the excitation neuron
-    builds params and H per call for core.propagator.  U is checked unitary once per call.
+    returns fidelity._f_avg(LUR).  The phase H/B = 2n·(XX + YY + γZZ) + 2m·X₂X₃
+    + Z₃ is an affine sum of three float64 matrices built once, so core.static_propagator
+    takes the real symmetric eigh; the excitation neuron builds params and H per call
+    for core.propagator.  U is checked unitary once per call.
     """
 
     def __init__(self, kind: str, start):
@@ -624,8 +617,7 @@ class FidelityModel:
             self.projections[key] = (basis.conj().T @ ideal @ _output_gates(post),
                                      _output_gates(pre) @ basis)
         left, right = self.projections[key]
-        m = left @ u @ right
-        return (np.vdot(m, m).real + abs(m.trace()) ** 2) / (len(m) * (len(m) + 1))
+        return fidelity._f_avg(left @ u @ right)
 
 
 @dataclass(frozen=True)
@@ -677,24 +669,21 @@ def record_trajectory(
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Numerical vs closed-form static eigenvalues for one neuron."""
+    """Numerical vs exact closed-form static eigenvalues for one neuron."""
 
     numerical: np.ndarray
     predicted: np.ndarray
     max_deviation: float
-    exact: bool
-    bound: float
 
 
 def spectrum_report(spec: NeuronSpec) -> SpectrumReport:
-    """Compare drive-free eigenvalues against the closed-form predictions.
+    """Compare drive-free eigenvalues against their exact closed forms.
 
-    Excitation and final-layer neurons: exact closed form
-    {±sqrt(J²+β²) − γJ/2, ±β + γJ/2}, each doubly degenerate.  Phase
-    neuron: exact positive-phase block {J±δ} plus the perturbative
-    negative-phase block {J, −3J} with deviation bounded by 1.2·δ²/(4J)
-    (values quoted for the J-coefficient Heisenberg convention this
-    package uses).  All values are in units of the drive, as H/A is.
+    Excitation and final-layer neurons: {±sqrt(J²+β²) − γJ/2, ±β + γJ/2}.
+    Phase neuron: δX₂X₃ couples Φ+ (energy γJ) only with Ψ+ ((2−γ)J) and
+    Φ− (γJ) only with Ψ− (−(2+γ)J), giving J ± sqrt(J²(γ−1)² + δ²) and
+    −J ± sqrt(J²(γ+1)² + δ²).  Every level is doubly degenerate.  All values
+    are in units of the drive, as H/A is.
     """
     hamiltonian = build_hamiltonian(spec, 3, (0, 1, 2))
     static_only = TimeDependentHamiltonian(3, hamiltonian.static_terms, ())
@@ -702,11 +691,10 @@ def spectrum_report(spec: NeuronSpec) -> SpectrumReport:
     p = spec.params
     j, b = p.in_drive_units  # b is δ for the phase neuron
     if spec.kind == "phase":
-        exact, bound = False, b**2 / (4 * j) * 1.2
-        predicted = np.repeat([j - b, j + b, -3 * j, j], 2)
+        low, high = math.hypot(j * (p.gamma - 1), b), math.hypot(j * (p.gamma + 1), b)
+        predicted = np.repeat([j - low, j + low, -j - high, -j + high], 2)
     else:
-        exact, bound, half = True, 1e-10, p.gamma * j / 2
-        root, field = math.sqrt(j**2 + b**2), 0.0
+        half, root, field = p.gamma * j / 2, math.sqrt(j**2 + b**2), 0.0
         if spec.kind != "excitation" and p.drive_mode == "local_field":
             # the Ω/2 σ₃^z term splits each doublet by ±Ω/2
             field = p.omega / p.drive_amplitude / 2
@@ -714,4 +702,4 @@ def spectrum_report(spec: NeuronSpec) -> SpectrumReport:
         predicted = np.concatenate([levels - field, levels + field])
     predicted = np.sort(predicted)
     deviation = float(np.max(np.abs(numerical - predicted)))
-    return SpectrumReport(numerical, predicted, deviation, exact, bound)
+    return SpectrumReport(numerical, predicted, deviation)

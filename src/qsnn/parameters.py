@@ -62,7 +62,6 @@ def solve_exc(
     )
 
 
-@neurons.in_arithmetic_range
 def solve_phase(
     m: int,
     n: int,
@@ -107,7 +106,7 @@ class DetuningReport:
 
 def detuning_report(spec: NeuronSpec) -> DetuningReport:
     """Detuning-to-drive ratios, from the energies in units of the drive."""
-    neurons.check_spec(spec)
+    core.check_type(NeuronSpec, spec)
     p = spec.params
     if spec.kind == "phase":
         return DetuningReport("phase", {"two_delta": 2 * p.in_drive_units[1]})

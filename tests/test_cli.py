@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qsnn import core, neurons, parameters
+from qsnn import core, network, neurons, parameters
 from qsnn.cli import _TRAJ_ROW, TRAJ_HEADER, main
 from qsnn.errors import InvalidParamsError
 
@@ -483,6 +483,16 @@ class TestNetworkCommands:
         # The improbable outcome's branch report may be present or None,
         # but the dominant outcome must carry overlap data.
         assert data["back_action"]["down"]["probability"] >= 0.97
+
+    def test_run_back_action_reports_an_impossible_outcome_as_null(
+            self, runner, monkeypatch):
+        monkeypatch.setattr(network, "run",
+                            lambda spec, inputs: core.StateVector.all_down(spec.num_qubits))
+        data = _json_out(runner.invoke(
+            main, ["network", "run", "--template", "reduced", "--back-action"]))
+        assert data["p_up"] == 0.0
+        assert data["back_action"]["up"] is None
+        assert data["back_action"]["down"]["probability"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("template, diag_min, off_max", [
         ("reduced", 0.97, 0.03), ("full", 0.95, 0.05),

@@ -226,6 +226,16 @@ class TestValidation:
         with pytest.raises(errors.QsnnError):
             call(reduced, _pure("Phi+"))
 
+    @pytest.mark.parametrize("kind", ["full", "reduced"])
+    @pytest.mark.parametrize("override", [
+        {"exc_params": 0}, {"exc_params": []}, {"phase_params": ""},
+        {"final_params": 0},
+    ], ids=["exc_zero", "exc_empty_list", "phase_empty_str", "final_zero"])
+    def test_falsy_template_params_rejected(self, kind, override):
+        # Only None selects a default; any other non-params value is invalid.
+        with pytest.raises(errors.InvalidParamsError):
+            network.template(kind, **override)
+
     def test_integer_indices_required(self, reduced):
         for inputs, output in (((0, 1, 2, 3), 6.0), ((False, True, 2, 3), 6)):
             with pytest.raises(errors.NetworkValidationError):

@@ -84,6 +84,15 @@ class TestIdealUnitary:
         with pytest.raises(ValueError):
             shared[0, 0] = 0.0
 
+    @pytest.mark.parametrize("kind", ["final_upup", "final_downdown"])
+    def test_final_ideal_built_once(self, kind):
+        params = parameters.make_final_params(neurons.FINAL_VARIANTS[kind], 29, 15, 0)
+        shared = neurons.ideal_unitary(kind, params).matrix
+        assert neurons.ideal_unitary(kind, params).matrix is shared
+        assert not shared.flags.writeable
+        other = parameters.make_final_params(neurons.FINAL_VARIANTS[kind], 17, 9, 0)
+        assert neurons.ideal_unitary(kind, other).matrix is not shared
+
     def test_exc_flip_and_phase_additions(self, exc_8_17):
         u = neurons.ideal_unitary("excitation", exc_8_17).matrix
         # Even-excitation inputs flip the output; odd ones leave it alone.
@@ -213,7 +222,6 @@ class TestAverageFidelityBenchmarks:
 class TestSpectrum:
     def test_exc_8_17_exact(self, exc_spec):
         report = neurons.spectrum_report(exc_spec)
-        assert report.exact
         assert report.max_deviation < 1e-10
         assert sorted(report.predicted) == pytest.approx(
             [-24.5, -24.5, -0.5, -0.5, 9.5, 9.5, 15.5, 15.5]
@@ -244,9 +252,16 @@ class TestSpectrum:
         assert np.max(np.abs(eigs - expected)) < 1e-10
 
     def test_phase_report_bounded(self, phase_spec):
-        report = neurons.spectrum_report(phase_spec)
-        assert not report.exact
-        assert report.max_deviation <= report.bound
+        assert neurons.spectrum_report(phase_spec).max_deviation < 1e-10
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    @pytest.mark.parametrize("m,n", [(2, 20), (3, 82), (5, 80)])
+    def test_phase_exact_away_from_unit_gamma(self, m, n, gamma):
+        # Off gamma = 1 the Phi+/Psi+ and Phi-/Psi- pairs split by 2J(gamma -+ 1)
+        # before the X2X3 coupling mixes them; the closed form stays exact.
+        params = dataclasses.replace(parameters.solve_phase(m, n), gamma=gamma)
+        report = neurons.spectrum_report(neurons.make_spec("phase", params, (0, 1), 2))
+        assert report.max_deviation < 1e-10
 
     @pytest.mark.parametrize("kind, variant", [("final_upup", "detect_upup"),
                                                ("final_downdown", "detect_downdown")])
@@ -255,8 +270,7 @@ class TestSpectrum:
         params = parameters.make_final_params(
             variant, 29, 15, 0, drive_mode="local_field", omega=50.0)
         report = neurons.spectrum_report(neurons.make_spec(kind, params, (0, 1), 2))
-        assert report.exact
-        assert report.max_deviation <= report.bound
+        assert report.max_deviation < 1e-10
 
     @pytest.mark.parametrize("amplitude", [1e-200, 2.5, 1e200])
     @pytest.mark.parametrize("kind, solve, point", [
@@ -271,8 +285,7 @@ class TestSpectrum:
             for a in (1.0, amplitude)
         ]
         assert abs(reports[1].max_deviation - reports[0].max_deviation) <= 1e-12
-        assert reports[1].max_deviation <= reports[1].bound
-        assert reports[1].bound == pytest.approx(reports[0].bound, rel=1e-12)
+        assert reports[1].max_deviation < 1e-10
 
 
 class TestBarePhaseBookkeeping:
