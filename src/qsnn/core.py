@@ -12,6 +12,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -310,6 +311,21 @@ def _term_string(factors, support: tuple[int, ...]) -> np.ndarray:
     return _pauli_string(tuple(axes.get(q, "I") for q in support))
 
 
+@functools.lru_cache(maxsize=32)
+def _sector_basis(terms: tuple[str, ...]) -> np.ndarray:
+    """A read-only basis W in which Σ c_k·terms[k] is block-diagonal, for Pauli strings
+    such as "XXI" (qubit 0 first): W diagonalises Σ 2^i·S_i over the strings S_i ≠ I
+    that commute with every term and S_j before them (an even number of sites hold two
+    different axes), so each joint eigenspace has its own eigenvalue and adjacent columns."""
+    chosen, q = [], len(terms[0])
+    for s in map("".join, itertools.product("IXYZ", repeat=q)):
+        if s.strip("I") and all(sum(a != b != "I" != a for a, b in zip(s, t)) % 2 == 0
+                                for t in terms + tuple(chosen)):
+            chosen.append(s)
+    h = sum((2.0**i * _pauli_string(tuple(s)) for i, s in enumerate(chosen)), np.zeros((2**q,) * 2))
+    return read_only(np.linalg.eigh(h if h.imag.any() else h.real)[1])
+
+
 def _h_at(static: np.ndarray, drives, t) -> np.ndarray:
     """Local H(t), or a stack of them for an array of times, from the pieces."""
     h = static
@@ -423,14 +439,6 @@ def _eigh_propagators(h: np.ndarray, times: np.ndarray, out: np.ndarray) -> None
     energies, vectors = np.linalg.eigh(h.real if h.dtype.kind == "c" and not h.imag.any() else h)
     phases = np.exp(-1j * (times[:, None] * energies))
     np.matmul(vectors * phases[:, None, :], vectors.conj().T, out=out)
-
-
-def static_propagator(h: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i duration h) for a Hermitian h (_eigh_propagators), checked unitary."""
-    out = np.empty((1,) + h.shape, dtype=complex)
-    _eigh_propagators(h, np.array([duration]), out)
-    check_isometry(out[0])
-    return out[0]
 
 
 # Gauss-Legendre nodes in a step, steps per stacked exponential, C of the step rule.

@@ -31,6 +31,7 @@ from .errors import (
     HierarchyViolationError,
     InvalidParamsError,
     NonPythagoreanError,
+    NormDriftError,
     NoRealSolutionError,
     SignInconsistencyError,
 )
@@ -576,12 +577,11 @@ class FidelityModel:
     """fidelity_report's f_avg, up to rounding, at points x = (m, n) or (k, l)
     near a start; params_at(x) is the start at x, relaxed, class-checked.
 
-    L = B†·U_ideal†·Post and R = Pre·B come from params_at(x) once per
-    round(m), on which the phase ideal and post-phase gate depend; a call
-    returns fidelity._f_avg(LUR).  The phase H/B = 2n·(XX + YY + γZZ) + 2m·X₂X₃
-    + Z₃ is an affine sum of three float64 matrices built once, so core.static_propagator
-    takes the real symmetric eigh; the excitation neuron builds params and H per call
-    for core.propagator.  U is checked unitary once per call.
+    L = B†·U_ideal†·Post and R = Pre·B come from params_at(x) once per round(m).
+    An excitation call returns fidelity._f_avg(L·U·R), U from core.propagator.  A
+    phase call forms U = Σ c_{b,σ}·W(E_b⊗σ)Wᵀ from H/B's four 2×2 blocks in the W of
+    core._sector_basis (σ = I, X, Z), on floats, checks each block unitary and returns
+    Re(c†Gc), G being _f_avg's form on the A_{b,σ} = L·W(E_b⊗σ)Wᵀ·R.
     """
 
     def __init__(self, kind: str, start):
@@ -591,33 +591,58 @@ class FidelityModel:
         self.kind, self.start, self.projections = kind, start, {}
         self.fields = ("m", "n") if kind == "phase" else ("k", "l")
         if kind == "phase":
-            string = lambda *pairs: core._term_string(pairs, (0, 1, 2)).real.copy()  # noqa: E731
-            self.terms = (string((0, "X"), (1, "X")) + string((0, "Y"), (1, "Y"))
-                          + start.gamma * string((0, "Z"), (1, "Z")),
-                          string((1, "X"), (2, "X")), string((2, "Z"),))
+            strings = ("XXI", "YYI", "ZZI", "IXX", "IIZ")
+            xx, yy, zz, x23, z3 = (core._pauli_string(tuple(s)) for s in strings)
+            w = core._sector_basis(strings).astype(complex)  # for the complex kernels the report uses
+            core.check_isometry(w, 1e-12)
+            # The W(E_b⊗σ)Wᵀ of the four 2×2 blocks b, σ = I, X, Z, and the coefficients
+            # h_σ = tr(σ·block)/2 of the terms of n, m and 1, which they must rebuild.
+            sigmas = np.array([np.eye(2), core.PAULI_X, core.PAULI_Z])
+            self.blocks = w @ np.kron(np.eye(4)[:, None] * np.eye(4), sigmas) @ w.T
+            terms = np.array([2 * (xx + yy + start.gamma * zz), 2 * x23, z3]).reshape(3, 64)
+            h = self.blocks.reshape(12, 64) @ terms.T / 2
+            if not np.abs(h.T @ self.blocks.reshape(12, 64) - terms).max() <= 1e-12:
+                raise NormDriftError("the phase H is not block-diagonal in its sector basis")
+            self.sectors = h.real.reshape(4, 9).tolist()
 
     def params_at(self, x):
         """The start's parameters at x, relaxed, checked by their class."""
         return replace(self.start, relaxed=True, **dict(zip(self.fields, map(float, x))))
 
     def __call__(self, x) -> float:
-        if self.kind == "phase":
-            (m, n), (heisenberg, coupling, z3) = map(float, x), self.terms
-            h = (2.0 * n) * heisenberg + (2.0 * m) * coupling + z3
-            u, key = core.static_propagator(h, self.start.UNIT_TAU), round(m)
-        else:
-            params = self.params_at(x)
+        if self.kind == "excitation":
+            params, key = self.params_at(x), None
             u = core.propagator(build_exc_hamiltonian(params), params.UNIT_TAU).matrix
-            key = None
+        else:
+            (m, n), tau, c = map(float, x), self.start.UNIT_TAU, []
+            try:  # math.cos and math.sin of an infinite angle raise ValueError
+                for b, (a0, b0, k0, ax, bx, kx, az, bz, kz) in enumerate(self.sectors):
+                    h0, hx, hz = a0 * n + b0 * m + k0, ax * n + bx * m + kx, az * n + bz * m + kz
+                    r = math.hypot(hx, hz)
+                    cos, sin = math.cos(r * tau), (math.sin(r * tau) / r if r else tau)
+                    if not (err := abs(cos * cos + sin * sin * r * r - 1.0)) <= core.UNITARITY_TOL:
+                        raise NormDriftError(f"U's sector {b} drifts from unitarity by {err:.3g}")
+                    phase = complex(math.cos(h0 * tau), -math.sin(h0 * tau))
+                    c += (phase * cos, phase * -1j * sin * hx, phase * -1j * sin * hz)
+            except ValueError as exc:
+                raise NormDriftError(f"U is not finite at x = {x!r}") from exc
+            c, key = np.array(c), round(m)
         if key not in self.projections:
             params = self.params_at(x)
             pre, post = make_spec(self.kind, params, (0, 1), 2).gates
             basis = fidelity._subspace_matrix(protocol_subspace(self.kind, params), 8)
             ideal = ideal_unitary(self.kind, params).matrix.conj().T
-            self.projections[key] = (basis.conj().T @ ideal @ _output_gates(post),
-                                     _output_gates(pre) @ basis)
-        left, right = self.projections[key]
-        return fidelity._f_avg(left @ u @ right)
+            left, right = basis.conj().T @ ideal @ _output_gates(post), _output_gates(pre) @ basis
+            form, d = None, len(left)
+            if key is not None:  # G = (Gram(A) + t̄·tᵀ)/(d(d+1)) = B̄·Bᵀ/(d(d+1)), B = (vec A, tr A)
+                a = (left @ self.blocks @ right).reshape(12, -1)
+                a = np.column_stack([a, a[:, ::d + 1].sum(axis=1)])
+                form = a.conj() @ a.T / (d * (d + 1))
+            self.projections[key] = (left, right, form)
+        left, right, form = self.projections[key]
+        if form is None:
+            return fidelity._f_avg(left @ u @ right)
+        return float(np.vdot(c, form @ c).real)
 
 
 @dataclass(frozen=True)

@@ -216,10 +216,10 @@ def tune(
     to the excitation neuron's l > k, so the class checks run on the start
     and on the returned point.  Each distinct point is scored once, the
     start (the first vertex) by f0 when given (the CLI passes its report's
-    f_avg, so initial_fidelity is that f_avg), else by the model, which is
-    within 1e-15 of neurons.fidelity_report: the model runs at most
-    `evaluations` times.  The search is deterministic; the seed is accepted
-    for interface uniformity.
+    f_avg, so initial_fidelity is that f_avg), else by the model, within
+    1e-15 of neurons.fidelity_report (the phase neuron's within 1e-12 up to
+    n = 300; see README): the model runs at most `evaluations` times.  The
+    search is deterministic; the seed is accepted for interface uniformity.
     """
     if type(budget) is not int or budget < 1:
         raise InvalidParamsError(f"budget must be an int of at least 1, got {budget!r}")

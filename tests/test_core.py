@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -746,8 +748,14 @@ class TestRealKernel:
     output-gate matrices the phase tune reads are built once per gate tuple."""
 
     def test_phase_model_and_propagator_decompose_a_real_matrix(self, eigh_inputs):
+        # The phase model's sector basis comes from one real eigh per process;
+        # its calls decompose nothing, and the report's propagator one real H.
         params = parameters.solve_phase(3, 82)
-        neurons.FidelityModel("phase", params)((3.0, 82.0))
+        core._sector_basis.cache_clear()
+        for _ in range(2):
+            model = neurons.FidelityModel("phase", params)
+            model((3.0, 82.0))
+            model((3.05, 81.5))
         core.propagator(neurons.build_phase_hamiltonian(params), params.UNIT_TAU)
         assert eigh_inputs == [np.float64, np.float64]
 
@@ -773,6 +781,84 @@ class TestRealKernel:
         assert neurons._output_gates(tuple(gates)) is first
         assert not first.flags.writeable
         assert neurons._output_gates(gates[:1]) is not first
+
+
+def _term_strings(ham: core.TimeDependentHamiltonian) -> list[str]:
+    """The Pauli string of each static term and of each drive piece."""
+    def string(factors):
+        axes = dict(factors)
+        return "".join(axes.get(q, "I") for q in range(ham.num_qubits))
+    return [string(t.factors) for t in ham.static_terms] + [
+        string(((d.target_qubit, axis),))
+        for d in ham.drive_terms for _, _, axis in core._AFFINE[d.form]]
+
+
+def _neuron_hamiltonians():
+    for gamma in (0.5, 1.0, 2.0):
+        params = replace(parameters.solve_phase(3, 82), gamma=gamma)
+        yield neurons.build_phase_hamiltonian(params), {"XXI", "ZZZ", "YYZ"}, 4
+    yield _h_exc(), {"ZZI", "XXX", "YYX"}, 4
+    for mode in ("rotating", "local_field"):
+        yield _h_final("detect_upup", mode), {"ZZI"}, 2
+
+
+def _symmetries(terms) -> list[str]:
+    """The strings other than the identity, in product order, whose matrices commute
+    with every term's and with those of the strings taken before them."""
+    matrix = lambda s: core._pauli_string(tuple(s))  # noqa: E731
+    chosen = []
+    for s in ["".join(s) for s in itertools.product("IXYZ", repeat=len(terms[0]))][1:]:
+        if all(np.array_equal(matrix(s) @ matrix(t), matrix(t) @ matrix(s))
+               for t in (*terms, *chosen)):
+            chosen.append(s)
+    return chosen
+
+
+def _assert_sectors(w: np.ndarray, strings, matrices, sectors: int) -> None:
+    """W is unitary and diagonalises every string; its columns fall into `sectors`
+    runs of equal eigenvalue signs, and no matrix couples two different runs."""
+    assert _max_diff(w.conj().T @ w, np.eye(len(w))) <= 1e-12
+    signs = []
+    for s in strings:
+        d = w.conj().T @ core._pauli_string(tuple(s)) @ w
+        assert _max_diff(d, np.diag(d.diagonal())) <= 1e-12
+        signs.append(np.rint(d.diagonal().real))
+    labels = list(zip(*signs)) or [()] * len(w)
+    assert len(list(itertools.groupby(labels))) == len(set(labels)) == sectors
+    apart = np.array([[a != b for b in labels] for a in labels])
+    for matrix in matrices:
+        assert np.abs((w.conj().T @ matrix @ w)[apart]).max(initial=0.0) <= 1e-12
+
+
+class TestSectorBasis:
+    """Each neuron H commutes with a fixed group of Pauli strings, found by
+    counting, and is block-diagonal in their common eigenbasis W."""
+
+    @pytest.mark.parametrize("ham, symmetries, sectors", list(_neuron_hamiltonians()), ids=[
+        "phase-0.5", "phase-1", "phase-2", "excitation", "final-rotating", "final-local_field"])
+    def test_finds_the_neuron_symmetries(self, ham, symmetries, sectors):
+        terms = tuple(_term_strings(ham))
+        assert set(_symmetries(terms)) == symmetries
+        w = core._sector_basis(terms)
+        assert w.dtype == np.float64 and not w.flags.writeable
+        matrices = [core._pauli_string(tuple(t)) for t in terms]
+        _assert_sectors(w, symmetries, matrices + [ham.matrix(t) for t in (0.0, 0.37, 1.3)],
+                        sectors)
+        assert core._sector_basis(terms) is w  # cached on the strings
+
+    @pytest.mark.parametrize("terms, sectors", [
+        (("XI", "ZI"), 2),  # IX, IY, IZ commute with both, not with each other: IX
+        (("XI", "ZI", "IX", "IZ"), 1),  # only the identity: one sector
+        (("ZII", "IZI", "IIZ"), 8),
+        (("YII",), 8),  # W is complex
+    ])
+    def test_commutation_by_counting(self, terms, sectors):
+        # W diagonalises the strings whose matrices commute with the terms' and
+        # with those before them, as counting decides it.
+        w = core._sector_basis(terms)
+        assert w.dtype == (complex if "YII" in terms else np.float64)
+        _assert_sectors(w, _symmetries(terms), [core._pauli_string(tuple(t)) for t in terms],
+                        sectors)
 
 
 _BAD_PIECEWISE = [
