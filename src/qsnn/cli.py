@@ -30,7 +30,7 @@ from .errors import (
     QsnnError,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 TRAJ_HEADER = "t,out_x,out_z,input_fidelity"
 _TRAJ_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 

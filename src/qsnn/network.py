@@ -117,7 +117,7 @@ class NetworkSpec:
     output_qubit: int
 
     def __post_init__(self):
-        core.check_type(Sequence, self.schedule)
+        core.check_type(Sequence, self.schedule, self.input_qubits)
         # Tuples, so that a spec is hashable: run() caches by spec.
         object.__setattr__(self, "schedule", tuple(self.schedule))
         core.check_type(NeuronSpec, *self.schedule)
@@ -201,9 +201,6 @@ def template(
     phase = parameters.solve_phase(**DEFAULT_PHASE) if phase_params is None else phase_params
     final = (parameters.make_final_params(variant, **DEFAULT_FINAL)
              if final_params is None else final_params)
-    core.check_type(FinalLayerParams, final)
-    if final.variant != variant:
-        raise InvalidParamsError(f"{kind} template requires {variant}")
     if kind == "full":
         schedule = (
             neurons.make_spec("phase", phase, (0, 1), 4),
@@ -391,6 +388,10 @@ _PARAM_REQUIRED = {
           if f.default is dataclasses.MISSING}
     for cls in _PARAM_FIELDS
 }
+# Former fields, now neurons constants: a document may hold each at its value.
+_FIXED = {PhaseNeuronParams: {"floor_4m": neurons.PHASE_FLOOR_4M,
+                              "ratio_floor": neurons.PHASE_RATIO_FLOOR},
+          FinalLayerParams: {"omega_floor": neurons.OMEGA_FLOOR}}
 # The values FinalLayerParams solves (beta, coupling_j), which documents carry.
 _SOLVED = tuple(f.name for f in dataclasses.fields(FinalLayerParams) if not f.init)
 
@@ -430,9 +431,12 @@ def _entry_from_dict(entry, version: int) -> NeuronSpec:
         raise InvalidParamsError("inputs and corrections must be lists")
     cls = neurons.PARAMS_TYPES[kind]
     params = entry["params"]
-    if version < 3 and cls is ExcNeuronParams and isinstance(params, dict):
-        # Schemas 1 and 2 also wrote this field, which nothing read.
-        params = {k: v for k, v in params.items() if k != "detuning_floor"}
+    if isinstance(params, dict):  # this document's own, so popped in place
+        if version < 3 and cls is ExcNeuronParams:
+            params.pop("detuning_floor", None)  # schemas 1 and 2 wrote it; nothing read it
+        for key, value in _FIXED.get(cls, {}).items():
+            if (got := params.pop(key, value)) != value:
+                raise InvalidParamsError(f"{key} must be {value}, got {got!r}")
     _check_fields(params, _PARAM_FIELDS[cls], _PARAM_REQUIRED[cls], "params")
     return neurons.make_spec(
         kind, _final_params(params) if cls is FinalLayerParams else cls(**params),

@@ -37,10 +37,10 @@ from .errors import (
 )
 
 PYTHAGOREAN_TOL = 1e-9
-DEFAULT_PHASE_FLOOR_4M = 8.0
-DEFAULT_PHASE_RATIO_FLOOR = 5.0
-DEFAULT_PHASE_RATIO_HEADROOM = 10.0
-DEFAULT_OMEGA_FLOOR = 20.0
+PHASE_FLOOR_4M = 8.0
+PHASE_RATIO_FLOOR = 5.0
+PHASE_RATIO_HEADROOM = 10.0
+OMEGA_FLOOR = 20.0
 DEFAULT_TRAJECTORY_SAMPLES = 1000
 
 # In a correction sequence of gates on the output qubit (core.GATES), the
@@ -49,8 +49,8 @@ EVOLUTION = ("evolution",)
 FINAL_VARIANTS = {"final_upup": "detect_upup", "final_downdown": "detect_downdown"}
 
 
-def _is_integer(x: float, tol: float = PYTHAGOREAN_TOL) -> bool:
-    return abs(x - round(x)) <= tol
+def _is_integer(x: float) -> bool:
+    return abs(x - round(x)) <= PYTHAGOREAN_TOL
 
 
 def in_arithmetic_range(fn):
@@ -165,8 +165,6 @@ class PhaseNeuronParams(_Driven):
     drive_amplitude: float = 1.0
     gamma: float = 1.0
     relaxed: bool = False
-    floor_4m: float = DEFAULT_PHASE_FLOOR_4M
-    ratio_floor: float = DEFAULT_PHASE_RATIO_FLOOR
 
     def __post_init__(self):
         _check_fields(self)
@@ -177,14 +175,14 @@ class PhaseNeuronParams(_Driven):
                 "constraint mode requires integer m and n; set relaxed=True "
                 "for tuned values"
             )
-        if 4 * self.m < self.floor_4m:
+        if 4 * self.m < PHASE_FLOOR_4M:
             raise HierarchyViolationError(
-                f"hierarchy 1 << 4m violated: 4m = {4 * self.m} < {self.floor_4m}"
+                f"hierarchy 1 << 4m violated: 4m = {4 * self.m} < {PHASE_FLOOR_4M}"
             )
-        if 2 * self.n < self.ratio_floor * 4 * self.m:
+        if 2 * self.n < PHASE_RATIO_FLOOR * 4 * self.m:
             raise HierarchyViolationError(
                 f"hierarchy 4m << 2n violated: 2n/4m = "
-                f"{2 * self.n / (4 * self.m):.3f} < {self.ratio_floor}"
+                f"{2 * self.n / (4 * self.m):.3f} < {PHASE_RATIO_FLOOR}"
             )
 
     @property
@@ -202,8 +200,8 @@ class PhaseNeuronParams(_Driven):
 
     @property
     def hierarchy_warning(self) -> bool:
-        """True when 2n/4m is below the recommended headroom (default 10)."""
-        return 2 * self.n < DEFAULT_PHASE_RATIO_HEADROOM * 4 * self.m
+        """True when 2n/4m is below the recommended headroom of 10."""
+        return 2 * self.n < PHASE_RATIO_HEADROOM * 4 * self.m
 
 
 def _phase_matching(gamma: float, l: int, s: int, parity_k: int) -> tuple[float, float]:
@@ -253,7 +251,6 @@ class FinalLayerParams(_Driven):
     drive_amplitude: float = 1.0
     drive_mode: str = "rotating"  # or "local_field"
     omega: float | None = None
-    omega_floor: float = DEFAULT_OMEGA_FLOOR
     beta: float = field(init=False)
     coupling_j: float = field(init=False)
 
@@ -267,10 +264,10 @@ class FinalLayerParams(_Driven):
         if self.drive_mode == "local_field":
             if self.omega is None:
                 raise InvalidParamsError("local_field mode requires omega")
-            if abs(self.omega) / self.drive_amplitude < self.omega_floor:
+            if abs(self.omega) / self.drive_amplitude < OMEGA_FLOOR:
                 raise InvalidParamsError(
                     f"|Omega|/A = {abs(self.omega) / self.drive_amplitude:.2f} "
-                    f"below floor {self.omega_floor}"
+                    f"below floor {OMEGA_FLOOR}"
                 )
         elif self.omega is not None:
             raise InvalidParamsError("the rotating drive takes no omega")
@@ -320,6 +317,7 @@ class NeuronSpec:
     corrections: tuple = ()
 
     def __post_init__(self):
+        core.check_type(Sequence, self.input_qubits)
         object.__setattr__(self, "input_qubits", tuple(self.input_qubits))
         _check_kind(self.kind, self.params)
         indices = (*self.input_qubits, self.output_qubit)
@@ -670,6 +668,8 @@ def record_trajectory(
     """
     if type(samples) is not int or samples < 2:
         raise InvalidParamsError(f"samples must be an int >= 2, got {samples!r}")
+    if 1024 * samples > core.HOST_MEMORY:  # an 8x8 complex U(t) per sample
+        raise InvalidParamsError("samples need more memory than this host has")
     labels = input_labels if type(input_labels) in (tuple, list) else ()
     if not labels or not all(map(BELL_LABELS.__contains__, labels)):
         raise InvalidParamsError(

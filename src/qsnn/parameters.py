@@ -19,6 +19,7 @@ from .errors import InvalidParamsError
 from .neurons import ExcNeuronParams, FinalLayerParams, NeuronSpec, PhaseNeuronParams
 
 TUNE_BOX_FRACTION = 0.02
+MAX_TRIPLES_L = 10**6  # the largest max_l: 1,980,642 triples, about half a GB
 
 
 def _check_real(**values) -> None:
@@ -149,12 +150,12 @@ class _BudgetSpent(Exception):
     """A call would exceed the simplex's budget."""
 
 
-def _nelder_mead(f, x0, maxfev: int, xatol: float = 1e-6, fatol: float = 1e-9):
+def _nelder_mead(f, x0, maxfev: int):
     """Minimize f from x0 by the downhill simplex of Nelder & Mead (Comput.
     J. 7, 308 (1965)), step for step as scipy's minimize(method="Nelder-Mead",
-    adaptive=False) takes it, on lists of floats.  A call that would exceed
-    maxfev is not made: the iteration ends there.  Returns the best vertex
-    and the calls made."""
+    adaptive=False, xatol=1e-6, fatol=1e-9) takes it, on lists of floats.  A
+    call that would exceed maxfev is not made: the iteration ends there.
+    Returns the best vertex and the calls made."""
     n, calls = len(x0), 0
     x0 = [float(v) for v in x0]
     sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
@@ -176,8 +177,8 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float = 1e-6, fatol: float = 1e-9):
         order = sorted(range(n + 1), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
         # all() of NaN comparisons is false, as np.max(...) <= tol is.
-        if calls >= maxfev or (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0]))
-                               and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
+        if calls >= maxfev or (all(abs(a - b) <= 1e-6 for v in sim[1:] for a, b in zip(v, sim[0]))
+                               and all(abs(fsim[0] - g) <= 1e-9 for g in fsim[1:])):
             return sim[0], calls
         xbar = [reduce(float.__add__, c) / n for c in zip(*sim[:-1])]  # rows in order
         with contextlib.suppress(_BudgetSpent):
@@ -235,10 +236,9 @@ def tune(
     def feasible(x):
         a, b = min(max(x[0], lo_a), hi_a), min(max(x[1], lo_b), hi_b)
         if kind == "phase":
-            # A box around a floor start crosses 4m >= floor_4m or
-            # 2n >= ratio_floor * 4m; raise m, then n, back onto the floor.
-            a = max(a, initial.floor_4m / 4)
-            return a, max(b, initial.ratio_floor * 4 * a / 2)
+            # A box around a floor start crosses a floor; raise m, then n, back onto it.
+            a = max(a, neurons.PHASE_FLOOR_4M / 4)
+            return a, max(b, neurons.PHASE_RATIO_FLOOR * 4 * a / 2)
         # A box around l/k < 1.02/0.98 reaches k >= l; keep l just above k.
         return a, max(b, math.nextafter(a, math.inf))
 
@@ -269,6 +269,8 @@ def pythagorean_triples(max_l: int) -> list[tuple[int, int, int]]:
     """All (k, j, l) with k² + j² = l², k < j, l ≤ max_l (Euclid's formula)."""
     if not (core._is_index(max_l) and max_l >= 1):
         raise InvalidParamsError(f"max_l must be an integer of at least 1, got {max_l!r}")
+    if max_l > MAX_TRIPLES_L:
+        raise InvalidParamsError(f"max_l must be at most {MAX_TRIPLES_L}")
     triples = set()
     for p in range(2, int(math.isqrt(max_l)) + 2):
         for q in range(1, p):

@@ -30,14 +30,13 @@ class TestParamsCommands:
     def test_triples(self, runner):
         data = _json_out(runner.invoke(main, ["params", "triples", "--max-l", "20"]))
         assert [8, 15, 17] in data["triples"]
-
     def test_solve_exc(self, runner):
         data = _json_out(
             runner.invoke(main, ["params", "solve-exc", "--k", "3", "--l", "5"])
         )
         assert data["beta"] == pytest.approx(3.0)
         assert data["coupling_j"] == pytest.approx(4.0)
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
 
     def test_solve_exc_invalid_exit_2(self, runner):
         result = runner.invoke(main, ["params", "solve-exc", "--k", "2", "--l", "3"])
@@ -223,7 +222,7 @@ class TestNeuronCommands:
         monkeypatch.setenv("QSNN_SEED", "1234")
         data = _json_out(runner.invoke(main, command))
         assert "seed" not in data
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
 
     def test_trajectory_rows_have_17_significant_digits(self, runner, tmp_path):
         result = runner.invoke(
@@ -355,6 +354,10 @@ OUT_OF_RANGE = {
     "solve_exc": ["params", "solve-exc", "--k", "1", "--l", "1" + "0" * 200],
     "neuron_phase": ["neuron", "phase", "--m", "3", "--n", "1" + "0" * 400],
     "negative_max_l": ["params", "triples", "--max-l", "-5"],
+    # Above parameters.MAX_TRIPLES_L, refused before the search.
+    "max_l_above_bound": ["params", "triples", "--max-l", "10000000"],
+    "huge_max_l": ["params", "triples", "--max-l", "1" + "0" * 400],
+    "huge_max_l_call": lambda: parameters.pythagorean_triples(10**400),
     # tau = pi/A overflows for a tiny positive drive amplitude.
     "tiny_amplitude_exc_params": lambda: neurons.ExcNeuronParams(
         k=8.0, l=17.0, drive_amplitude=1e-320),

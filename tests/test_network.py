@@ -240,6 +240,10 @@ class TestValidation:
         for inputs, output in (((0, 1, 2, 3), 6.0), ((False, True, 2, 3), 6)):
             with pytest.raises(errors.NetworkValidationError):
                 network.NetworkSpec(7, reduced.schedule, inputs, output)
+        # Not a sequence at all: refused before it is converted to a tuple.
+        for inputs in (None, math.nan, 5):
+            with pytest.raises(errors.InvalidParamsError):
+                network.NetworkSpec(7, reduced.schedule, inputs, 6)
 
 
 class TestTruthTable:
@@ -612,7 +616,7 @@ class TestSerialization:
                 "detect_downdown", 29, 15, 0, drive_mode="local_field",
                 omega=50.0,
             ),
-            omega_floor=30.0,
+            drive_amplitude=2.0,
         )
         spec = network.template("reduced", final_params=final)
         assert network.from_json(network.to_json(spec)) == spec
@@ -627,13 +631,43 @@ class TestSerialization:
 
     @pytest.mark.parametrize("executor", ["embedded_unitary", "full_dynamics"])
     def test_schema_1_document_loads(self, reduced, executor):
-        v2 = json.loads(network.to_json(reduced))
+        v2 = _with_floors(json.loads(network.to_json(reduced)))
         v1 = copy.deepcopy(v2)
         v1.update(schema_version=1, run_mode=executor)
         # Schema-1 writers left out the final layer's omega_floor.
         del v1["schedule"][-1]["params"]["omega_floor"]
         assert network.from_json(json.dumps(v1)) == reduced
         assert network.from_json(json.dumps(v2)) == reduced
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["full", "reduced"])
+    def test_floors_at_their_constants_load(self, kind, version):
+        # Documents written before the floors became neurons constants
+        # carry them, at these values, in every schema.
+        spec = network.template(kind)
+        doc = _with_floors(json.loads(network.to_json(spec)))
+        doc["schema_version"] = version
+        if version == 1:
+            doc["run_mode"] = "embedded_unitary"
+        assert network.from_json(json.dumps(doc)) == spec
+
+    @pytest.mark.parametrize("key, value", [
+        ("floor_4m", 4.0), ("ratio_floor", 10.0), ("omega_floor", 30.0),
+        ("floor_4m", "8.0"), ("omega_floor", None), ("ratio_floor", math.nan),
+    ])
+    def test_floors_off_their_constants_are_refused(self, reduced, key, value):
+        doc = _with_floors(json.loads(network.to_json(reduced)))
+        i = next(i for i, e in enumerate(doc["schedule"]) if key in e["params"])
+        doc["schedule"][i]["params"][key] = value
+        with pytest.raises(errors.NetworkValidationError,
+                           match=f"schedule entry {i}: {key} must be"):
+            network.from_json(json.dumps(doc))
+
+    def test_to_json_writes_no_floor(self, full, reduced):
+        for spec in (full, reduced):
+            for entry in json.loads(network.to_json(spec))["schedule"]:
+                assert not entry["params"].keys() & {"floor_4m", "ratio_floor",
+                                                     "omega_floor"}
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_detuning_floor_ignored_before_schema_3(self, reduced, version):
@@ -647,6 +681,18 @@ class TestSerialization:
             if entry["kind"] == "excitation":
                 entry["params"]["detuning_floor"] = 10.0
         assert network.from_json(json.dumps(doc)) == reduced
+
+
+def _with_floors(doc: dict) -> dict:
+    """doc as earlier writers wrote it: floor_4m and ratio_floor in each
+    phase entry, omega_floor in each final layer."""
+    for entry in doc["schedule"]:
+        if entry["kind"] == "phase":
+            entry["params"].update(floor_4m=neurons.PHASE_FLOOR_4M,
+                                   ratio_floor=neurons.PHASE_RATIO_FLOOR)
+        elif entry["kind"] in neurons.FINAL_VARIANTS:
+            entry["params"]["omega_floor"] = neurons.OMEGA_FLOOR
+    return doc
 
 
 def _reduced_doc() -> dict:

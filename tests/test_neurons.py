@@ -414,10 +414,20 @@ class TestTrajectories:
         {"samples": 1}, {"samples": 2.5}, {"samples": "x"}, {"samples": True},
         {"input_labels": "Phi+"}, {"input_labels": ()},
         {"input_labels": ("Phi+", "Chi+")}, {"input_labels": 5},
+        {"samples": 10**400},
     ])
     def test_invalid_arguments(self, exc_spec, bad):
         with pytest.raises(errors.InvalidParamsError):
             neurons.record_trajectory(exc_spec, **bad)
+
+    def test_samples_beyond_host_memory_are_refused(self, exc_spec, monkeypatch):
+        # Each sample holds a 1,024-byte U(t): a stack larger than the host
+        # is refused before np.linspace or the propagator allocate it.
+        monkeypatch.setattr(core, "HOST_MEMORY", 1024 * 100)
+        with pytest.raises(errors.InvalidParamsError, match="memory"):
+            neurons.record_trajectory(exc_spec, ("Phi-",), samples=101)
+        traj = neurons.record_trajectory(exc_spec, ("Phi-",), samples=100)[0]
+        assert len(traj.times) == 100
 
 
 class TestFinalLayers:
@@ -558,10 +568,12 @@ class TestSpecValidation:
                               neurons.neuron_unitary(marked).matrix)
 
     @pytest.mark.parametrize("wiring", [((0, 1), 2.0), ((0, True), 2),
-                                        ((0, 1, 3), 2)])
+                                        ((0, 1, 3), 2), (math.nan, 2), (None, 2)])
     def test_integer_wiring_required(self, exc_8_17, wiring):
         with pytest.raises(errors.InvalidParamsError):
             neurons.make_spec("excitation", exc_8_17, *wiring)
+        with pytest.raises(errors.InvalidParamsError):
+            neurons.NeuronSpec("phase", parameters.solve_phase(3, 82), *wiring)
 
     @pytest.mark.parametrize("params,field,value", [
         (parameters.solve_exc(8, 17), "j_sign", -1.0),
@@ -569,7 +581,6 @@ class TestSpecValidation:
         (parameters.solve_exc(8, 17), "gamma", 10**400),
         (parameters.solve_exc(8, 17), "relaxed", 1),
         (parameters.solve_phase(3, 82), "m", True),
-        (parameters.solve_phase(3, 82), "floor_4m", math.nan),
         (parameters.solve_phase(3, 82), "drive_amplitude", -1.0),
         (parameters.make_final_params("detect_upup", 29, 15, 0), "l", 29.0),
         (parameters.make_final_params("detect_upup", 29, 15, 0), "parity_k",
@@ -593,7 +604,7 @@ class TestSpecValidation:
          "omega", 5.0),
         (parameters.make_final_params("detect_upup", 29, 15, 0), "omega", 50.0),
     ], ids=["exc-j_sign", "exc-k", "exc-gamma", "exc-relaxed", "phase-m",
-            "phase-floor_4m", "phase-drive_amplitude", "final-l",
+            "phase-drive_amplitude", "final-l",
             "final-parity_k", "final-omega", "exc-j_sign_2", "exc-k_not_integer",
             "phase-n_below_m", "phase-m_not_integer", "phase-4m_below_floor",
             "final-variant", "final-drive_mode", "final-local_field_without_omega",

@@ -33,7 +33,6 @@ class TestPythagoreanTriples:
         with pytest.raises(errors.InvalidParamsError):
             parameters.pythagorean_triples(max_l)
 
-
 class TestSolveExc:
     def test_3_5_unity(self):
         p = parameters.solve_exc(3, 5)
@@ -265,7 +264,7 @@ class TestTune:
     @pytest.mark.parametrize("m, n", [(2, 20), (2, 40), (2, 54), (3, 30), (4, 40),
                                       (5, 50), (6, 60)])
     def test_hierarchy_floor_start(self, m, n):
-        # The +-2% box around a start on 4m = floor_4m or 2n = 5*4m reaches
+        # The +-2% box around a start on 4m = 8 or 2n = 5*4m reaches
         # invalid parameters; the tuner keeps its candidates valid instead.
         # These are the benchmark's seven hierarchy-floor starts.
         start = parameters.solve_phase(m, n)
@@ -274,8 +273,8 @@ class TestTune:
         assert result.final_fidelity >= result.initial_fidelity
         assert result.evaluations <= 300
         tuned = result.tuned_params
-        assert 4 * tuned.m >= start.floor_4m
-        assert 2 * tuned.n >= start.ratio_floor * 4 * tuned.m
+        assert 4 * tuned.m >= neurons.PHASE_FLOOR_4M
+        assert 2 * tuned.n >= neurons.PHASE_RATIO_FLOOR * 4 * tuned.m
 
 
 def _tune_by_reports(initial, kind: str, budget: int):
@@ -288,8 +287,8 @@ def _tune_by_reports(initial, kind: str, budget: int):
                                   relaxed=True)
 
         def feasible(x):
-            m = max(x[0], initial.floor_4m / 4)
-            return np.array([m, max(x[1], initial.ratio_floor * 4 * m / 2)])
+            m = max(x[0], neurons.PHASE_FLOOR_4M / 4)
+            return np.array([m, max(x[1], neurons.PHASE_RATIO_FLOOR * 4 * m / 2)])
     else:
         x0 = np.array([initial.k, initial.l], dtype=float)
         relax = lambda x: replace(initial, k=float(x[0]), l=float(x[1]),
