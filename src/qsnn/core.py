@@ -70,6 +70,14 @@ def _is_index(x) -> bool:  # an int or numpy integer, not a bool
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or its type if repr refuses (an int over 4,300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _check_register(num_qubits) -> None:
     if not (_is_index(num_qubits) and 1 <= num_qubits <= MAX_REGISTER):
         raise InvalidParamsError(
@@ -326,6 +334,63 @@ def _sector_basis(terms: tuple[str, ...]) -> np.ndarray:
     return read_only(np.linalg.eigh(h if h.imag.any() else h.real)[1])
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_basis(factors, support: tuple[int, ...], linked: bytes):
+    """(Q, lift), or None, for every H whose terms have these (qubit, axis) factors on `support`
+    and whose nonzero entries are those of `linked` (boolean bytes): Q is real orthogonal, its
+    column pairs (0, 1), (2, 3), … span 2×2 blocks of H, and lift maps the blocks B_b, (j, k, b)
+    in C order, to Q·(⊕B_b)·Qᵀ.  A two-state component of the pattern keeps its computational
+    states, so that no roundoff mixes it with another (the excitation neuron's Φ± inputs stay
+    exact); a larger one takes the columns of _sector_basis on it."""
+    terms = tuple("".join(dict(f).get(q, "I") for q in support) for f in factors)
+    d = 2 ** len(support)
+    reach = np.eye(d, dtype=bool) | np.frombuffer(linked, bool).reshape(d, d)
+    for _ in support:  # paths of up to 2^q steps: reach[i, j] when i, j share a component
+        reach = reach @ reach
+    w, columns = _sector_basis(terms), []
+    for on in map(np.array, sorted({tuple(row) for row in reach}, reverse=True)):
+        columns.append(np.eye(d)[:, on] if on.sum() == 2 else
+                       np.where(on[:, None], w, 0.0)[:, (abs(w[on]) ** 2).sum(0) > 0.5])
+    q = np.column_stack(columns)
+    if q.shape != (d, d) or q.dtype != float or np.abs(q.T @ q - np.eye(d)).max() > 1e-12:
+        return None
+    apart = np.kron(np.eye(d // 2), np.ones((2, 2))) == 0  # entries outside the 2×2 blocks
+    if max(np.abs(q.T @ (_pauli_string(tuple(t)) * reach) @ q)[apart].max(initial=0.0)
+           for t in terms) > 1e-12:
+        return None
+    pairs = q.reshape(d, -1, 2)
+    return read_only(q), read_only(np.einsum("xbj,ybk->xyjkb", pairs, pairs).reshape(d * d, -1))
+
+
+class _PairStack:
+    """U(t_i) = Q·(⊕_b U_b(t_i))·Qᵀ for the (Q, lift) of _pair_basis, held as the 2×2 blocks
+    U_b(t_i) = blocks[:, :, b, i]: an index gives dense rows, and `stack @ states` the
+    (len(times), d, c) stack of U(t_i)·states, formed without the dense stack."""
+
+    __slots__ = ("basis", "lift", "blocks")
+
+    def __init__(self, basis: np.ndarray, lift: np.ndarray, blocks: np.ndarray):
+        self.basis, self.lift, self.blocks = basis, lift, blocks
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.blocks.shape[-1],) + self.basis.shape
+
+    def __getitem__(self, rows) -> np.ndarray:
+        rows = self.blocks[..., rows]
+        dense = (self.lift @ rows.reshape(len(self.lift.T), -1)).reshape(
+            self.basis.shape + rows.shape[3:])
+        return dense if rows.ndim == 3 else dense.transpose(2, 0, 1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:]
+
+    def __matmul__(self, states: np.ndarray) -> np.ndarray:
+        x = (self.basis.T @ states).reshape(-1, 2, states.shape[-1])
+        y = np.einsum("jkbt,bkc->bjct", self.blocks, x).reshape(len(self.basis), -1)
+        return (self.basis @ y).reshape(len(self.basis), -1, self.shape[0]).transpose(2, 0, 1)
+
+
 def _h_at(static: np.ndarray, drives, t) -> np.ndarray:
     """Local H(t), or a stack of them for an array of times, from the pieces."""
     h = static
@@ -395,7 +460,7 @@ def apply_local(
     if op.shape[-2:] != (len(block), len(block)):
         raise DimensionMismatchError("operator size does not match target count")
     # A stack on the one block is one (m d, d) x (d, c) product, not m products.
-    product = op.reshape(-1, len(block)) @ block
+    product = (op.reshape(-1, len(block)) if isinstance(op, np.ndarray) else op) @ block
     return merge_targets(product.reshape(op.shape[:-1] + block.shape[1:]),
                          targets, states.shape)
 
@@ -459,6 +524,29 @@ def _magnus_basis(static, string) -> np.ndarray:
     return np.reshape([static, string] + pairs, (14, -1))
 
 
+# A 2×2 block's Pauli coefficients (c0, cx, cy, cz) from its entries (a00, a01, a10, a11), the
+# inverse, and [u·σ, v·σ] = 2i(u × v)·σ on the outer product of two coefficient vectors.
+_PAULI_OF = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [-1, 0, 0, 1]]) / 2
+_ENTRIES_OF = np.array([[1, 0, 0, -1], [0, 1, 1j, 0], [0, 1, -1j, 0], [1, 0, 0, 1]])
+_COMMUTATOR = 1j * np.array([[(i - j) * (j - k) * (k - i) for j in range(3) for k in range(3)]
+                             for i in range(3)])
+
+
+def _pair_magnus_basis(static, string) -> np.ndarray:
+    """_magnus_basis for stacks of 2×2 blocks, shape (2, 2, blocks), as the Pauli coefficients
+    of each block, shape (14, 4 * blocks), one level of commutators at a time."""
+    coefficients = _PAULI_OF @ np.stack([static, string]).reshape(2, 4, -1)
+    hm = coefficients[:, 1:].transpose(1, 0, 2)  # the vectors of H_s and M, (3, 2, blocks)
+    commutators = lambda u, v: (  # noqa: E731
+        _COMMUTATOR @ (u[:, None] * v[None]).reshape(9, -1)).reshape(3, -1, hm.shape[-1])
+    k = commutators(hm[:, :1], hm[:, 1:])
+    ys = np.concatenate([hm[:, 1:], k, commutators(hm, k)], 1)  # M, K, L1, L2
+    basis = np.zeros((14, 4, hm.shape[-1]), dtype=complex)
+    basis[:2], basis[2:, 1:] = coefficients, commutators(
+        np.concatenate([k, hm], 1)[:, :, None], ys[:, None]).transpose(1, 0, 2)
+    return basis.reshape(14, -1)
+
+
 def _magnus_exponentials(static, drive, left: np.ndarray, width: np.ndarray, basis):
     """(cut, exp(Omega) of the steps left[cut], width[cut]) for each
     _MAGNUS_CHUNK steps [left, left + width] of dU/dt = -iH(t)U, for
@@ -471,13 +559,18 @@ def _magnus_exponentials(static, drive, left: np.ndarray, width: np.ndarray, bas
     f1, f2, f3 = amplitude * wave(frequency * (left + _GAUSS_NODES[:, None] * width))
     s = -1j * width
     b1, b2, b3 = f2, math.sqrt(15.0) / 3.0 * (f3 - f1), 10.0 / 3.0 * (f3 - 2.0 * f2 + f1)
-    x = np.stack([s * s * b2, -20.0 * s, -s * (20.0 * b1 + b3)], -1)
-    y = np.stack([b2, s * b3 / -30.0, s * s * b2 / -60.0, s * s * b1 * b2 / -60.0], -1)
-    xy = np.einsum("ij,ik->ijk", x, y * (s / 240.0)[:, None]).reshape(-1, 12)
-    weights = np.column_stack([s, s * (b1 + b3 / 12.0), xy])
-    for lo in range(0, len(s), _MAGNUS_CHUNK):  # bounded temporaries
-        cut = slice(lo, lo + _MAGNUS_CHUNK)
-        yield cut, _expm_taylor((weights[cut] @ basis).reshape((-1,) + static.shape))
+    s2 = s * s
+    x = np.array([s2 * b2, -20.0 * s, -s * (20.0 * b1 + b3)])
+    y = np.array([b2, s * b3 / -30.0, s2 * b2 / -60.0, s2 * b1 * b2 / -60.0]) * (s / 240.0)
+    weights = np.empty((len(s), 14), dtype=complex)
+    weights[:, 0], weights[:, 1] = s, s * (b1 + b3 / 12.0)
+    weights[:, 2:] = (x[:, None] * y).reshape(12, -1).T
+    # Bounded temporaries: _MAGNUS_CHUNK d×d steps, or 16 times as many stacks of 2×2 blocks.
+    expm, chunk = (_expm_taylor, 1) if static.ndim == 2 else (_expm_pairs, 16)
+    chunk *= _MAGNUS_CHUNK
+    for lo in range(0, len(s), chunk):
+        cut = slice(lo, lo + chunk)
+        yield cut, expm((weights[cut] @ basis).reshape((-1,) + static.shape))
 
 
 def _expm_taylor(a: np.ndarray) -> np.ndarray:
@@ -499,7 +592,22 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
+_EYE_PAIRS = np.eye(2)[:, :, None, None]
+_mul_pairs = functools.partial(np.einsum, "ij...,jk...->ik...")  # 2×2 products, entries first
+
+
+def _expm_pairs(a: np.ndarray) -> np.ndarray:
+    """exp of each anti-Hermitian 2×2 matrix -i(θ·I + w·σ), given by its Pauli coefficients in
+    a (steps, 4, ...) stack, as entries in a (2, 2, ..., steps) one, in closed form:
+    e^{-iθ}·(cos r·I - i·sin r·w·σ/r) with r = |w|."""
+    c = a.reshape(len(a), 4, -1).transpose(1, 2, 0)
+    r = np.sqrt((c[1:].imag ** 2).sum(0))
+    e = np.empty(c.shape, dtype=complex)
+    e[0], e[1:] = np.cos(r), np.divide(np.sin(r), r, out=np.ones_like(r), where=r != 0) * c[1:]
+    return (_ENTRIES_OF @ (np.exp(c[0]) * e).reshape(4, -1)).reshape((2, 2) + r.shape)
+
+
+def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray, lift=None):
     """U(t) = U(t mod T) U(T)^floor(t/T) into out, for a drive of period T.
 
     Only [0, min(S, t_max)] is propagated (Shirley, Phys. Rev. 138, B979,
@@ -512,6 +620,11 @@ def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     n = max(|H| T, (P C a T (2 pi + |H| T)^5 / tol)^(1/6)), C = _MAGNUS_ERROR:
     one period errs by about C a T (2 pi + |H| T)^5 / n^6, and C is ten times
     the largest constant measured, so that U errs by about tol / 10 (README).
+
+    Given the lift of _pair_basis (H real), the same steps run on H's 2×2 blocks, and out,
+    shape (2, 2, blocks, len(times)), receives U(t)'s: each exponential in closed form, each
+    product one elementwise einsum, the chain a log-depth prefix product, and U(T)^k for every
+    turn k from the same squares of U(T).
     """
     (drive,) = drives
     period = 2.0 * math.pi / abs(drive[1])
@@ -522,25 +635,54 @@ def _floquet(static, drives, times: np.ndarray, tol: float, out: np.ndarray):
     turns[full], phase[full] = turns[full] + 1, 0.0
     folded = real & (phase > period / 2.0 + roundoff)  # U(p) = conj(U(T - p)) U(T)
     phase[folded] = period - phase[folded]
-    grid, index = np.unique(phase, return_inverse=True)
-    first = np.diff(grid, prepend=-math.inf) > roundoff  # the largest of a run
-    grid, index = grid[np.append(first[1:], True)], np.cumsum(first)[index] - 1
+    grid = np.sort(phase)
+    gaps = grid[1:] - grid[:-1] > roundoff  # a run of phases within roundoff keeps its largest
+    index = np.concatenate(([0], np.cumsum(gaps)))[np.searchsorted(grid, phase)]
+    grid = grid[np.concatenate((gaps, [True]))]
     span = min(period / 2.0 if real else period, times[-1])
     norm = (abs(drive[0]) + np.abs(np.linalg.eigvalsh(static)).max()) * period
     spanned = math.ceil((times[-1] - roundoff) / period)  # P of the step rule
     steps = max(norm, (spanned * _MAGNUS_ERROR * abs(drive[0]) * period
                        * (2.0 * math.pi + norm) ** 5 / tol) ** (1 / 6))
     nodes = np.linspace(0.0, span, max(math.ceil(span * steps / period), 1) + 1)
+    below = np.searchsorted(nodes, grid, side="right") - 1
+    short = np.flatnonzero(grid - nodes[below] > roundoff)
+    left = nodes[below[short]]  # phases off the chain's nodes: one shorter step each
+    if lift is not None:  # stacks of 2×2 blocks, entries first: (2, 2, blocks, steps)
+        static, string = (np.stack([static, drive[3]]).reshape(2, -1) @ lift).reshape(2, 2, 2, -1)
+        drive, chained = (*drive[:3], string), len(nodes) - 1
+        steps = np.empty(static.shape + (1 + chained + short.size,), dtype=complex)
+        steps[..., 0] = _EYE_PAIRS[..., 0]  # then the chain's steps and the short ones
+        for cut, running in _magnus_exponentials(
+                static, drive, np.concatenate((nodes[:-1], left)),
+                np.concatenate((np.diff(nodes), grid[short] - left)),
+                _pair_magnus_basis(static, string)):
+            steps[..., 1:][..., cut] = running
+        chain, width = steps[..., :chained + 1], 1
+        while width <= chained:  # chain[..., i] = step i-1 ... step 0
+            chain[..., width:] = _mul_pairs(chain[..., width:], chain[..., :-width])
+            width *= 2
+        within = chain[..., below]
+        if short.size:
+            within[..., short] = _mul_pairs(steps[..., chained + 1:], within[..., short])
+        u, whole = within[..., index], _mul_pairs(chain[..., -1].swapaxes(0, 1), chain[..., -1])
+        if folded.any():
+            u[..., folded] = _mul_pairs(u[..., folded].conj(), whole[..., None])
+        values = turns[np.concatenate(([True], turns[1:] != turns[:-1]))]  # turns increase
+        squares = [whole[..., None]]
+        while len(squares) < int(values[-1]).bit_length():  # U(T)^(2^j) for each bit j of a turn
+            squares.append(_mul_pairs(squares[-1], squares[-1]))
+        odd = values // 2.0 ** np.arange(len(squares))[:, None] % 2 == 1
+        power = functools.reduce(_mul_pairs, map(np.where, odd, squares, [_EYE_PAIRS] * len(odd)))
+        _mul_pairs(u, power[..., np.searchsorted(values, turns)], out=out)
+        return
     basis = _magnus_basis(static, drive[3])
     chain = np.tile(np.eye(len(static), dtype=complex), (len(nodes), 1, 1))
     for cut, running in _magnus_exponentials(static, drive, nodes[:-1], np.diff(nodes), basis):
         for i, step in enumerate(running, cut.start):
             np.matmul(step, chain[i], out=chain[i + 1])
-    below = np.searchsorted(nodes, grid, side="right") - 1
     within = chain[below]
-    short = np.flatnonzero(grid - nodes[below] > roundoff)
-    if short.size:  # phases off the chain's nodes: one shorter step each
-        left = nodes[below[short]]
+    if short.size:
         for cut, running in _magnus_exponentials(static, drive, left, grid[short] - left, basis):
             within[short[cut]] = running @ within[short[cut]]
     whole = chain[-1].T @ chain[-1] if real else chain[-1]  # U(T) wherever it is used
@@ -570,7 +712,9 @@ def _local_propagators(
       static part: the exact rotating frame,
       U(t) = exp(-/+ i w t N) exp(-i t (H_s + A/2 X -/+ w N));
     * one cosine drive: Floquet, with order-6 Magnus steps over
-      one period (_floquet);
+      one period (_floquet); when H is real and _pair_basis splits it into
+      2×2 blocks (the excitation neuron), on those blocks, and the stack is
+      a _PairStack rather than an array;
     * anything else: the adaptive integrator over [0, t_max].
 
     method "ode" forces the integrator.  num_qubits, when given, is the
@@ -595,13 +739,8 @@ def _local_propagators(
     if num_qubits is not None and num_qubits != hamiltonian.num_qubits:
         raise DimensionMismatchError("state and Hamiltonian register sizes differ")
     support, static, drives = hamiltonian._local_pieces()
-    out = np.empty((times.size,) + static.shape, dtype=complex)
     start = int(times[0] == 0)
-    if start:
-        out[0] = np.eye(len(static))
-    t, rest = times[start:], out[start:]
-    if t.size == 0:
-        return support, out
+    t = times[start:]
     dynamic = [drv for drv in hamiltonian.drive_terms if drv.form != "static_z"]
     drv = dynamic[0] if len(dynamic) == 1 else None
     rotating = drv is not None and drv.form.startswith("rotating")
@@ -610,6 +749,23 @@ def _local_propagators(
         number = (1.0 + z.real) / 2.0  # N = |up><up| on the target
         rotating = not np.any(static[number[:, None] != number[None, :]])
     periodic = drv is not None and drv.form == "cosine_x"
+    pairs = None
+    if method == "auto" and periodic and drives and t.size and not (
+            static.imag.any() or drives[0][3].imag.any()):
+        pairs = _pair_basis(tuple(term.factors for term in hamiltonian.static_terms) + tuple(
+            ((d.target_qubit, a),) for d in hamiltonian.drive_terms for *_, a in _AFFINE[d.form]),
+            support, ((static != 0) | (drives[0][3] != 0)).tobytes())
+    if pairs is not None:
+        blocks = np.empty((2, 2, len(static) // 2, times.size), dtype=complex)
+        blocks[..., :start] = _EYE_PAIRS
+        _floquet(static, drives, t, tol, blocks[..., start:], pairs[1])
+        return support, _PairStack(*pairs, blocks)
+    out = np.empty((times.size,) + static.shape, dtype=complex)
+    if start:
+        out[0] = np.eye(len(static))
+    rest = out[start:]
+    if t.size == 0:
+        return support, out
     if method == "auto" and not drives:
         _eigh_propagators(static, t, rest)
     elif method == "auto" and rotating:

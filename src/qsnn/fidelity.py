@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseOperator, _is_index, check_type
+from .core import DenseOperator, _is_index, _shown, check_type
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -101,7 +101,8 @@ def mc_average_fidelity(
     coefficients over the basis states.
     """
     if not (_is_index(n_samples) and n_samples >= 2):
-        raise InvalidParamsError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
+        raise InvalidParamsError(
+            f"n_samples must be an integer of at least 2, got {_shown(n_samples)}")
     basis, m = _restricted(u_actual, u_ideal, subspace)
     d = basis.shape[1]
     rng = np.random.default_rng(seed)

@@ -494,7 +494,7 @@ def from_json(text: str) -> NetworkSpec:
                 schedule.append(_entry_from_dict(entry, version))
             except InvalidParamsError as exc:
                 raise InvalidParamsError(f"schedule entry {i}: {exc}") from None
-    except (json.JSONDecodeError, InvalidParamsError) as exc:
+    except ValueError as exc:  # also json's, such as an int of over 4,300 digits
         raise NetworkValidationError([str(exc)]) from None
     return NetworkSpec(doc["num_qubits"], schedule, doc["input_qubits"],
                        doc["output_qubit"])

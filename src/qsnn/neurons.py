@@ -89,7 +89,7 @@ def _check_fields(params) -> None:
         if not accepts(value):
             raise InvalidParamsError(
                 f"{type(params).__name__}.{f.name} must be {what}, "
-                f"got {value!r}"
+                f"got {core._shown(value)}"
             )
     if params.drive_amplitude <= 0:
         raise InvalidParamsError("drive amplitude must be positive")
@@ -667,7 +667,7 @@ def record_trajectory(
     the output flip: ⟨Ψ(t)| (|Ψ₀⟩⟨Ψ₀| + X₃|Ψ₀⟩⟨Ψ₀|X₃) |Ψ(t)⟩.
     """
     if type(samples) is not int or samples < 2:
-        raise InvalidParamsError(f"samples must be an int >= 2, got {samples!r}")
+        raise InvalidParamsError(f"samples must be an int >= 2, got {core._shown(samples)}")
     if 1024 * samples > core.HOST_MEMORY:  # an 8x8 complex U(t) per sample
         raise InvalidParamsError("samples need more memory than this host has")
     labels = input_labels if type(input_labels) in (tuple, list) else ()

@@ -268,7 +268,8 @@ def tune(
 def pythagorean_triples(max_l: int) -> list[tuple[int, int, int]]:
     """All (k, j, l) with k² + j² = l², k < j, l ≤ max_l (Euclid's formula)."""
     if not (core._is_index(max_l) and max_l >= 1):
-        raise InvalidParamsError(f"max_l must be an integer of at least 1, got {max_l!r}")
+        raise InvalidParamsError(
+            f"max_l must be an integer of at least 1, got {core._shown(max_l)}")
     if max_l > MAX_TRIPLES_L:
         raise InvalidParamsError(f"max_l must be at most {MAX_TRIPLES_L}")
     triples = set()

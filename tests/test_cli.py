@@ -264,12 +264,14 @@ class TestNeuronCommands:
 
     def test_trajectories_match_the_integrator(self, runner, tmp_path,
                                                monkeypatch):
-        # The Magnus stack against DOP853 over all of [0, tau] at 1e-13.
+        # The Magnus stack against DOP853 over all of [0, tau] at 1e-13; without
+        # a pair basis the excitation neuron takes the dense stack, and the ODE.
         def integrated(static, drives, times, tol, out):
             out[:] = core._integrate(static, drives, times, 1e-13)
 
         for name in ("magnus", "ode"):
             if name == "ode":
+                monkeypatch.setattr(core, "_pair_basis", lambda *args: None)
                 monkeypatch.setattr(core, "_floquet", integrated)
             result = runner.invoke(
                 main, ["neuron", "exc", "--k", "6", "--l", "10", "--traj",
@@ -454,6 +456,15 @@ class TestNetworkCommands:
             main, ["network", "validate", "--spec", str(spec_file)]
         )
         assert result.exit_code == 2
+
+    def test_validate_rejects_an_int_too_long_to_parse_exit_2(self, runner, tmp_path):
+        spec_file = tmp_path / "huge.json"
+        spec_file.write_text('{"schema_version": 1' + "0" * 5000 + "}")
+        result = runner.invoke(
+            main, ["network", "validate", "--spec", str(spec_file)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
 
     def test_unreadable_spec_exit_nonzero(self, runner, tmp_path):
         spec_file = tmp_path / "broken.json"

@@ -385,8 +385,9 @@ class TestFastPaths:
     def test_sampled_final_unitarity_checked(self, monkeypatch):
         local_propagators = core._local_propagators
 
-        def drifting(*args):
+        def drifting(*args):  # the dense form of the excitation neuron's block stack
             support, local = local_propagators(*args)
+            local = np.array(local)
             local[-1] *= 1.001
             return support, local
 
@@ -400,7 +401,7 @@ class TestFastPaths:
 
         def drifting(*args):
             support, local = local_propagators(*args)
-            return support, 1.001 * local
+            return support, 1.001 * np.asarray(local)
 
         monkeypatch.setattr(core, "_local_propagators", drifting)
         with pytest.raises(errors.NormDriftError):
@@ -515,10 +516,11 @@ class TestMagnus:
         # product, and a phase p above T/2 is folded to T - p.  Each folded
         # phase lands on one below T/2, so (6,10) keeps 167 phases and (8,17)
         # 500; each off a chain node (all but 0, and at (8,17) also 333T/999)
-        # takes one shorter step from the node below it, exponentiated and
-        # applied _MAGNUS_CHUNK at a time.
+        # takes one shorter step from the node below it.  The excitation
+        # neuron's 2×2 blocks take the chain's and the short steps in one
+        # call, exponentiated in closed form 16 * _MAGNUS_CHUNK at a time.
         calls, chunks = [], []
-        exponentials, taylor = core._magnus_exponentials, core._expm_taylor
+        exponentials, closed_form = core._magnus_exponentials, core._expm_pairs
 
         def spy(static, drive, left, width, basis):
             calls.append((left, width))
@@ -526,13 +528,14 @@ class TestMagnus:
 
         def chunked(a):
             chunks.append(len(a))
-            return taylor(a)
+            return closed_form(a)
 
         monkeypatch.setattr(core, "_magnus_exponentials", spy)
-        monkeypatch.setattr(core, "_expm_taylor", chunked)
+        monkeypatch.setattr(core, "_expm_pairs", chunked)
         ham, times = _h_exc(k, l), np.linspace(0.0, TAU_EXC, 1000)
         _, fast = core._local_propagators(ham, times, 1e-9)
-        (nodes, steps), (left, width) = calls
+        ((left, width),) = calls
+        nodes, steps, left, width = left[:n], width[:n], left[n:], width[n:]
         period = TAU_EXC / k  # tau is k drive periods
         assert len(steps) == n
         assert nodes[0] == 0.0 and np.allclose(nodes[1:], np.cumsum(steps)[:-1])
@@ -540,7 +543,7 @@ class TestMagnus:
         assert np.isin(left, nodes).all()
         assert width.min() > 0.0 and width.max() < steps.min()
         assert len(width) == short
-        assert sum(chunks) == n + short and max(chunks) <= core._MAGNUS_CHUNK
+        assert sum(chunks) == n + short and max(chunks) <= 16 * core._MAGNUS_CHUNK
         _, ode = core._local_propagators(ham, times, 1e-11, "ode")
         assert _max_diff(fast, ode) <= 1e-9
 
@@ -548,19 +551,23 @@ class TestMagnus:
     def test_whole_periods_take_only_the_chain(self, k, l, monkeypatch):
         # tau is k drive periods, so U(tau) = U(T)^k takes no shorter step,
         # also at (21, 35), where tau mod T falls within roundoff of T; the
-        # 14 basis matrices are built once.
-        calls, bases, powers = [], [], []
-        exponentials, basis = core._magnus_exponentials, core._magnus_basis
-        matrix_power = np.linalg.matrix_power
+        # 14 basis matrices of the 2×2 blocks are built once.
+        calls, bases = [], []
+        exponentials, basis = core._magnus_exponentials, core._pair_magnus_basis
         monkeypatch.setattr(core, "_magnus_exponentials",
                             lambda *args: calls.append(args) or exponentials(*args))
-        monkeypatch.setattr(core, "_magnus_basis",
+        monkeypatch.setattr(core, "_pair_magnus_basis",
                             lambda *args: bases.append(args) or basis(*args))
-        monkeypatch.setattr(np.linalg, "matrix_power",
-                            lambda a, n: powers.append(n) or matrix_power(a, n))
-        core.propagator(_h_exc(k, l), TAU_EXC)
+        u = core.propagator(_h_exc(k, l), TAU_EXC).matrix
         assert len(calls) == len(bases) == 1
-        assert powers == [k]
+        left, width = calls[0][2:4]  # the half-period chain, no shorter step
+        assert np.allclose(left[1:], left[:-1] + width[:-1], rtol=0.0, atol=1e-15)
+        assert width.sum() == pytest.approx(TAU_EXC / k / 2, rel=1e-14)
+        # The same chain gives U(T), and U(tau) is U(T)^k from its squares.
+        _, local = core._local_propagators(_h_exc(k, l), [TAU_EXC / k, TAU_EXC], 1e-9)
+        whole = local[0]
+        assert np.array_equal(local[1], u)
+        assert _max_diff(u, np.linalg.matrix_power(whole, k)) <= 1e-13
 
     @staticmethod
     def _edges(period):
@@ -615,14 +622,27 @@ class TestMagnus:
         _, ode = core._local_propagators(ham, times, 1e-11, "ode")
         assert _max_diff(fast, ode) <= 1e-9
 
-    def test_magnus_path_takes_no_eigendecomposition(self, monkeypatch):
-        def eigh(*args, **kwargs):
-            raise AssertionError("np.linalg.eigh called")
+    @pytest.mark.parametrize("axes", ["Z", "X", "ZX"])
+    def test_one_qubit_is_one_pair(self, axes):
+        # A real H on one qubit is a single 2×2 block in computational coordinates.
+        terms = tuple(core.StaticTerm(0.7 - 0.3 * i, ((0, a),)) for i, a in enumerate(axes))
+        ham = core.TimeDependentHamiltonian(1, terms, (core.DriveTerm(1.3, 4.0, 0, "cosine_x"),))
+        times = np.linspace(0.0, 2.9, 40)
+        _, fast = core._local_propagators(ham, times, 1e-10)
+        assert isinstance(fast, core._PairStack) and np.array_equal(fast.basis, np.eye(2))
+        _, ode = core._local_propagators(ham, times, 1e-12, "ode")
+        assert _max_diff(fast, ode) <= 1e-9
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        ham = _h_exc(6, 10)
-        core.propagator(ham, TAU_EXC)
-        core._local_propagators(ham, np.linspace(0.0, TAU_EXC, 100), 1e-9)
+    def test_magnus_path_takes_no_eigendecomposition(self, eigh_inputs):
+        # The sector basis that splits the excitation neuron's 4-state
+        # component is one real eigh per term structure, cached; no U takes one.
+        core._pair_basis.cache_clear()
+        core._sector_basis.cache_clear()
+        for k, l in [(6, 10), (8, 17)]:
+            ham = _h_exc(k, l)
+            core.propagator(ham, TAU_EXC)
+            core._local_propagators(ham, np.linspace(0.0, TAU_EXC, 100), 1e-9)
+        assert eigh_inputs == [np.float64]
 
 
 _GL_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)

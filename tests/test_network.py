@@ -578,6 +578,14 @@ class TestSerialization:
         with pytest.raises(errors.NetworkValidationError):
             network.from_json(text)
 
+    def test_an_int_too_long_to_parse_is_rejected(self, reduced):
+        # json.loads raises a plain ValueError for an int of over 4,300 digits.
+        data = json.loads(network.to_json(reduced))
+        data["num_qubits"] = 0
+        text = json.dumps(data).replace('"num_qubits": 0', '"num_qubits": 1' + "0" * 5000)
+        with pytest.raises(errors.NetworkValidationError):
+            network.from_json(text)
+
     def test_schema_version_embedded(self, reduced):
         data = json.loads(network.to_json(reduced))
         assert data["schema_version"] == network.SCHEMA_VERSION

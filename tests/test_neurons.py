@@ -346,6 +346,14 @@ class TestBarePhaseBookkeeping:
             assert abs(_wrap(np.angle(coeff) - prediction)) < 0.02
 
 
+# The benchmark's excitation points, as in bench/workloads.py.
+EXC_POINTS = (
+    (3, 5), (6, 10), (5, 13), (9, 15), (8, 17), (12, 20), (7, 25), (15, 25),
+    (10, 26), (20, 29), (18, 30), (16, 34), (21, 35), (12, 37), (15, 39),
+    (24, 40), (9, 41),
+)
+
+
 class TestTrajectories:
     def test_initial_conditions(self, exc_spec):
         traj = neurons.record_trajectory(exc_spec, ("Phi-",), samples=100)[0]
@@ -419,6 +427,24 @@ class TestTrajectories:
     def test_invalid_arguments(self, exc_spec, bad):
         with pytest.raises(errors.InvalidParamsError):
             neurons.record_trajectory(exc_spec, **bad)
+
+    def test_excitation_invariants_at_every_benchmark_point(self):
+        # At each of the benchmark's 17 EXC_POINTS (bench/workloads.py) the 2×2-block
+        # stack keeps Phi+ and Phi- bit-identical, as H never couples the |00> and |11>
+        # input components, ends at the single-time U(tau), and so gives the report
+        # the fidelity that it reads without the stack.
+        for k, l in EXC_POINTS:
+            params = parameters.solve_exc(k, l)
+            trajectories = neurons.record_trajectory(
+                neurons.make_spec("excitation", params, (0, 1), 2))
+            columns = [np.column_stack((t.output_x, t.output_z, t.input_fidelity)).tobytes()
+                       for t in trajectories]
+            assert columns[0] == columns[1] and len(set(columns)) == 3, (k, l)
+            bare = trajectories[0].propagator
+            u = core.propagator(neurons.build_exc_hamiltonian(params), params.UNIT_TAU).matrix
+            assert np.array_equal(bare, u), (k, l)
+            assert (neurons.fidelity_report("excitation", params, bare)
+                    == neurons.fidelity_report("excitation", params)), (k, l)
 
     def test_samples_beyond_host_memory_are_refused(self, exc_spec, monkeypatch):
         # Each sample holds a 1,024-byte U(t): a stack larger than the host
@@ -721,3 +747,20 @@ def test_neurons_do_not_depend_on_drive_amplitude(case, exponent):
     assert scaled.times[-1] == (math.pi / 2 if kind == "phase" else math.pi)
     for name in ("times", "output_x", "output_z", "input_fidelity"):
         assert np.max(np.abs(getattr(scaled, name) - getattr(traj, name))) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parameters.pythagorean_triples(-10**5000),
+    lambda: neurons.ExcNeuronParams(k=10**5000, l=17),
+    lambda: fidelity.mc_average_fidelity(
+        core.DenseOperator.identity(8), core.DenseOperator.identity(8), list(np.eye(8)[:2]),
+        n_samples=-10**5000),
+    lambda: neurons.record_trajectory(
+        neurons.make_spec("excitation", parameters.solve_exc(8, 17), (0, 1), 2),
+        samples=-10**5000),
+], ids=["pythagorean_triples", "exc_params", "mc_average_fidelity", "record_trajectory"])
+def test_an_int_too_long_to_print_is_named_by_its_type(call):
+    # repr refuses an int of over 4,300 digits with a plain ValueError; the
+    # check's own message must not leak it.
+    with pytest.raises(errors.InvalidParamsError, match="int too long to print"):
+        call()
