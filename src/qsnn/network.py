@@ -76,7 +76,8 @@ class BellAmplitudes:
         if not all(isinstance(a, (int, float, complex, np.number))
                    and type(a) is not bool for a in self.as_tuple()):
             raise InvalidParamsError(f"non-numeric amplitudes {self.as_tuple()}")
-        norm = sum(abs(a) ** 2 for a in self.as_tuple())
+        amps = core._as_complex(self.as_tuple(), "Bell amplitudes")  # refuses 10**400
+        norm = np.vdot(amps, amps).real
         if not abs(norm - 1.0) <= core.NORM_TOL:  # also true for a NaN norm
             raise NormDriftError(
                 f"Bell amplitudes have squared norm {norm}, expected 1"
@@ -125,6 +126,16 @@ class NetworkSpec:
         violations = validate(self)
         if violations:
             raise NetworkValidationError(violations)
+
+    def __hash__(self) -> int:
+        # Once, from the fields __eq__ compares: run() looks V up by spec.
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.num_qubits, self.schedule,
+                                           self.input_qubits, self.output_qubit))
+        return self._hash
+
+    def __getstate__(self) -> dict:  # no cached hash: str hashes differ per process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def validate(spec) -> list[str]:
@@ -237,15 +248,15 @@ def _input_amplitudes(inputs) -> np.ndarray:
     if isinstance(inputs, np.ndarray):
         if inputs.shape != (16,):
             raise DimensionMismatchError("network input vector must have length 16")
-        return inputs.astype(complex)
+        return core._as_complex(inputs, "network input vector")
     if not (isinstance(inputs, (tuple, list)) and len(inputs) == 2
             and all(isinstance(pair, BellAmplitudes) for pair in inputs)):
         raise InvalidParamsError(
             "inputs must be a pair of BellAmplitudes, a 4-qubit StateVector, "
             "or a 16-dim vector"
         )
-    pair_a, pair_b = inputs
-    return np.outer(pair_a.pair_state(), pair_b.pair_state()).reshape(16)
+    pairs = np.array([pair.as_tuple() for pair in inputs], dtype=complex) @ _BELL_BASIS
+    return np.outer(*pairs).reshape(16)
 
 
 def initial_state(spec: NetworkSpec, inputs) -> StateVector:
@@ -298,13 +309,17 @@ def _pair_product(label_a: str, label_b: str) -> np.ndarray:
 # The two branches of the matched/mismatched decomposition for the
 # superposition input ((Ψ⁺ + Φ⁻)/√2) ⊗ ((Ψ⁺ + Φ⁻)/√2): measuring the
 # output |↑⟩ projects the inputs onto identical Bell pairs, |↓⟩ onto the
-# swapped combination.
-MATCHED_BRANCH = (
-    _pair_product("Phi-", "Phi-") + _pair_product("Psi+", "Psi+")
-) / math.sqrt(2.0)
-MISMATCHED_BRANCH = (
-    _pair_product("Psi+", "Phi-") + _pair_product("Phi-", "Psi+")
-) / math.sqrt(2.0)
+# swapped combination.  Rows of one array; real, so each row is its own bra.
+MATCHED_BRANCH, MISMATCHED_BRANCH = _BRANCHES = core.read_only(np.array([
+    _pair_product("Phi-", "Phi-") + _pair_product("Psi+", "Psi+"),
+    _pair_product("Psi+", "Phi-") + _pair_product("Phi-", "Psi+"),
+]) / math.sqrt(2.0))
+
+
+@lru_cache(maxsize=4)
+def _split_index(num_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
+    """split_targets' order of the 2^n positions as (2, 16, rest): 512 KB at MAX_QUBITS."""
+    return core.read_only(core.split_targets(np.arange(2**num_qubits), targets).reshape(2, 16, -1))
 
 
 @dataclass(frozen=True)
@@ -322,9 +337,9 @@ def back_action(
 ) -> BackActionReport:
     """Project the output qubit and describe the surviving input state.
 
-    Split with the output qubit, then the inputs, leading, the state is a
-    block (B_down, B_up) of 16 x rest matrices: outcome o has p_o = ‖B_o‖²
-    and ρ_in = B_o·B_o†/p_o.  branch_overlaps holds √⟨branch|ρ_in|branch⟩.
+    Split with the output qubit, then the inputs, leading (one cached index per
+    layout), the state is a block (B_down, B_up) of 16 x rest matrices: p_o =
+    ‖B_o‖², ρ_in = B_o·B_o†/p_o.  branch_overlaps holds √⟨branch|ρ_in|branch⟩.
     """
     core.check_type(StateVector, final_state)
     core.check_type(NetworkSpec, spec)
@@ -333,19 +348,17 @@ def back_action(
     if final_state.num_qubits != spec.num_qubits:
         raise DimensionMismatchError(
             f"state of {final_state.num_qubits} qubits, spec of {spec.num_qubits}")
-    block = core.split_targets(final_state.amplitudes,
-                               (spec.output_qubit, *spec.input_qubits))
-    rows = block.reshape(2, 16, -1)[int(outcome == "up")]
+    index = _split_index(spec.num_qubits, (spec.output_qubit, *spec.input_qubits))
+    rows = final_state.amplitudes[index[int(outcome == "up")]]
     probability = float(np.vdot(rows, rows).real)
     if probability < core.DEGENERATE_PROB:
         raise DegenerateOutcomeError(
             f"outcome {outcome!r} is degenerate: p = {probability:.3e}")
-    rho = rows @ rows.conj().T / probability
-    overlaps = {
-        name: math.sqrt(max(float(np.real(branch.conj() @ rho @ branch)), 0.0))
-        for name, branch in (("matched", MATCHED_BRANCH),
-                             ("mismatched", MISMATCHED_BRANCH))
-    }
+    rho = rows @ rows.conj().T
+    rho /= probability
+    weights = ((_BRANCHES @ rho) * _BRANCHES).sum(axis=1).real
+    overlaps = {name: math.sqrt(max(float(w), 0.0))
+                for name, w in zip(("matched", "mismatched"), weights)}
     return BackActionReport(outcome, probability, rho, overlaps)
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,16 @@ class TestBellAmplitudes:
             "bool"])
     def test_non_numeric_amplitude_rejected(self, build):
         with pytest.raises(errors.InvalidParamsError):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: network.BellAmplitudes(10**400),
+        lambda: network.BellAmplitudes.from_sequence([10**400, 0, 0, 0]),
+        lambda: network.BellAmplitudes(complex(1e308, 1e308)),
+        lambda: network.run(network.template("reduced"), np.array(["a"] * 16)),
+    ], ids=["huge_int", "huge_int_in_sequence", "overflowing_abs", "str_vector"])
+    def test_input_past_the_float_range_or_not_numeric_rejected(self, build):
+        with pytest.raises((errors.InvalidParamsError, errors.NormDriftError)):
             build()
 
     def test_numbers_of_every_kind_accepted(self):
@@ -515,6 +526,48 @@ class TestBackAction:
             assert again.probability == report.probability
             assert np.array_equal(again.input_density, report.input_density)
 
+    def test_matches_split_targets_formula(self, reduced, full):
+        # The formula back_action used before it read a cached index:
+        # split_targets on every call, then the branch overlaps one by one.
+        padded = network.NetworkSpec(network.MAX_QUBITS, full.schedule,
+                                     full.input_qubits, full.output_qubit)
+        half = network.BellAmplitudes(0.0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)
+        rng = np.random.default_rng(29)
+        for spec in (reduced, full, padded):
+            noise = rng.standard_normal(2**spec.num_qubits) * np.exp(
+                2j * np.pi * rng.random(2**spec.num_qubits))
+            states = (network.run(spec, (half, half)),
+                      network.run(spec, (_random_amplitudes(rng), _random_amplitudes(rng))),
+                      core.StateVector(spec.num_qubits, noise / np.linalg.norm(noise)))
+            for state in states:
+                block = core.split_targets(state.amplitudes,
+                                           (spec.output_qubit, *spec.input_qubits))
+                for outcome in ("up", "down"):
+                    rows = block.reshape(2, 16, -1)[int(outcome == "up")]
+                    probability = float(np.vdot(rows, rows).real)
+                    rho = rows @ rows.conj().T / probability
+                    report = network.back_action(state, spec, outcome)
+                    assert report.probability == probability
+                    assert np.array_equal(report.input_density, rho)
+                    for name, branch in (("matched", network.MATCHED_BRANCH),
+                                         ("mismatched", network.MISMATCHED_BRANCH)):
+                        weight = float(np.real(branch.conj() @ rho @ branch))
+                        assert abs(report.branch_overlaps[name]
+                                   - math.sqrt(max(weight, 0.0))) <= 1e-14
+
+    def test_split_index_is_read_only_and_shared_per_layout(self, full):
+        layout = (full.num_qubits, (full.output_qubit, *full.input_qubits))
+        index = network._split_index(*layout)
+        assert not index.flags.writeable
+        assert index.shape == (2, 16, 2 ** (full.num_qubits - 5))
+        other = network.template("full", exc_params=parameters.solve_exc(9, 41))
+        assert other != full
+        hits = network._split_index.cache_info().hits
+        state = network.run(full, (_pure("Phi+"), _pure("Phi-")))
+        network.back_action(state, other, "down")
+        assert network._split_index.cache_info().hits == hits + 1
+        assert network._split_index(*layout) is index
+
     @pytest.mark.parametrize("kind", ["reduced", "full"])
     def test_matches_projector_oracle(self, kind):
         spec = network.template(kind)
@@ -572,6 +625,19 @@ class TestSerialization:
             again = network.from_json(text)
             assert again == spec
             assert network.to_json(again) == text
+
+    def test_pickle_round_trip_carries_no_cached_hash(self, full):
+        # str hashes differ between processes, so a cached hash must not travel.
+        hash(full)
+        data = pickle.dumps(full)
+        assert b"_hash" not in data
+        again = pickle.loads(data)
+        assert "_hash" not in vars(again)
+        assert again == full and hash(again) == hash(full)
+        network._isometry(full)
+        hits = network._isometry.cache_info().hits
+        network.run(again, (_pure("Phi+"), _pure("Psi-")))
+        assert network._isometry.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("text", [5, None, b"{}", ["{}"]], ids=str)
     def test_a_document_that_is_no_str_is_rejected(self, text):
