@@ -35,7 +35,6 @@ from .errors import (
     NormDriftError,
     OutOfBoundsError,
     QsnnError,
-    SignInconsistencyError,
 )
 from .fidelity import FidelityReport, average_fidelity, mc_average_fidelity
 from .network import (

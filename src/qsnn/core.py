@@ -205,6 +205,8 @@ class DenseOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "DenseOperator":
+        if not (_is_index(dim) and dim >= 1 and 16 * int(dim) ** 2 <= HOST_MEMORY):
+            raise InvalidParamsError(f"dim {_shown(dim)} is not a positive int within memory")
         return cls(np.eye(dim, dtype=complex))
 
     def assert_unitary(self) -> None:
@@ -224,14 +226,17 @@ class StaticTerm:
     def __post_init__(self):
         if not is_finite_real(self.coefficient):
             raise InvalidParamsError(f"coefficient {self.coefficient!r} is not finite")
+        check_type(tuple, self.factors)
+        if not all(type(f) is tuple and len(f) == 2 for f in self.factors):
+            raise InvalidParamsError(f"factors {_shown(self.factors)} are not (qubit, axis) pairs")
         qubits = [q for q, _ in self.factors]
         if not all(map(_is_index, qubits)):
             raise InvalidParamsError(f"qubits {qubits!r} are not all integers")
         if len(set(qubits)) != len(qubits):
             raise DuplicateTargetError("repeated qubit in a static term")
         for _, axis in self.factors:
-            if axis not in PAULI:
-                raise InvalidParamsError(f"unknown axis {axis!r}")
+            if type(axis) is not str or axis not in PAULI:
+                raise InvalidParamsError(f"unknown axis {_shown(axis)}")
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,9 @@ class TimeDependentHamiltonian:
 
     def __post_init__(self):
         _check_register(self.num_qubits)
+        check_type(tuple, self.static_terms, self.drive_terms)
+        check_type(StaticTerm, *self.static_terms)
+        check_type(DriveTerm, *self.drive_terms)
         for term in self.static_terms:
             for q, _ in term.factors:
                 _check_qubit(q, self.num_qubits)
@@ -403,10 +411,10 @@ def _qubit_order(targets: Sequence[int], num_qubits: int) -> list[int]:
     """The register's qubits with `targets` first, checked, then the rest."""
     if type(targets) not in (tuple, list):
         raise InvalidParamsError(f"targets must be a tuple or list, got {targets!r}")
-    if len(set(targets)) != len(targets):
-        raise DuplicateTargetError("targets must be distinct")
     for q in targets:
         _check_qubit(q, num_qubits)
+    if len(set(targets)) != len(targets):
+        raise DuplicateTargetError("targets must be distinct")
     return list(targets) + [q for q in range(num_qubits) if q not in targets]
 
 
@@ -938,8 +946,8 @@ def apply_gate(state: StateVector, gate, target: int) -> StateVector:
 def expectation(state: StateVector, axis: str, qubit: int) -> float:
     """<psi| sigma^axis_qubit |psi>."""
     check_type(StateVector, state)
-    if axis not in PAULI:
-        raise InvalidParamsError(f"unknown axis {axis!r}")
+    if type(axis) is not str or axis not in PAULI:
+        raise InvalidParamsError(f"unknown axis {_shown(axis)}")
     block = split_targets(state.amplitudes, (qubit,))
     return float(np.real(np.sum(block.conj() * (PAULI[axis] @ block))))
 

@@ -37,10 +37,6 @@ class NoRealSolutionError(InvalidParamsError):
     """The final-layer discriminant is negative; no real drive offset exists."""
 
 
-class SignInconsistencyError(InvalidParamsError):
-    """Neither coupling sign satisfies the un-squared phase-matching identity."""
-
-
 class DegenerateOutcomeError(QsnnError):
     """A measurement outcome with probability below threshold was requested."""
 

@@ -36,7 +36,10 @@ class FidelityReport:
 
 
 def _subspace_matrix(subspace: Sequence, dim: int) -> np.ndarray:
-    basis = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in subspace]).T
+    try:
+        basis = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in subspace]).T
+    except (TypeError, ValueError):
+        raise InvalidParamsError("subspace must be a sequence of complex vectors") from None
     if basis.shape[0] != dim:
         raise DimensionMismatchError(
             f"subspace vectors have length {basis.shape[0]}, operators dim {dim}"
@@ -103,6 +106,8 @@ def mc_average_fidelity(
     if not (_is_index(n_samples) and n_samples >= 2):
         raise InvalidParamsError(
             f"n_samples must be an integer of at least 2, got {_shown(n_samples)}")
+    if not (seed is None or (_is_index(seed) and seed >= 0)):
+        raise InvalidParamsError(f"seed must be a non-negative int or None, got {_shown(seed)}")
     basis, m = _restricted(u_actual, u_ideal, subspace)
     d = basis.shape[1]
     rng = np.random.default_rng(seed)

@@ -33,7 +33,6 @@ from .errors import (
     NonPythagoreanError,
     NormDriftError,
     NoRealSolutionError,
-    SignInconsistencyError,
 )
 
 PYTHAGOREAN_TOL = 1e-9
@@ -206,9 +205,9 @@ class PhaseNeuronParams(_Driven):
 
 def _phase_matching(gamma: float, l: int, s: int, parity_k: int) -> tuple[float, float]:
     """(β, J)/A of the final layer: β = ((2s−l) + (−1)^k·γ·sqrt(l²(1+γ²) −
-    (2s−l)²))/(1+γ²), and the J = ±sqrt(l² − β²) that satisfies the
-    un-squared identity γJ = (2s−l) − β.  In units of A, the tolerances do
-    not depend on A."""
+    (2s−l)²))/(1+γ²) and J = ((2s−l) − β)/γ, the solution of γJ = (2s−l) − β
+    with β² + J² = l².  At |γ| ≤ 1e-12, J = ±sqrt(l² − β²), of the sign that
+    better meets γJ = (2s−l) − β.  In units of A."""
     q = 2 * s - l
     disc = l**2 * (1 + gamma**2) - q**2
     if disc < 0:
@@ -216,21 +215,10 @@ def _phase_matching(gamma: float, l: int, s: int, parity_k: int) -> tuple[float,
             f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
         )
     beta = 1 / (1 + gamma**2) * (q + (-1) ** parity_k * gamma * math.sqrt(disc))
-    if abs(beta) > abs(l) + 1e-12:
-        raise SignInconsistencyError(f"|beta|/A = {abs(beta)} exceeds |l| = {l}")
+    if abs(gamma) > 1e-12:
+        return beta, (q - beta) / gamma
     j_mag = math.sqrt(max(l**2 - beta**2, 0.0))
-    rhs = q - beta
-    # Near the discriminant's zero, sqrt amplifies roundoff in j_mag by
-    # ~sqrt(eps); select the J sign with a sqrt-aware tolerance, then return
-    # the value that satisfies the un-squared identity to machine precision.
-    best = min((j_mag, -j_mag), key=lambda j: abs(gamma * j - rhs))
-    if abs(gamma * best - rhs) > 1e-6 * max(abs(l), 1.0):
-        raise SignInconsistencyError(
-            f"no J sign satisfies the un-squared phase identity: "
-            f"γ|J| = {gamma * j_mag:.6g}, target {rhs:.6g}"
-        )
-    j = rhs / gamma if abs(gamma) > 1e-12 else best
-    return beta, j
+    return beta, min((j_mag, -j_mag), key=lambda j: abs(gamma * j - (q - beta)))
 
 
 @dataclass(frozen=True)
@@ -456,6 +444,8 @@ def build_hamiltonian(
     core.check_type(NeuronSpec, spec)
     if targets is None:
         targets = spec.targets
+    elif type(targets) not in (tuple, list) or len(targets) != 3:
+        raise InvalidParamsError(f"targets must be three qubits, got {core._shown(targets)}")
     return _BUILDERS[spec.kind](spec.params, num_qubits, targets)
 
 
@@ -668,7 +658,7 @@ def record_trajectory(
     """
     if type(samples) is not int or samples < 2:
         raise InvalidParamsError(f"samples must be an int >= 2, got {core._shown(samples)}")
-    if 1024 * samples > core.HOST_MEMORY:  # an 8x8 complex U(t) per sample
+    if 4096 * samples > core.HOST_MEMORY:  # a call peaks at up to ~2.7 KB per sample
         raise InvalidParamsError("samples need more memory than this host has")
     labels = input_labels if type(input_labels) in (tuple, list) else ()
     if not labels or not all(map(BELL_LABELS.__contains__, labels)):

@@ -253,8 +253,6 @@ def tune(
     x, count = _nelder_mead(objective, x0, maxfev)
     best_x = feasible(x)
     best_f = score(best_x)
-    if best_f < start:
-        best_x, best_f = x0, start
     return TuneResult(
         initial_params=initial,
         tuned_params=model.params_at(best_x),

@@ -52,6 +52,20 @@ class TestParamsCommands:
         )
         assert data["beta"] == pytest.approx(4.701562118716424)
 
+    @pytest.mark.parametrize("gamma, l, s", [("100000", 17, 3), ("0.001", 100000, 0)])
+    def test_solve_final_at_extreme_gamma(self, runner, gamma, l, s):
+        data = _json_out(runner.invoke(main, [
+            "params", "solve-final", "--gamma", gamma, "--l", str(l), "--s", str(s),
+            "--k-parity", "odd"]))
+        assert abs(float(gamma) * data["coupling_j"] - (2 * s - l - data["beta"])) <= 1e-9 * l
+
+    def test_detuning_with_beta_zero_exit_2(self, runner):
+        # At (l, s) = (5, 0), γ = 1, β = 0: the opposite pair is not detuned.
+        result = runner.invoke(main, ["params", "detuning", "--kind", "final", "--l", "5",
+                                      "--s", "0"])
+        assert result.exit_code == 2
+        assert "ratio opposite_pair = 0.0 not positive" in result.output
+
     def test_solve_final_no_solution_exit_2(self, runner):
         result = runner.invoke(
             main,

@@ -633,6 +633,22 @@ class TestMagnus:
         _, ode = core._local_propagators(ham, times, 1e-12, "ode")
         assert _max_diff(fast, ode) <= 1e-9
 
+    def test_complex_sector_basis_takes_the_dense_path(self, monkeypatch):
+        # Y₀Y₁ and X₀ are real, but the Pauli strings that commute with both have
+        # a complex joint eigenbasis: _pair_basis finds no real Q and returns
+        # None, and the Floquet chain runs on the 4×4 H.
+        returned, pair_basis = [], core._pair_basis
+        monkeypatch.setattr(core, "_pair_basis",
+                            lambda *args: returned.append(pair_basis(*args)) or returned[-1])
+        ham = core.TimeDependentHamiltonian(2, (core.StaticTerm(0.7, ((0, "Y"), (1, "Y"))),),
+                                            (core.DriveTerm(1.3, 4.0, 0, "cosine_x"),))
+        times = np.linspace(0.0, 2.9, 40)
+        _, fast = core._local_propagators(ham, times, 1e-9)
+        assert returned == [None] and core._sector_basis(("YY", "XI")).dtype == complex
+        assert isinstance(fast, np.ndarray) and fast.shape == (40, 4, 4)
+        _, ode = core._local_propagators(ham, times, 1e-11, "ode")
+        assert _max_diff(fast, ode) <= 1e-9
+
     def test_magnus_path_takes_no_eigendecomposition(self, eigh_inputs):
         # The sector basis that splits the excitation neuron's 4-state
         # component is one real eigh per term structure, cached; no U takes one.
@@ -965,9 +981,32 @@ class TestValidation:
         lambda: fidelity.mc_average_fidelity(
             core.DenseOperator.identity(8), core.DenseOperator.identity(4),
             [np.eye(8)[0]]),
+        # Containers that once leaked a TypeError or ValueError from inside the call.
+        lambda: core.StaticTerm(1.0, None),
+        lambda: core.StaticTerm(1.0, ((0,),)),
+        lambda: core.StaticTerm(1.0, ((0, []),)),
+        lambda: core.TimeDependentHamiltonian(2, None),
+        lambda: core.TimeDependentHamiltonian(2, (None,)),
+        lambda: core.apply_gate(core.StateVector.all_down(1), ("not_x",), []),
+        lambda: core.expectation(core.StateVector.all_down(1), [], 0),
+        lambda: fidelity.average_fidelity(
+            core.DenseOperator.identity(2), core.DenseOperator.identity(2), None),
+        lambda: fidelity.average_fidelity(
+            core.DenseOperator.identity(2), core.DenseOperator.identity(2), [[1, 0], [1]]),
+        lambda: fidelity.mc_average_fidelity(
+            core.DenseOperator.identity(2), core.DenseOperator.identity(2),
+            list(np.eye(2)), seed="x"),
+        lambda: core.DenseOperator.identity("x"),
+        lambda: core.DenseOperator.identity(10**400),
+        lambda: neurons.build_hamiltonian(
+            neurons.make_spec("excitation", parameters.solve_exc(8, 17), (0, 1), 2), 3, "x"),
     ], ids=["tol", "duration", "bell_label", "axis", "overlap_registers",
             "operator_not_square", "piecewise_register", "expectation_axis",
-            "subspace_length", "mc_dimensions"])
+            "subspace_length", "mc_dimensions", "factors_none", "factor_short",
+            "factor_axis_list", "static_terms_none", "static_term_none",
+            "gate_target_list", "expectation_axis_list", "subspace_none",
+            "subspace_ragged", "mc_seed_str", "identity_str", "identity_huge",
+            "build_targets_str"])
     def test_malformed_arguments_raise_qsnn_errors(self, call):
         with pytest.raises(errors.QsnnError):
             call()

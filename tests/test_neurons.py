@@ -447,9 +447,10 @@ class TestTrajectories:
                     == neurons.fidelity_report("excitation", params)), (k, l)
 
     def test_samples_beyond_host_memory_are_refused(self, exc_spec, monkeypatch):
-        # Each sample holds a 1,024-byte U(t): a stack larger than the host
-        # is refused before np.linspace or the propagator allocate it.
-        monkeypatch.setattr(core, "HOST_MEMORY", 1024 * 100)
+        # A call peaks at up to about 2,700 bytes per sample (the phase neuron,
+        # four labels), so the guard counts 4,096: a call whose samples need
+        # more than the host has is refused before anything is allocated.
+        monkeypatch.setattr(core, "HOST_MEMORY", 4096 * 100)
         with pytest.raises(errors.InvalidParamsError, match="memory"):
             neurons.record_trajectory(exc_spec, ("Phi-",), samples=101)
         traj = neurons.record_trajectory(exc_spec, ("Phi-",), samples=100)[0]
@@ -616,6 +617,7 @@ class TestSpecValidation:
         # Values of the right type that the classes reject.
         (parameters.solve_exc(8, 17), "j_sign", 2),
         (parameters.solve_exc(8, 17), "k", 8.5),
+        (parameters.solve_exc(8, 17), "k", 20.0),
         (parameters.solve_phase(3, 82), "n", 2.0),
         (parameters.solve_phase(3, 82), "m", 3.5),
         (parameters.solve_phase(3, 82), "m", 1.0),
@@ -632,7 +634,7 @@ class TestSpecValidation:
     ], ids=["exc-j_sign", "exc-k", "exc-gamma", "exc-relaxed", "phase-m",
             "phase-drive_amplitude", "final-l",
             "final-parity_k", "final-omega", "exc-j_sign_2", "exc-k_not_integer",
-            "phase-n_below_m", "phase-m_not_integer", "phase-4m_below_floor",
+            "exc-k_above_l", "phase-n_below_m", "phase-m_not_integer", "phase-4m_below_floor",
             "final-variant", "final-drive_mode", "final-local_field_without_omega",
             "final-omega_below_floor", "final-omega_with_rotating_drive"])
     def test_params_reject_wrong_types(self, params, field, value):

@@ -126,6 +126,19 @@ class TestSolveFinal:
             )
             assert abs(beta / (amp * l)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("variant", ["detect_upup", "detect_downdown"])
+    @pytest.mark.parametrize("l, s, gamma, parity_k", [
+        (17, 3, 1e5, 1), (100000, 0, 1e-3, 1), (17, 20, 1e5, 0), (29, -2, 1e5, 1),
+        (1000, 18, 1e5, 1), (100000, 5998, 1e5, 0),
+    ])
+    def test_large_and_small_gamma_solve_to_roundoff(self, variant, l, s, gamma, parity_k):
+        # J = ((2s−l) − β)/γ solves both identities to roundoff, also where
+        # γ·sqrt(l² − β²) or |β| ≈ |l| carries an error of about 1e-11.
+        p = neurons.FinalLayerParams(variant, l, s, parity_k, gamma)
+        beta = p.beta if variant == "detect_upup" else -p.beta
+        assert abs(beta**2 + p.coupling_j**2 - l**2) / l**2 <= 1e-15
+        assert abs(gamma * p.coupling_j - (2 * s - l - beta)) / l <= 1e-15
+
     def test_downdown_variant_negates_beta(self):
         up = parameters.make_final_params("detect_upup", 5, 4, 0)
         down = parameters.make_final_params("detect_downdown", 5, 4, 0)
@@ -205,6 +218,11 @@ class TestTune:
         result = parameters.tune(phase_3_82, "phase", budget=budget)
         assert result.budget_exhausted is exhausted
         assert result.evaluations <= budget
+
+    def test_a_worse_point_is_refused(self, exc_8_17):
+        with pytest.raises(errors.InvalidParamsError, match="worse point"):
+            parameters.TuneResult(exc_8_17, exc_8_17, 0.99, 0.99 - 2e-12, 1, False)
+        parameters.TuneResult(exc_8_17, exc_8_17, 0.99, 0.99 - 0.5e-12, 1, False)
 
     def test_zero_budget_rejected(self, exc_8_17):
         with pytest.raises(errors.InvalidParamsError):
