@@ -98,9 +98,10 @@ def _check_qubit(qubit: int, num_qubits: int) -> None:
         raise OutOfBoundsError(f"qubit {qubit} outside register of {num_qubits}")
 
 
-def _normalized(states: np.ndarray) -> np.ndarray:
+def _normalized(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The one norm check: each state along the last axis, times 1/norm, once its
-    norm is 1 within NORM_TOL (norm² = re·re + im·im, as in np.linalg.norm)."""
+    norm is 1 within NORM_TOL (norm² = re·re + im·im, as in np.linalg.norm), into
+    `out` (states itself, for an array that no caller owns) or a new array."""
     re, im = states.real, states.imag
     if states.ndim == 1:  # numpy scalars: as fast as np.linalg.norm
         norms = np.sqrt(re.dot(re) + im.dot(im))
@@ -111,7 +112,7 @@ def _normalized(states: np.ndarray) -> np.ndarray:
         drift = np.abs(norms - 1.0).max()
     if not drift <= NORM_TOL:  # also true for a NaN norm
         raise NormDriftError(f"state norm drifts from 1 by {drift} > {NORM_TOL}")
-    return states * (1.0 / norms)
+    return np.multiply(states, 1.0 / norms, out=out)
 
 
 class StateVector:
@@ -815,18 +816,21 @@ def evolve_sampled(
     tol: float = 1e-9,
     final: list | None = None,
 ) -> np.ndarray:
-    """Each state's amplitudes at `times` from t=0, (len(states), len(times), 2^n), from one
-    stack and block; a list `final` receives its last row (on H's support), checked unitary."""
+    """Each state's amplitudes at `times` from t=0, (len(states), len(times), 2^n): one array,
+    filled row by row from one stack and normalized in place, the only array of that size a
+    call makes; a list `final` receives the stack's last row (on H's support), checked unitary."""
     check_type(StateVector, *states)
     registers = {state.num_qubits for state in states}
     if len(registers) != 1:
         raise DimensionMismatchError(f"states on {len(registers)} registers, not one")
     support, local = _local_propagators(hamiltonian, times, tol, "auto", *registers)
-    evolved = apply_local(local, support, np.stack([s.amplitudes for s in states], 1))
+    evolved = np.empty((len(states), local.shape[0], 2 ** registers.pop()), dtype=complex)
+    for state, row in zip(states, evolved):
+        row[:] = apply_local(local, support, state.amplitudes)
     if final is not None:  # a read-only copy, so that the stack is freed
         final.append(read_only(local[-1].copy()))
         check_isometry(final[-1])
-    return _normalized(np.ascontiguousarray(evolved.transpose(2, 0, 1)))
+    return _normalized(evolved, out=evolved)
 
 
 def propagator(

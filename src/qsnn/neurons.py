@@ -67,6 +67,13 @@ def in_arithmetic_range(fn):
     return checked
 
 
+def check_ratios(ratios: dict[str, float]) -> None:
+    """Refuse a neuron whose drive is not detuned from a transition it must suppress."""
+    for label, value in ratios.items():
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParamsError(f"ratio {label} = {value} not positive")
+
+
 # The values a parameter field accepts, by its annotation.
 _ACCEPTS = {
     "float": (core.is_finite_real, "a finite real number"),
@@ -264,12 +271,32 @@ class FinalLayerParams(_Driven):
             beta = -beta
         object.__setattr__(self, "beta", beta * self.drive_amplitude)
         object.__setattr__(self, "coupling_j", j * self.drive_amplitude)
+        check_ratios(self.detuning_ratios)  # as params detuning does: β = 0 or J = 0 fails
 
     @property
     def in_drive_units(self) -> tuple[float, float]:
         """(J, β) in units of the drive amplitude."""
         a = self.drive_amplitude
         return self.coupling_j / a, self.beta / a
+
+    @property
+    def detuning_ratios(self) -> dict[str, float]:
+        """Detunings from the drive at ±2β (+ for up-up detection) of the other inputs'
+        transitions, at ∓2β and ±2r with r = sqrt(J² + β²), and of a local field's
+        counter-rotating term, in units of the drive.  The smaller one-excitation
+        detuning 2(r − |β|) is 2J²/(r + |β|): zero only when J is."""
+        j, b = self.in_drive_units
+        root = math.sqrt(j**2 + b**2)
+        near, far = (2 * j**2 / (root + abs(b)) if j else 0.0), 2 * (root + abs(b))
+        same = (b >= 0) == (self.variant == "detect_upup")  # ±β >= 0
+        ratios = {
+            "opposite_pair": 4 * abs(b),
+            "one_excitation_minus": near if same else far,
+            "one_excitation_plus": far if same else near,
+        }
+        if self.drive_mode == "local_field":
+            ratios["counter_term"] = 2 * abs(self.omega / self.drive_amplitude)
+        return ratios
 
 
 PARAMS_TYPES = {
@@ -658,7 +685,7 @@ def record_trajectory(
     """
     if type(samples) is not int or samples < 2:
         raise InvalidParamsError(f"samples must be an int >= 2, got {core._shown(samples)}")
-    if 4096 * samples > core.HOST_MEMORY:  # a call peaks at up to ~2.7 KB per sample
+    if 4096 * samples > core.HOST_MEMORY:  # a call peaks at up to ~2.6 KB per sample
         raise InvalidParamsError("samples need more memory than this host has")
     labels = input_labels if type(input_labels) in (tuple, list) else ()
     if not labels or not all(map(BELL_LABELS.__contains__, labels)):

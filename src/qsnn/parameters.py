@@ -75,6 +75,7 @@ def solve_phase(
     )
 
 
+@neurons.in_arithmetic_range
 def solve_final_beta(
     gamma: float,
     l: int,
@@ -83,9 +84,15 @@ def solve_final_beta(
     drive_amplitude: float = 1.0,
 ) -> tuple[float, float]:
     """The final-layer phase-matching solution (β, J) of the |↑↑⟩ detector,
-    as FinalLayerParams solves it; the |↓↓⟩ detector negates β."""
-    p = FinalLayerParams("detect_upup", l, s, parity_k, gamma, drive_amplitude)
-    return p.beta, p.coupling_j
+    as FinalLayerParams solves it; the |↓↓⟩ detector negates β.  Unlike
+    FinalLayerParams it also solves the points with β = 0 or J = 0, where
+    no detector is detuned."""
+    _check_real(gamma=gamma, drive_amplitude=drive_amplitude)
+    if not (drive_amplitude > 0 and all(type(v) is int for v in (l, s, parity_k))):
+        raise InvalidParamsError(f"need A > 0 and int l, s, parity_k, got "
+                                 f"{drive_amplitude!r}, {l!r}, {s!r}, {parity_k!r}")
+    beta, j = neurons._phase_matching(gamma, l, s, parity_k)
+    return beta * drive_amplitude, j * drive_amplitude
 
 
 # FinalLayerParams solves its own β and J; this is its older name.
@@ -100,9 +107,7 @@ class DetuningReport:
     ratios: dict[str, float]
 
     def __post_init__(self):
-        for label, value in self.ratios.items():
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidParamsError(f"ratio {label} = {value} not positive")
+        neurons.check_ratios(self.ratios)
 
 
 def detuning_report(spec: NeuronSpec) -> DetuningReport:
@@ -119,17 +124,7 @@ def detuning_report(spec: NeuronSpec) -> DetuningReport:
             "delta_minus": abs(2 * b - 2 * root),
             "delta_plus": abs(2 * b + 2 * root),
         })
-    sign = 1.0 if p.variant == "detect_upup" else -1.0
-    # transitions of the three non-detected computational inputs vs the
-    # selective drive at frequency 2β (+ for up-up detection)
-    ratios = {
-        "opposite_pair": abs(sign * 2 * b - (-sign * 2 * b)),
-        "one_excitation_minus": abs(sign * 2 * b - 2 * root),
-        "one_excitation_plus": abs(sign * 2 * b + 2 * root),
-    }
-    if p.drive_mode == "local_field":
-        ratios["counter_term"] = 2 * abs(p.omega / p.drive_amplitude)
-    return DetuningReport(spec.kind, ratios)
+    return DetuningReport(spec.kind, p.detuning_ratios)
 
 
 @dataclass(frozen=True)

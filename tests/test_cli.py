@@ -66,6 +66,18 @@ class TestParamsCommands:
         assert result.exit_code == 2
         assert "ratio opposite_pair = 0.0 not positive" in result.output
 
+    @pytest.mark.parametrize("variant", ["detect_upup", "detect_downdown"])
+    @pytest.mark.parametrize("s, ratio", [(0, "opposite_pair"), (5, "one_excitation_minus")])
+    @pytest.mark.parametrize("command", [["neuron", "final"], ["params", "detuning", "--kind",
+                                                               "final"]])
+    def test_undetuned_final_layer_exit_2(self, runner, command, variant, s, ratio):
+        # At (l, s) = (5, 0), γ = 1, β = 0; at (5, 5), J = 0: the drive at 2β meets
+        # another input's transition, and the report and the ratios both refuse it.
+        result = runner.invoke(main, [*command, "--variant", variant, "--l", "5",
+                                      "--s", str(s)])
+        assert result.exit_code == 2
+        assert f"ratio {ratio} = 0.0 not positive" in result.output
+
     def test_solve_final_no_solution_exit_2(self, runner):
         result = runner.invoke(
             main,

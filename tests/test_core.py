@@ -408,6 +408,68 @@ class TestFastPaths:
             core.evolve_sampled([bell_with_output("Phi+", 0)], _h_exc(),
                                 [0.5, 1.0])
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ham, num_qubits, pairs", [
+        (_h_exc(6, 10), 3, True),
+        (neurons.build_phase_hamiltonian(parameters.solve_phase(3, 82)), 3, False),
+        (_h_final("detect_upup", "local_field"), 3, False),
+        (neurons.build_exc_hamiltonian(parameters.solve_exc(6, 10), 5, (4, 1, 2)), 5, True),
+        (neurons.build_phase_hamiltonian(parameters.solve_phase(3, 82), 5, (3, 0, 2)), 5,
+         False),
+    ], ids=["exc_pairs", "phase_dense", "final_local_field", "exc_on_5", "phase_on_5"])
+    def test_sampled_rows_match_one_block(self, ham, num_qubits, pairs, count, rng,
+                                          monkeypatch):
+        # Each state's row, filled from the stack and normalized in place, reads
+        # the values of the whole block of states propagated at once, transposed
+        # into a contiguous copy and normalized, for the trajectories' Bell
+        # inputs and for any input on a register wider than H's support; on the
+        # 2×2 blocks, bit for bit.  A dense stack applied to one state on its own
+        # register is a matrix-vector product, which can give a zero the other
+        # sign.  The inputs are left as they were; final gets the checked,
+        # read-only last row.
+        times = np.linspace(0.0, TAU_EXC, 250)
+        if num_qubits == 3:
+            states = [bell_with_output(label, bit)
+                      for label, bit in zip(core.BELL_LABELS, (0, 1, 1, 0))][:count]
+        else:
+            states = [random_state(num_qubits, rng) for _ in range(count)]
+        inputs = [state.amplitudes.copy() for state in states]
+        support, local = core._local_propagators(ham, times, 1e-9, "auto", num_qubits)
+        assert isinstance(local, core._PairStack) == pairs
+        block = core.apply_local(local, support, np.stack([s.amplitudes for s in states], 1))
+        expected = core._normalized(np.ascontiguousarray(block.transpose(2, 0, 1)))
+        checked, check_isometry = [], core.check_isometry
+        monkeypatch.setattr(core, "check_isometry",
+                            lambda u: checked.append(u) or check_isometry(u))
+        final = []
+        evolved = core.evolve_sampled(states, ham, times, final=final)
+        assert evolved.shape == (count, 250, 2**num_qubits) and evolved.flags.c_contiguous
+        assert np.array_equal(evolved, expected)
+        assert evolved.tobytes() == expected.tobytes() or not pairs
+        assert all(s.amplitudes.tobytes() == a.tobytes() for s, a in zip(states, inputs))
+        (u,) = final
+        assert checked == [u] and not u.flags.writeable
+        assert u.tobytes() == np.asarray(local[-1]).tobytes()
+
+    @pytest.mark.parametrize("ham", [
+        _h_exc(6, 10),
+        neurons.build_phase_hamiltonian(parameters.solve_phase(3, 82)),
+        _h_final("detect_upup", "local_field"),
+    ], ids=["exc_pairs", "phase_dense", "final_local_field"])
+    def test_sampled_row_does_not_depend_on_the_other_states(self, ham, rng):
+        # On H's own register, one state is a matrix-vector product, which rounds
+        # differently from the matrix product of a block of random states (by up
+        # to 3.4e-16): each row reads the bits of its state's own call.
+        times = np.linspace(0.0, TAU_EXC, 250)
+        states = [random_state(3, rng) for _ in range(4)]
+        evolved = core.evolve_sampled(states, ham, times)
+        for state, row in zip(states, evolved):
+            assert row.tobytes() == core.evolve_sampled([state], ham, times)[0].tobytes()
+        support, local = core._local_propagators(ham, times, 1e-9, "auto", 3)
+        block = core.apply_local(local, support, np.stack([s.amplitudes for s in states], 1))
+        expected = core._normalized(np.ascontiguousarray(block.transpose(2, 0, 1)))
+        assert _max_diff(evolved, expected) <= 1e-15
+
     def test_rotating_drive_with_transverse_static_term(self, integrated_spans):
         # X on the drive's target does not commute with its number operator,
         # so there is no exact rotating frame.

@@ -830,6 +830,11 @@ MALFORMED = {
     "str_beta": lambda d: _set(d, ("schedule", 4, "params", "beta"), "-21.0"),
     "omega_with_rotating_drive": lambda d: _set(
         d, ("schedule", 4, "params", "omega"), 50.0),
+    # (l, s) = (5, 0) solves to β = 0 and (5, 5) to J = 0: no detuned detector.
+    "final_beta_zero": lambda d: d["schedule"][4]["params"].update(
+        l=5, s=0, beta=-0.0, coupling_j=-5.0),
+    "final_coupling_zero": lambda d: d["schedule"][4]["params"].update(
+        l=5, s=5, beta=-5.0, coupling_j=0.0),
 }
 
 
@@ -851,6 +856,15 @@ def test_malformed_document_rejected(case, tmp_path):
         )
         assert result.exit_code == 2, (command, result.output)
         assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("case, ratio", [("final_beta_zero", "opposite_pair"),
+                                         ("final_coupling_zero", "one_excitation_minus")])
+def test_undetuned_final_layer_rejected_for_its_ratio(case, ratio):
+    doc = _reduced_doc()
+    MALFORMED[case](doc)
+    with pytest.raises(errors.NetworkValidationError, match=f"ratio {ratio} = 0.0 not positive"):
+        network.from_json(json.dumps(doc))
 
 
 _BASE_DOC = _reduced_doc()

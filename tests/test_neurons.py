@@ -447,8 +447,8 @@ class TestTrajectories:
                     == neurons.fidelity_report("excitation", params)), (k, l)
 
     def test_samples_beyond_host_memory_are_refused(self, exc_spec, monkeypatch):
-        # A call peaks at up to about 2,700 bytes per sample (the phase neuron,
-        # four labels), so the guard counts 4,096: a call whose samples need
+        # A call peaks at up to about 2,600 bytes per sample (a local-field
+        # final layer), so the guard counts 4,096: a call whose samples need
         # more than the host has is refused before anything is allocated.
         monkeypatch.setattr(core, "HOST_MEMORY", 4096 * 100)
         with pytest.raises(errors.InvalidParamsError, match="memory"):

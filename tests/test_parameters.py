@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,47 @@ class TestDetuningReport:
             for a in (1.0, amplitude)
         )
         assert scaled.ratios == pytest.approx(unit.ratios, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ["detect_upup", "detect_downdown"])
+    @pytest.mark.parametrize("s, ratio", [(0, "opposite_pair"), (5, "one_excitation_minus")])
+    def test_final_layer_refuses_an_undetuned_detector(self, variant, s, ratio):
+        # (l, s) = (5, 0) at γ = 1 solves to β = 0 and (5, 5) to J = 0: the drive
+        # at 2β meets another input's transition.  FinalLayerParams refuses both
+        # as detectors, with the ratio detuning_report names; the solver solves both.
+        with pytest.raises(errors.InvalidParamsError,
+                           match=f"ratio {ratio} = 0.0 not positive"):
+            neurons.FinalLayerParams(variant, 5, s, 0)
+        assert 0.0 in parameters.solve_final_beta(1.0, 5, s, 0)
+
+    def test_final_layer_ratios_on_a_grid(self):
+        # FinalLayerParams refuses exactly the points that solve to β = 0 or J = 0;
+        # elsewhere detuning_report gives ratios whose smaller one-excitation value,
+        # 2(r − |β|), keeps its digits where J is small beside β (γ = 1e-3,
+        # l = 100000, where r − |β| cancels to 0 in floats).
+        grid = itertools.product(
+            [(l, s) for l in (2, 5, 17) for s in range(-1, l + 2)] + [(100000, 0)],
+            (1.0, 0.5, 1e-3, 1e5), (0, 1), ("detect_upup", "detect_downdown"))
+        refused = 0
+        for (l, s), gamma, parity, variant in grid:
+            try:
+                beta, j = parameters.solve_final_beta(gamma, l, s, parity)
+            except errors.NoRealSolutionError:
+                continue
+            if beta == 0 or j == 0:
+                refused += 1
+                with pytest.raises(errors.InvalidParamsError, match="not positive"):
+                    neurons.FinalLayerParams(variant, l, s, parity, gamma)
+                continue
+            p = neurons.FinalLayerParams(variant, l, s, parity, gamma)
+            kind = "final_upup" if variant == "detect_upup" else "final_downdown"
+            ratios = parameters.detuning_report(neurons.make_spec(kind, p, (0, 1), 2)).ratios
+            with localcontext() as ctx:
+                ctx.prec = 60
+                jd, bd = map(Decimal, p.in_drive_units)
+                exact = float(2 * ((jd * jd + bd * bd).sqrt() - abs(bd)))
+            near = min(ratios["one_excitation_minus"], ratios["one_excitation_plus"])
+            assert abs(near - exact) <= 1e-14 * exact, (l, s, gamma, parity, variant)
+        assert refused >= 8
 
     @pytest.mark.parametrize("spec", [5, None, "phase", parameters.solve_phase(3, 82)],
                              ids=["int", "none", "str", "params"])
