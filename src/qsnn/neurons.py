@@ -45,6 +45,7 @@ DEFAULT_TRAJECTORY_SAMPLES = 1000
 # In a correction sequence of gates on the output qubit (core.GATES), the
 # "evolution" marker separates pre- from post-evolution gates.
 EVOLUTION = ("evolution",)
+_PHASE_STRINGS = ("XXI", "YYI", "ZZI", "IXX", "IIZ")
 FINAL_VARIANTS = {"final_upup": "detect_upup", "final_downdown": "detect_downdown"}
 
 
@@ -378,16 +379,16 @@ def default_corrections(kind: str, params) -> tuple:
     the marker "evolution" separates pre- and post-evolution gates.
     """
     _check_kind(kind, params)
-    if kind == "phase":
-        m = int(round(params.m))
-        return (
-            ("hadamard",),
-            EVOLUTION,
-            ("hadamard",),
-            ("phase", -math.pi / 2 + m * math.pi),
-        )
+    pre, post = _default_gates(int(round(params.m)) if kind == "phase" else None)
+    return pre + (EVOLUTION,) + post
+
+
+def _default_gates(m: int | None) -> tuple[tuple, tuple]:
+    """The phase neuron's (pre, post) gates at round(m) = m; for m None, the other kinds'."""
+    if m is not None:
+        return (("hadamard",),), (("hadamard",), ("phase", -math.pi / 2 + m * math.pi))
     # Excitation and final layers: the same pi/2 z-phase structure.
-    return (EVOLUTION, ("phase", math.pi / 2),)
+    return (), (("phase", math.pi / 2),)
 
 
 def make_spec(
@@ -534,14 +535,17 @@ _PROTOCOLS = {
     "final_upup": (_COMP_OUT, ((0, 0), (0, 1), (1, 0)), ((1, 1),)),
     "final_downdown": (_COMP_OUT, ((0, 1), (1, 0), (1, 1)), ((0, 0),)),
 }
+_PROTOCOL_STATES = {
+    kind: [vectors[b, 0] for b in kept + flipped] + [vectors[b, 1] for b in flipped]
+    for kind, (vectors, kept, flipped) in _PROTOCOLS.items()
+}
 
 
 def protocol_subspace(kind: str, params) -> list[np.ndarray]:
     """The 6 protocol states used to define and score each neuron: every
     input with the output down, kept ones first, then flipped ones up."""
     _check_kind(kind, params)
-    vectors, kept, flipped = _PROTOCOLS[kind]
-    return [vectors[b, 0] for b in kept + flipped] + [vectors[b, 1] for b in flipped]
+    return list(_PROTOCOL_STATES[kind])
 
 
 def ideal_unitary(kind: str, params) -> DenseOperator:
@@ -588,14 +592,40 @@ def fidelity_report(kind: str, params, bare=None) -> fidelity.FidelityReport:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _phase_blocks() -> np.ndarray:
+    """The W(E_b⊗σ)Wᵀ of the phase H's four 2×2 blocks b, σ = I, X, Z, in the W of
+    core._sector_basis, which no parameter moves: (12, 8, 8), read-only."""
+    w = core._sector_basis(_PHASE_STRINGS).astype(complex)  # the complex kernels the report uses
+    core.check_isometry(w, 1e-12)
+    sigmas = np.array([np.eye(2), core.PAULI_X, core.PAULI_Z])
+    return core.read_only(w @ np.kron(np.eye(4)[:, None] * np.eye(4), sigmas) @ w.T)
+
+
+@functools.lru_cache(maxsize=128)
+def _projections(kind: str, m: int | None) -> tuple:
+    """FidelityModel's read-only L, R and, for the phase neuron, G: its gates and
+    ideal follow m = round(m) alone; m is None for the excitation neuron."""
+    pre, post = map(_output_gates, _default_gates(m))
+    sign = -1 if m is None else (-1) ** m
+    basis = fidelity._subspace_matrix(_PROTOCOL_STATES[kind], 8)
+    ideal = _ideal_matrix(kind, -1j * sign, 1j * sign).conj().T
+    left, right, form, d = basis.conj().T @ ideal @ post, pre @ basis, None, len(basis.T)
+    if m is not None:  # G = (Gram(A) + t̄·tᵀ)/(d(d+1)) = B̄·Bᵀ/(d(d+1)), B = (vec A, tr A)
+        a = (left @ _phase_blocks() @ right).reshape(12, -1)
+        a = np.column_stack([a, a[:, ::d + 1].sum(axis=1)])
+        form = core.read_only(a.conj() @ a.T / (d * (d + 1)))
+    return core.read_only(left), core.read_only(right), form
+
+
 class FidelityModel:
     """fidelity_report's f_avg, up to rounding, at points x = (m, n) or (k, l)
     near a start; params_at(x) is the start at x, relaxed, class-checked.
 
-    L = B†·U_ideal†·Post and R = Pre·B come from params_at(x) once per round(m).
+    L = B†·U_ideal†·Post and R = Pre·B follow the kind and round(m): _projections.
     An excitation call returns fidelity._f_avg(L·U·R), U from core.propagator.  A
-    phase call forms U = Σ c_{b,σ}·W(E_b⊗σ)Wᵀ from H/B's four 2×2 blocks in the W of
-    core._sector_basis (σ = I, X, Z), on floats, checks each block unitary and returns
+    phase call forms U = Σ c_{b,σ}·W(E_b⊗σ)Wᵀ from H/B's four 2×2 blocks (_phase_blocks),
+    whose coefficients follow γ, on floats, checks each block unitary and returns
     Re(c†Gc), G being _f_avg's form on the A_{b,σ} = L·W(E_b⊗σ)Wᵀ·R.
     """
 
@@ -603,17 +633,12 @@ class FidelityModel:
         if kind not in ("excitation", "phase"):
             raise InvalidParamsError(f"no fidelity model for kind {kind!r}")
         _check_kind(kind, start)
-        self.kind, self.start, self.projections = kind, start, {}
+        self.kind, self.start = kind, start
         self.fields = ("m", "n") if kind == "phase" else ("k", "l")
         if kind == "phase":
-            strings = ("XXI", "YYI", "ZZI", "IXX", "IIZ")
-            xx, yy, zz, x23, z3 = (core._pauli_string(tuple(s)) for s in strings)
-            w = core._sector_basis(strings).astype(complex)  # for the complex kernels the report uses
-            core.check_isometry(w, 1e-12)
-            # The W(E_b⊗σ)Wᵀ of the four 2×2 blocks b, σ = I, X, Z, and the coefficients
-            # h_σ = tr(σ·block)/2 of the terms of n, m and 1, which they must rebuild.
-            sigmas = np.array([np.eye(2), core.PAULI_X, core.PAULI_Z])
-            self.blocks = w @ np.kron(np.eye(4)[:, None] * np.eye(4), sigmas) @ w.T
+            xx, yy, zz, x23, z3 = (core._pauli_string(tuple(s)) for s in _PHASE_STRINGS)
+            # The blocks' coefficients h_σ = tr(σ·block)/2 in the terms of n, m and 1.
+            self.blocks = _phase_blocks()
             terms = np.array([2 * (xx + yy + start.gamma * zz), 2 * x23, z3]).reshape(3, 64)
             h = self.blocks.reshape(12, 64) @ terms.T / 2
             if not np.abs(h.T @ self.blocks.reshape(12, 64) - terms).max() <= 1e-12:
@@ -642,19 +667,7 @@ class FidelityModel:
             except ValueError as exc:
                 raise NormDriftError(f"U is not finite at x = {x!r}") from exc
             c, key = np.array(c), round(m)
-        if key not in self.projections:
-            params = self.params_at(x)
-            pre, post = make_spec(self.kind, params, (0, 1), 2).gates
-            basis = fidelity._subspace_matrix(protocol_subspace(self.kind, params), 8)
-            ideal = ideal_unitary(self.kind, params).matrix.conj().T
-            left, right = basis.conj().T @ ideal @ _output_gates(post), _output_gates(pre) @ basis
-            form, d = None, len(left)
-            if key is not None:  # G = (Gram(A) + t̄·tᵀ)/(d(d+1)) = B̄·Bᵀ/(d(d+1)), B = (vec A, tr A)
-                a = (left @ self.blocks @ right).reshape(12, -1)
-                a = np.column_stack([a, a[:, ::d + 1].sum(axis=1)])
-                form = a.conj() @ a.T / (d * (d + 1))
-            self.projections[key] = (left, right, form)
-        left, right, form = self.projections[key]
+        left, right, form = _projections(self.kind, key)
         if form is None:
             return fidelity._f_avg(left @ u @ right)
         return float(np.vdot(c, form @ c).real)

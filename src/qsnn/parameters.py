@@ -9,10 +9,9 @@ second-order phase errors.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 
 from . import core, neurons
 from .errors import InvalidParamsError
@@ -121,7 +120,7 @@ def detuning_report(spec: NeuronSpec) -> DetuningReport:
     if spec.kind == "excitation":
         return DetuningReport("excitation", {
             "delta_0": abs(2 * b),
-            "delta_minus": abs(2 * b - 2 * root),
+            "delta_minus": 2 * j**2 / (root + b),  # 2(r − β), without r − β's cancellation
             "delta_plus": abs(2 * b + 2 * root),
         })
     return DetuningReport(spec.kind, p.detuning_ratios)
@@ -141,10 +140,6 @@ class TuneResult:
             raise InvalidParamsError("tuner must never return a worse point")
 
 
-class _BudgetSpent(Exception):
-    """A call would exceed the simplex's budget."""
-
-
 def _nelder_mead(f, x0, maxfev: int):
     """Minimize f from x0 by the downhill simplex of Nelder & Mead (Comput.
     J. 7, 308 (1965)), step for step as scipy's minimize(method="Nelder-Mead",
@@ -156,18 +151,9 @@ def _nelder_mead(f, x0, maxfev: int):
     sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
                   for k, v in enumerate(x0)]
     fsim = [math.inf] * (n + 1)
-
-    def fun(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _BudgetSpent
-        calls += 1
-        return f(list(x))
-
-    with contextlib.suppress(_BudgetSpent):
-        for k in range(n + 1):
-            fsim[k] = fun(sim[k])
-    while True:
+    for k in range(min(n + 1, maxfev)):
+        calls, fsim[k] = calls + 1, f(sim[k])
+    while True:  # an iteration that spends the budget ends at the test below
         # Stable, NaN last: np.argsort's order for the 3 vertices of a 2-D search.
         order = sorted(range(n + 1), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
@@ -176,26 +162,31 @@ def _nelder_mead(f, x0, maxfev: int):
                                and all(abs(fsim[0] - g) <= 1e-9 for g in fsim[1:])):
             return sim[0], calls
         xbar = [reduce(float.__add__, c) / n for c in zip(*sim[:-1])]  # rows in order
-        with contextlib.suppress(_BudgetSpent):
-            xr = [2 * a - b for a, b in zip(xbar, sim[-1])]
-            fxr = fun(xr)
-            if fxr < fsim[0]:
-                xe = [3 * a - 2 * b for a, b in zip(xbar, sim[-1])]
-                fxe = fun(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:  # contract outside xr's side, or inside; else shrink
-                outside = fxr < fsim[-1]
-                xc = [1.5 * a - 0.5 * b if outside else 0.5 * a + 0.5 * b
-                      for a, b in zip(xbar, sim[-1])]
-                fxc = fun(xc)
-                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])]
-                        fsim[j] = fun(sim[j])
+        xr = [2 * a - b for a, b in zip(xbar, sim[-1])]
+        calls, fxr = calls + 1, f(xr)
+        if fxr < fsim[0]:
+            if calls == maxfev:
+                continue
+            xe = [3 * a - 2 * b for a, b in zip(xbar, sim[-1])]
+            calls, fxe = calls + 1, f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract outside xr's side, or inside; else shrink
+            if calls == maxfev:
+                continue
+            outside = fxr < fsim[-1]
+            xc = [1.5 * a - 0.5 * b if outside else 0.5 * a + 0.5 * b
+                  for a, b in zip(xbar, sim[-1])]
+            calls, fxc = calls + 1, f(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])]
+                    if calls == maxfev:
+                        break
+                    calls, fsim[j] = calls + 1, f(sim[j])
 
 
 def tune(
@@ -207,8 +198,8 @@ def tune(
     Maximizes the subspace average fidelity of each candidate against the
     ideal unitary of that candidate's own (relaxed) parameters, within a
     ±2% box around the start.  The simplex reads one neurons.FidelityModel
-    at points x = (m, n) or (k, l), valid by construction: the box is
-    clipped and feasible() clamps to the phase neuron's hierarchy floors or
+    at points x = (m, n) or (k, l), valid by construction: the objective
+    clips x to the box and clamps it to the phase neuron's hierarchy floors or
     to the excitation neuron's l > k, so the class checks run on the start
     and on the returned point.  Each distinct point is scored once, the
     start (the first vertex) by f0 when given (the CLI passes its report's
@@ -221,38 +212,42 @@ def tune(
         raise InvalidParamsError(f"budget must be an int of at least 1, got {budget!r}")
     if f0 is not None:
         _check_real(f0=f0)
+        if not -1e-9 <= f0 <= 1 + 1e-9:  # FidelityReport's slack
+            raise InvalidParamsError(f"f0 must lie in [0, 1], got {f0!r}")
     model = neurons.FidelityModel(kind, initial)  # rejects any other kind
     x0 = tuple(float(getattr(initial, f)) for f in model.fields)
     lo_a, lo_b = (v * (1 - TUNE_BOX_FRACTION) for v in x0)
     hi_a, hi_b = (v * (1 + TUNE_BOX_FRACTION) for v in x0)
+    phase = kind == "phase"
+    floor_m, ratio = neurons.PHASE_FLOOR_4M / 4, neurons.PHASE_RATIO_FLOOR * 4
     # Each distinct point costs one model call; a given f0 scores the start.
-    score = cache(lambda x: f0 if x == x0 and f0 is not None else model(x))
-
-    def feasible(x):
-        a, b = min(max(x[0], lo_a), hi_a), min(max(x[1], lo_b), hi_b)
-        if kind == "phase":
-            # A box around a floor start crosses a floor; raise m, then n, back onto it.
-            a = max(a, neurons.PHASE_FLOOR_4M / 4)
-            return a, max(b, neurons.PHASE_RATIO_FLOOR * 4 * a / 2)
-        # A box around l/k < 1.02/0.98 reaches k >= l; keep l just above k.
-        return a, max(b, math.nextafter(a, math.inf))
+    scores, moved = {x0: model(x0) if f0 is None else f0}, x0
 
     def objective(x):
-        clipped = feasible(x)
-        dm, dn = x[0] - clipped[0], x[1] - clipped[1]
-        return -score(clipped) + (dm * dm + dn * dn)
+        """Minus the score of x moved onto the box and the floors, plus the squared move."""
+        nonlocal moved
+        a, b = min(max(x[0], lo_a), hi_a), min(max(x[1], lo_b), hi_b)
+        if phase:
+            # A box around a floor start crosses a floor; raise m, then n, back onto it.
+            a = max(a, floor_m)
+            b = max(b, ratio * a / 2)
+        else:
+            # A box around l/k < 1.02/0.98 reaches k >= l; keep l just above k.
+            b = max(b, math.nextafter(a, math.inf))
+        if (moved := (a, b)) not in scores:
+            scores[moved] = model(moved)
+        dm, dn = x[0] - a, x[1] - b
+        return -scores[moved] + (dm * dm + dn * dn)
 
-    start = score(x0)
     # The simplex's budget leaves out the start, though its first vertex is x0.
     maxfev = max(budget - 1, 1)
     x, count = _nelder_mead(objective, x0, maxfev)
-    best_x = feasible(x)
-    best_f = score(best_x)
+    objective(x)  # moves the returned vertex onto the box: scored in the search, no model call
     return TuneResult(
         initial_params=initial,
-        tuned_params=model.params_at(best_x),
-        initial_fidelity=start,
-        final_fidelity=best_f,
+        tuned_params=model.params_at(moved),
+        initial_fidelity=scores[x0],
+        final_fidelity=scores[moved],
         evaluations=count,
         budget_exhausted=count >= maxfev,
     )

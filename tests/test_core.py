@@ -851,6 +851,7 @@ class TestRealKernel:
         # its calls decompose nothing, and the report's propagator one real H.
         params = parameters.solve_phase(3, 82)
         core._sector_basis.cache_clear()
+        neurons._phase_blocks.cache_clear()
         for _ in range(2):
             model = neurons.FidelityModel("phase", params)
             model((3.0, 82.0))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from qsnn import core, errors, neurons, parameters
+from qsnn import core, errors, fidelity, neurons, parameters
 
 
 class TestPythagoreanTriples:
@@ -228,6 +228,19 @@ class TestDetuningReport:
             assert abs(near - exact) <= 1e-14 * exact, (l, s, gamma, parity, variant)
         assert refused >= 8
 
+    def test_exc_delta_minus_keeps_its_digits(self):
+        # l one float above k = 1e8 gives J = √2 beside β = 1e8, where r − β cancels:
+        # |2β − 2r| read 2.98e-8, 49% off; 2J²/(r + β) reads this J and β's 2.0e-8.
+        import mpmath  # a test dependency, for this reference only
+
+        p = neurons.ExcNeuronParams(k=1e8, l=math.nextafter(1e8, 2e8), relaxed=True)
+        ratios = parameters.detuning_report(neurons.make_spec("excitation", p, (0, 1), 2)).ratios
+        j, b = map(mpmath.mpf, p.in_drive_units)
+        with mpmath.workdps(50):
+            exact = float(2 * (mpmath.sqrt(j * j + b * b) - b))
+        assert abs(ratios["delta_minus"] - exact) <= 1e-15 * exact
+        assert abs(exact - 2e-8) <= 1e-15
+
     @pytest.mark.parametrize("spec", [5, None, "phase", parameters.solve_phase(3, 82)],
                              ids=["int", "none", "str", "params"])
     def test_rejects_what_is_no_neuron_spec(self, spec):
@@ -321,6 +334,26 @@ class TestTune:
     def test_f0_must_be_a_finite_real(self, exc_8_17, f0):
         with pytest.raises(errors.InvalidParamsError, match="f0"):
             parameters.tune(exc_8_17, "excitation", budget=5, f0=f0)
+
+    @pytest.mark.parametrize("f0", [2.0, -1.0, 1 + 2e-9, -2e-9])
+    def test_f0_must_be_a_fidelity(self, phase_3_82, f0):
+        # f0 = 2.0 came back as the final fidelity, and f0 = -1.0 made the start
+        # the worst vertex; FidelityReport's 1e-9 slack is allowed.
+        with pytest.raises(errors.InvalidParamsError, match="f0"):
+            parameters.tune(phase_3_82, "phase", budget=10, f0=f0)
+        assert parameters.tune(phase_3_82, "phase", budget=10, f0=1 + 1e-9).final_fidelity > 1
+
+    @pytest.mark.parametrize("kind, a, b, calls, evaluations", [
+        ("phase", 3, 82, 92, 94), ("phase", 2, 20, 69, 141),
+    ])
+    def test_model_calls_as_the_readme_counts(self, kind, a, b, calls, evaluations,
+                                              monkeypatch):
+        made = []
+        score = neurons.FidelityModel.__call__
+        monkeypatch.setattr(neurons.FidelityModel, "__call__",
+                            lambda model, x: made.append(x) or score(model, x))
+        result = parameters.tune(parameters.solve_phase(a, b), kind, budget=300)
+        assert (len(made), result.evaluations) == (calls, evaluations)
 
     @pytest.mark.parametrize("m, n", [(2, 20), (2, 40), (2, 54), (3, 30), (4, 40),
                                       (5, 50), (6, 60)])
@@ -528,15 +561,18 @@ def test_fidelity_model_matches_fidelity_report(candidate):
         assert abs(model(x) - _phase_report(model.params_at(x))) <= 1e-12
 
 
-def test_fidelity_model_follows_round_m():
+def test_fidelity_model_follows_round_m(monkeypatch):
     # The phase neuron's ideal and post-phase gate change with round(m), so
     # one model serves both sides of each half-integer m.
     start = parameters.solve_phase(30, 600)
     model = neurons.FidelityModel("phase", start)
+    read, projections = [], neurons._projections
+    monkeypatch.setattr(neurons, "_projections",
+                        lambda kind, m: read.append(m) or projections(kind, m))
     for m in (29.4, 29.6, 30.4, 30.6, 29.4):
         x = (m, start.n)
         assert abs(model(x) - _phase_report(model.params_at(x))) <= 1e-12
-    assert sorted(model.projections) == [29, 30, 31]
+    assert read == [29, 30, 30, 31, 29]
 
 
 def test_fidelity_model_rejects_a_non_unitary_propagator(phase_3_82, monkeypatch):
@@ -560,7 +596,7 @@ def test_fidelity_model_checks_u_once(phase_3_82, monkeypatch):
     # calls math.cos twice, for cos(rτ) and then for its phase e^{-ih₀τ}.
     model = neurons.FidelityModel("phase", phase_3_82)
     x = (phase_3_82.m, phase_3_82.n)
-    f = model(x)  # builds the projections, which check the ideal
+    f = model(x)  # the projections, which check the ideal, are built by now
     checked, cos = [], math.cos
     monkeypatch.setattr(core, "check_isometry", lambda *args: checked.append(args))
     for block in range(4):
@@ -583,9 +619,15 @@ def test_fidelity_model_checks_u_once(phase_3_82, monkeypatch):
     (1.001 * np.eye(8), "unitarity"),    # not orthogonal
 ])
 def test_phase_model_checks_its_sector_basis(phase_3_82, monkeypatch, basis, match):
+    # The blocks are built once per process: cleared, they are built from this
+    # basis, and cleared again, no later model reads them.
     monkeypatch.setattr(core, "_sector_basis", lambda terms: basis)
-    with pytest.raises(errors.NormDriftError, match=match):
-        neurons.FidelityModel("phase", phase_3_82)
+    neurons._phase_blocks.cache_clear()
+    try:
+        with pytest.raises(errors.NormDriftError, match=match):
+            neurons.FidelityModel("phase", phase_3_82)
+    finally:
+        neurons._phase_blocks.cache_clear()
 
 
 @pytest.mark.parametrize("x", [(math.nan, 82.0), (3.0, math.inf), (math.inf, 82.0),
@@ -633,7 +675,7 @@ def test_phase_model_matches_the_hamiltonian_path():
                 if u is None:
                     u = core.propagator(neurons.build_phase_hamiltonian(params),
                                         params.UNIT_TAU).matrix
-                left, right, _ = model.projections[round(params.m)]
+                left, right, _ = neurons._projections("phase", round(params.m))
                 m = left @ u @ right
                 want = (np.vdot(m, m).real + abs(np.trace(m)) ** 2) / (len(m) * (len(m) + 1))
                 assert abs(f - want) <= 1e-12
@@ -668,6 +710,104 @@ def test_tune_fidelities_match_fidelity_report(start):
     for params, f in ((replace(initial, relaxed=True), result.initial_fidelity),
                       (result.tuned_params, result.final_fidelity)):
         assert abs(f - neurons.fidelity_report("phase", params).f_avg) <= 1e-12
+
+
+def _fresh_constants(model, x):
+    """The model's blocks and (L, R, G) at x as each model built them for itself:
+    the blocks from its own sector basis, the rest from params_at(x)'s own gates,
+    ideal and protocol basis."""
+    params, kind = model.params_at(x), model.kind
+    blocks = None
+    if kind == "phase":
+        w = core._sector_basis(("XXI", "YYI", "ZZI", "IXX", "IIZ")).astype(complex)
+        sigmas = np.array([np.eye(2), core.PAULI_X, core.PAULI_Z])
+        blocks = w @ np.kron(np.eye(4)[:, None] * np.eye(4), sigmas) @ w.T
+    pre, post = neurons.make_spec(kind, params, (0, 1), 2).gates
+    basis = fidelity._subspace_matrix(neurons.protocol_subspace(kind, params), 8)
+    ideal = neurons.ideal_unitary(kind, params).matrix.conj().T
+    left = basis.conj().T @ ideal @ neurons._output_gates(post)
+    right, form = neurons._output_gates(pre) @ basis, None
+    if blocks is not None:
+        a = (left @ blocks @ right).reshape(12, -1)
+        a = np.column_stack([a, a[:, ::7].sum(axis=1)])
+        form = a.conj() @ a.T / 42
+    return blocks, (left, right, form)
+
+
+@pytest.mark.parametrize("kind, start", [
+    ("phase", parameters.solve_phase(3, 82)),
+    ("phase", neurons.PhaseNeuronParams(3.0, 36.0, gamma=0.5)),
+    ("phase", neurons.PhaseNeuronParams(5.0, 80.0, gamma=2.0, drive_amplitude=1e-3)),
+    ("phase", neurons.PhaseNeuronParams(4.0, 164.0, drive_amplitude=1e3)),
+    ("phase", parameters.solve_phase(25, 300)),  # the box crosses m = 24.5
+    ("excitation", parameters.solve_exc(8, 17)),
+])
+def test_model_constants_equal_a_fresh_build(kind, start):
+    # The blocks and projections are built once per process; each equals, bit
+    # for bit, what a model built for itself at its start.
+    model = neurons.FidelityModel(kind, start)
+    a, b = (getattr(start, f) for f in model.fields)
+    box = itertools.product(a * np.array([0.98, 1, 1.02]), b * np.array([0.98, 1, 1.02]))
+    at = {(round(x[0]) if kind == "phase" else None): x for x in box}
+    assert len(at) == (3 if getattr(start, "m", 0) == 25 else 1)  # 24.5 → 24, 25.5 → 26
+    for key, x in at.items():
+        blocks, projections = _fresh_constants(model, x)
+        if blocks is not None:
+            assert np.array_equal(model.blocks, blocks)
+        for got, want in zip(neurons._projections(kind, key), projections):
+            assert (got is None and want is None) or (np.array_equal(got, want)
+                                                      and not got.flags.writeable)
+
+
+def test_phase_models_share_their_blocks_not_their_coefficients():
+    # γ moves the block coefficients, not the blocks.
+    one, two = (neurons.FidelityModel("phase", neurons.PhaseNeuronParams(3.0, 82.0, gamma=g))
+                for g in (1.0, 2.0))
+    assert one((3.0, 82.0)) != two((3.0, 82.0))
+    assert one.blocks is two.blocks and one.sectors != two.sectors
+
+
+# Each tune at budget 300 as commit 3db9c01 gave it, bit for bit: m, n start;
+# tuned m, n; evaluations; budget_exhausted; initial and final fidelity.  The
+# 18 tuning points, then the 7 hierarchy-floor starts.
+_PINNED_TUNES = """
+3 36 0x1.7a73321e19d3ep+1 0x1.1fd1624d65270p+5 95 0 0x1.f1e6f01676ee1p-1 0x1.fcd9b273568c8p-1
+3 48 0x1.7a87497edaeacp+1 0x1.7fdd058267db5p+5 98 0 0x1.f6f4325da3ff8p-1 0x1.fe39d97957548p-1
+3 60 0x1.7a9096030ee8ep+1 0x1.dfe402cb066bdp+5 93 0 0x1.f94f2c5ac8c8cp-1 0x1.fedd2a12eff5fp-1
+3 81 0x1.7a97c937f251cp+1 0x1.3ff580a277f1dp+6 89 0 0x1.fb34f7962ce12p-1 0x1.ff5c53936758ap-1
+4 48 0x1.fbc084e6d528cp+1 0x1.7fc110e1eb028p+5 96 0 0x1.ea74efe91b29cp-1 0x1.faab4d2e505f9p-1
+4 64 0x1.fbda956b831d8p+1 0x1.ffd0c712f4c51p+5 91 0 0x1.f32cd40efbac8p-1 0x1.fcfeaaf316ca6p-1
+4 80 0x1.fbe65f03fdfbep+1 0x1.3decfd08eabd4p+6 90 0 0x1.f74285b2d79fep-1 0x1.fe0ceb280ed84p-1
+4 108 0x1.fbf0449660cb4p+1 0x1.aff200b9868e6p+6 98 0 0x1.fa8f55c723b9dp-1 0x1.fef15750f7c76p-1
+5 60 0x1.3e409bf179b40p+2 0x1.dfb0e1ec1bc2cp+5 97 0 0x1.e030ca5ba749ep-1 0x1.f7e1886bc084bp-1
+5 80 0x1.3e50827b36439p+2 0x1.3de2217e92e20p+6 94 0 0x1.ed7ed2d5ed5eap-1 0x1.fb5c49fd2a2dbp-1
+5 100 0x1.3e58351db7b6bp+2 0x1.8fe83faa0a2d0p+6 95 0 0x1.f3c4a833ae030p-1 0x1.fd10289d4c61cp-1
+5 135 0x1.3e5e291b9a7dcp+2 0x1.0df733a9251b5p+7 100 0 0x1.f8daa08bfd008p-1 0x1.fe62f71d07236p-1
+6 72 0x1.7e7ebe3e8261bp+2 0x1.21d0b5e66e0c8p+6 90 0 0x1.d396011ed7c28p-1 0x1.f4a650faee2b3p-1
+6 96 0x1.7e917deac06aep+2 0x1.7fdc45539710dp+6 94 0 0x1.e64e12d5f63d0p-1 0x1.f97f68dfeebe9p-1
+6 120 0x1.7e9a602cf9ff2p+2 0x1.dfe369196a184p+6 100 0 0x1.ef32d2d46c150p-1 0x1.fbd4675590a6fp-1
+6 162 0x1.7ea15bc13ffd3p+2 0x1.41f558021543cp+7 130 0 0x1.f670d11c573b2p-1 0x1.fdadebb682399p-1
+3 82 0x1.7a981d2129e0fp+1 0x1.45f5b209f8de0p+6 94 0 0x1.fb434fed989c0p-1 0x1.ff624ad24ebbcp-1
+4 164 0x1.fbf6e0f5a6c41p+1 0x1.46fb60665e2f4p+7 93 0 0x1.fcd8102849892p-1 0x1.ff89d6943f7a2p-1
+2 20 0x1.0000000000000p+1 0x1.4000000000000p+4 141 0 0x1.f2ad0ab6b9844p-1 0x1.f2ad0ab6b9844p-1
+2 40 0x1.0000000000000p+1 0x1.3fecbda58e7b2p+5 119 0 0x1.f88a2ee7694dfp-1 0x1.f9e298f20214cp-1
+2 54 0x1.0000000000000p+1 0x1.aff1bbe7c7971p+5 115 0 0x1.f96da603d0941p-1 0x1.fa2ae147b231cp-1
+3 30 0x1.7a5efa10be238p+1 0x1.df902c5b4ae18p+4 95 0 0x1.ecdf4086dc66ap-1 0x1.fb787b0b2120dp-1
+4 40 0x1.fba84ebe51b70p+1 0x1.43b571a330528p+5 98 0 0x1.e1d58c2d239a2p-1 0x1.f886f3fc765bep-1
+5 50 0x1.3e3042fc17066p+2 0x1.8fa11a4751cd4p+5 98 0 0x1.d3253bc87ef49p-1 0x1.f458db162107cp-1
+6 60 0x1.7e6b890c48412p+2 0x1.e38eb6658f152p+5 97 0 0x1.c16d7e915d52ap-1 0x1.efc613d6a9438p-1
+"""
+
+
+@pytest.mark.parametrize("row", _PINNED_TUNES.split("\n")[1:-1],
+                         ids=lambda row: "-".join(row.split()[:2]))
+def test_phase_tunes_are_pinned(row):
+    m, n, *want = row.split()
+    result = parameters.tune(parameters.solve_phase(int(m), int(n)), "phase")
+    tuned = result.tuned_params
+    assert [tuned.m.hex(), tuned.n.hex(), str(result.evaluations),
+            str(int(result.budget_exhausted)), result.initial_fidelity.hex(),
+            result.final_fidelity.hex()] == want
 
 
 def test_phase_tunes_meet_the_reference_table():
