@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseOperator, _is_index, _shown, check_type
+from .core import HOST_MEMORY, DenseOperator, _is_index, _shown, check_type
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -110,6 +110,8 @@ def mc_average_fidelity(
         raise InvalidParamsError(f"seed must be a non-negative int or None, got {_shown(seed)}")
     basis, m = _restricted(u_actual, u_ideal, subspace)
     d = basis.shape[1]
+    if 64 * n_samples * d > HOST_MEMORY:  # a call peaks at about 32d + 21 B per sample
+        raise InvalidParamsError("n_samples need more memory than this host has")
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)

@@ -134,7 +134,9 @@ class ExcNeuronParams(_Driven):
             raise InvalidParamsError(f"need l > k > 0, got k={self.k}, l={self.l}")
         if self.j_sign not in (1, -1):
             raise InvalidParamsError("j_sign must be +1 or -1")
-        root = math.sqrt(self.l**2 - self.k**2)
+        root = abs(self.in_drive_units[0])
+        if not math.isfinite(root):
+            raise InvalidParamsError(f"(l − k)(l + k) overflows at k={self.k}, l={self.l}")
         if not self.relaxed:
             if not (_is_integer(self.k) and _is_integer(self.l)):
                 raise InvalidParamsError(
@@ -149,8 +151,8 @@ class ExcNeuronParams(_Driven):
 
     @property
     def in_drive_units(self) -> tuple[float, float]:
-        """(J, β) in units of the drive amplitude: (±sqrt(l²−k²), k)."""
-        return self.j_sign * math.sqrt(self.l**2 - self.k**2), float(self.k)
+        """(J, β) in units of the drive amplitude: (±sqrt((l−k)(l+k)), k), no cancellation."""
+        return self.j_sign * math.sqrt((self.l - self.k) * (self.l + self.k)), float(self.k)
 
     @property
     def beta(self) -> float:
@@ -212,21 +214,16 @@ class PhaseNeuronParams(_Driven):
 
 
 def _phase_matching(gamma: float, l: int, s: int, parity_k: int) -> tuple[float, float]:
-    """(β, J)/A of the final layer: β = ((2s−l) + (−1)^k·γ·sqrt(l²(1+γ²) −
-    (2s−l)²))/(1+γ²) and J = ((2s−l) − β)/γ, the solution of γJ = (2s−l) − β
-    with β² + J² = l².  At |γ| ≤ 1e-12, J = ±sqrt(l² − β²), of the sign that
-    better meets γJ = (2s−l) − β.  In units of A."""
+    """(β, J)/A of the final layer, the solution of γJ = q − β with β² + J² = l²
+    and q = 2s − l: with D = (l−q)(l+q) + (lγ)² and ε = (−1)^k, β = (q + εγ√D)/(1+γ²)
+    and J = (γq − ε√D)/(1+γ²).  Nothing divides by γ: J is 0 where the exact J is,
+    and at γ = 0 it is −ε√D, the limit of the γ ≠ 0 solution.  In units of A."""
     q = 2 * s - l
-    disc = l**2 * (1 + gamma**2) - q**2
+    disc = (l - q) * (l + q) + (l * gamma) ** 2  # l and q are ints: the product is exact
     if disc < 0:
-        raise NoRealSolutionError(
-            f"discriminant l²(1+γ²) − (2s−l)² = {disc} is negative"
-        )
-    beta = 1 / (1 + gamma**2) * (q + (-1) ** parity_k * gamma * math.sqrt(disc))
-    if abs(gamma) > 1e-12:
-        return beta, (q - beta) / gamma
-    j_mag = math.sqrt(max(l**2 - beta**2, 0.0))
-    return beta, min((j_mag, -j_mag), key=lambda j: abs(gamma * j - (q - beta)))
+        raise NoRealSolutionError(f"discriminant (l−q)(l+q) + (lγ)² = {disc} is negative")
+    root = (-1) ** parity_k * math.sqrt(disc)
+    return (q + gamma * root) / (1 + gamma**2), (gamma * q - root) / (1 + gamma**2)
 
 
 @dataclass(frozen=True)
@@ -260,25 +257,23 @@ class FinalLayerParams(_Driven):
         if self.drive_mode == "local_field":
             if self.omega is None:
                 raise InvalidParamsError("local_field mode requires omega")
-            if abs(self.omega) / self.drive_amplitude < OMEGA_FLOOR:
-                raise InvalidParamsError(
-                    f"|Omega|/A = {abs(self.omega) / self.drive_amplitude:.2f} "
-                    f"below floor {OMEGA_FLOOR}"
-                )
+            ratio = abs(self.omega) / self.drive_amplitude
+            if ratio < OMEGA_FLOOR:
+                raise InvalidParamsError(f"|Omega|/A = {ratio:.2f} below floor {OMEGA_FLOOR}")
         elif self.omega is not None:
             raise InvalidParamsError("the rotating drive takes no omega")
-        beta, j = _phase_matching(self.gamma, self.l, self.s, self.parity_k)
-        if self.variant == "detect_downdown":
-            beta = -beta
-        object.__setattr__(self, "beta", beta * self.drive_amplitude)
-        object.__setattr__(self, "coupling_j", j * self.drive_amplitude)
+        a = self.drive_amplitude
+        for name, value in zip(("coupling_j", "beta"), self.in_drive_units):
+            if not math.isfinite(value * a):
+                raise InvalidParamsError(f"{name} out of arithmetic range at A = {a}")
+            object.__setattr__(self, name, value * a)
         check_ratios(self.detuning_ratios)  # as params detuning does: β = 0 or J = 0 fails
 
     @property
     def in_drive_units(self) -> tuple[float, float]:
-        """(J, β) in units of the drive amplitude."""
-        a = self.drive_amplitude
-        return self.coupling_j / a, self.beta / a
+        """(J, β) in units of the drive amplitude, solved without A (β negated for |↓↓⟩)."""
+        beta, j = _phase_matching(self.gamma, self.l, self.s, self.parity_k)
+        return j, -beta if self.variant == "detect_downdown" else beta
 
     @property
     def detuning_ratios(self) -> dict[str, float]:
@@ -484,6 +479,7 @@ def apply_neuron(state: StateVector, spec: NeuronSpec) -> StateVector:
     qubits; it is the reference the tests hold network.run against.
     """
     core.check_type(NeuronSpec, spec)
+    core.check_type(StateVector, state)
     pre, post = spec.gates
     for gate in pre:
         state = core.apply_gate(state, gate, spec.output_qubit)

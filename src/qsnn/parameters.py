@@ -40,7 +40,7 @@ def solve_exc(
     """Solve the excitation-neuron phase constraints for (k, l).
 
     unity mode sets γ=1, for which ExcNeuronParams requires a Pythagorean
-    pair; general mode sets γ = ±(2s − k − l + 1/2)/sqrt(l² − k²).
+    pair; general mode sets γ = ±(2s − k − l + 1/2)/sqrt((l − k)(l + k)).
     """
     _check_real(k=k, l=l)
     if not l > k > 0:
@@ -53,7 +53,7 @@ def solve_exc(
         _check_real(s=s)
         if sign not in (1, -1):
             raise InvalidParamsError("sign must be +1 or -1")
-        gamma = sign * (2 * s - k - l + 0.5) / math.sqrt(l**2 - k**2)
+        gamma = sign * (2 * s - k - l + 0.5) / math.sqrt((l - k) * (l + k))
     else:
         raise InvalidParamsError(f"unknown gamma_mode {gamma_mode!r}")
     return ExcNeuronParams(
@@ -90,8 +90,9 @@ def solve_final_beta(
     if not (drive_amplitude > 0 and all(type(v) is int for v in (l, s, parity_k))):
         raise InvalidParamsError(f"need A > 0 and int l, s, parity_k, got "
                                  f"{drive_amplitude!r}, {l!r}, {s!r}, {parity_k!r}")
-    beta, j = neurons._phase_matching(gamma, l, s, parity_k)
-    return beta * drive_amplitude, j * drive_amplitude
+    beta, j = (v * drive_amplitude for v in neurons._phase_matching(gamma, l, s, parity_k))
+    _check_real(beta=beta, coupling_j=j)  # not an inf or NaN from an overflow
+    return beta, j
 
 
 # FinalLayerParams solves its own β and J; this is its older name.

@@ -129,6 +129,20 @@ class TestMonteCarloOracle:
             )
             assert abs(mean - closed) <= 3 * max(stderr, 1e-12)
 
+    def test_samples_beyond_host_memory_are_refused(self, monkeypatch):
+        # A call peaks at about 32d + 21 bytes per sample, so the guard counts 64
+        # per coefficient: draws that need more than the host has are refused
+        # before anything is drawn.
+        u = core.DenseOperator.identity(8)
+        for n_samples in (core.HOST_MEMORY, 10**400):
+            with pytest.raises(errors.InvalidParamsError, match="memory"):
+                fidelity.mc_average_fidelity(u, u, _basis(8, 2), n_samples=n_samples)
+        monkeypatch.setattr(fidelity, "HOST_MEMORY", 64 * 2 * 100)
+        with pytest.raises(errors.InvalidParamsError, match="memory"):
+            fidelity.mc_average_fidelity(u, u, _basis(8, 2), n_samples=101)
+        assert fidelity.mc_average_fidelity(u, u, _basis(8, 2), n_samples=100)[0] == (
+            pytest.approx(1.0, abs=1e-12))
+
     def test_exc_neuron_high_precision_cross_check(self, exc_spec, exc_8_17):
         actual = neurons.neuron_unitary(exc_spec, tol=1e-10)
         ideal = neurons.ideal_unitary("excitation", exc_8_17)

@@ -572,6 +572,12 @@ class TestSpecValidation:
         with pytest.raises(errors.InvalidParamsError, match="expected a NeuronSpec"):
             call(spec)
 
+    @pytest.mark.parametrize("state", ["x", None, np.zeros(8), core.DenseOperator.identity(8)],
+                             ids=["str", "none", "array", "operator"])
+    def test_apply_neuron_rejects_what_is_no_state(self, exc_spec, state):
+        with pytest.raises(errors.InvalidParamsError, match="expected a StateVector"):
+            neurons.apply_neuron(state, exc_spec)
+
     @pytest.mark.parametrize("bare", ["x", [[1.0, 2.0]], np.ones((8, 8)),
                                       2 * np.eye(8)])
     def test_malformed_bare_unitary_rejected(self, exc_8_17, bare):
@@ -749,6 +755,27 @@ def test_neurons_do_not_depend_on_drive_amplitude(case, exponent):
     assert scaled.times[-1] == (math.pi / 2 if kind == "phase" else math.pi)
     for name in ("times", "output_x", "output_z", "input_fidelity"):
         assert np.max(np.abs(getattr(scaled, name) - getattr(traj, name))) <= 1e-12
+
+
+def test_exc_coupling_does_not_cancel_at_l_near_k():
+    # J = sqrt((l − k)(l + k)) keeps its digits where l² − k² cancels: one float
+    # above k = 1e8 (where sqrt(l² − k²) read √2) and across the ±2% tune box of
+    # (40, 41), whose l ≈ k edge sqrt(l² − k²) missed by up to 11%.  At
+    # Pythagorean points J is the other leg, as before.
+    import mpmath  # a test dependency, for this reference only
+
+    p = neurons.ExcNeuronParams(k=1e8, l=math.nextafter(1e8, 2e8), relaxed=True)
+    assert p.in_drive_units[0] == 1.7263349150062196
+    rng = np.random.default_rng(7)
+    ks, ls = 40 * rng.uniform(0.98, 1.02, 2000), 41 * rng.uniform(0.98, 1.02, 2000)
+    with mpmath.workdps(50):
+        for k, l in zip(ks[ls > ks], ls[ls > ks]):
+            j = neurons.ExcNeuronParams(k=k, l=l, relaxed=True).in_drive_units[0]
+            exact = mpmath.sqrt((mpmath.mpf(l) - k) * (mpmath.mpf(l) + k))
+            assert abs(j - exact) <= 4e-16 * exact, (k, l)
+    for a, b, c in parameters.pythagorean_triples(41):
+        assert neurons.ExcNeuronParams(k=float(a), l=float(c)).in_drive_units[0] == b
+        assert neurons.ExcNeuronParams(k=float(b), l=float(c)).in_drive_units[0] == a
 
 
 @pytest.mark.parametrize("call", [

@@ -130,16 +130,86 @@ class TestSolveFinal:
 
     @pytest.mark.parametrize("variant", ["detect_upup", "detect_downdown"])
     @pytest.mark.parametrize("l, s, gamma, parity_k", [
-        (17, 3, 1e5, 1), (100000, 0, 1e-3, 1), (17, 20, 1e5, 0), (29, -2, 1e5, 1),
+        (17, 3, 1e5, 1), (17, 20, 1e5, 0), (29, -2, 1e5, 1),
         (1000, 18, 1e5, 1), (100000, 5998, 1e5, 0),
     ])
     def test_large_and_small_gamma_solve_to_roundoff(self, variant, l, s, gamma, parity_k):
-        # J = ((2s−l) − β)/γ solves both identities to roundoff, also where
-        # γ·sqrt(l² − β²) or |β| ≈ |l| carries an error of about 1e-11.
+        # The closed form solves both identities to roundoff, also where |β| ≈ |l|.
+        # (100000, 0, 1e-3, odd) solves to J = 0: test_exact_zero_j_is_refused.
         p = neurons.FinalLayerParams(variant, l, s, parity_k, gamma)
         beta = p.beta if variant == "detect_upup" else -p.beta
         assert abs(beta**2 + p.coupling_j**2 - l**2) / l**2 <= 1e-15
         assert abs(gamma * p.coupling_j - (2 * s - l - beta)) / l <= 1e-15
+
+    def test_closed_form_meets_a_50_digit_solution(self):
+        # β = (q + εγ√D)/(1+γ²) and J = (γq − ε√D)/(1+γ²) with D = (l−q)(l+q) + (lγ)²
+        # divide by nothing small: β and J hold to a few ulp of l and β² + J² = l² to
+        # a few ulp of l², at γ = 0 and ±1e-13 as at γ = 1e9 (q = 2s − l, ε = (−1)^k).
+        import mpmath  # a test dependency, for this reference only
+
+        ulp = 2.0**-52
+        gammas = (0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-3, -1e-3, 0.7, -0.7, 1.0, -1.0,
+                  1e3, 1e9)
+        with mpmath.workdps(50):
+            for gamma, l, parity in itertools.product(gammas, (1, 2, 17, 1000, 100000), (0, 1)):
+                for s in sorted({0, 1, l // 2, l}):
+                    beta, j = parameters.solve_final_beta(gamma, l, s, parity)
+                    g, q = mpmath.mpf(gamma), 2 * s - l
+                    root = (-1) ** parity * mpmath.sqrt((l - q) * (l + q) + (l * g) ** 2)
+                    point = (gamma, l, s, parity)
+                    assert abs(beta - (q + g * root) / (1 + g * g)) <= 4 * ulp * l, point
+                    assert abs(j - (g * q - root) / (1 + g * g)) <= 4 * ulp * l, point
+                    assert abs(mpmath.mpf(beta) ** 2 + mpmath.mpf(j) ** 2 - l * l) <= (
+                        8 * ulp * l * l), point
+
+    @pytest.mark.parametrize("l, s, parity_k", [(17, 3, 0), (17, 3, 1), (29, 0, 0),
+                                                (29, 29, 1), (100000, 1, 1)])
+    def test_gamma_zero_takes_the_limit_of_small_gamma(self, l, s, parity_k):
+        # At γ = 0, β = q and J = −(−1)^k·√((l−q)(l+q)): both equations hold for
+        # either sign of J, and this is the one the γ ≠ 0 solution tends to.
+        q = 2 * s - l
+        j = -((-1) ** parity_k) * math.sqrt((l - q) * (l + q))
+        assert parameters.solve_final_beta(0.0, l, s, parity_k) == (q, j)
+        for gamma in (1e-300, -1e-300):
+            assert parameters.solve_final_beta(gamma, l, s, parity_k) == pytest.approx(
+                (q, j), rel=1e-15, abs=1e-290)
+
+    @pytest.mark.parametrize("variant", ["detect_upup", "detect_downdown"])
+    @pytest.mark.parametrize("l, s, gamma, parity_k", [
+        (17, 0, 1e-6, 1), (100000, 0, 1e-3, 1), (17, 0, -1e-6, 0), (17, 17, 1e-6, 0),
+        (17, 17, -1e-6, 1), (5, 5, 1.0, 0), (29, 0, 1e9, 1), (29, 0, 1e-13, 1),
+    ])
+    def test_exact_zero_j_is_refused(self, variant, l, s, gamma, parity_k):
+        # At s = 0 or s = l, of one parity for each sign of γ, the exact J is 0: the
+        # detector is not detuned.  The closed form gives J = 0.0, not a roundoff J.
+        assert parameters.solve_final_beta(gamma, l, s, parity_k)[1] == 0.0
+        with pytest.raises(errors.InvalidParamsError, match="not positive"):
+            neurons.FinalLayerParams(variant, l, s, parity_k, gamma)
+
+    @pytest.mark.parametrize("variant", ["detect_upup", "detect_downdown"])
+    @pytest.mark.parametrize("l, s, gamma, parity_k", [
+        (29, 15, 1.0, 0), (17, 9, 1.0, 0), (17, 3, 0.7, 1), (1000, 18, 1e5, 1),
+        (100000, 1, 1e3, 1), (17, 3, 1e-9, 0),
+    ])
+    def test_drive_units_do_not_depend_on_amplitude(self, variant, l, s, gamma, parity_k):
+        # The layer solves (J, β) in units of A and only scales the reported
+        # energies: in_drive_units is the same, bit for bit, at any A.
+        unit = neurons.FinalLayerParams(variant, l, s, parity_k, gamma).in_drive_units
+        for a in (1e-300, 1e-10, 0.3, 3.7, 1e10, 1e300):
+            p = neurons.FinalLayerParams(variant, l, s, parity_k, gamma, drive_amplitude=a)
+            assert p.in_drive_units == unit, a
+            assert (p.coupling_j, p.beta) == (unit[0] * a, unit[1] * a), a
+
+    @pytest.mark.parametrize("call", [
+        lambda: neurons.FinalLayerParams("detect_upup", 10**10, 3, 0, drive_amplitude=1e300),
+        lambda: neurons.FinalLayerParams("detect_upup", 10**160, 0, 0, 1e150),
+        lambda: parameters.solve_final_beta(1.0, 10**10, 3, 0, drive_amplitude=1e300),
+        lambda: parameters.solve_final_beta(1e150, 10**160, 0, 0),
+    ], ids=["params_beta_a", "params_l_gamma", "solve_beta_a", "solve_l_gamma"])
+    def test_an_overflowing_solution_is_refused(self, call):
+        # l·γ or β·A past the float range gives an inf or NaN, never a result.
+        with pytest.raises(errors.InvalidParamsError):
+            call()
 
     def test_downdown_variant_negates_beta(self):
         up = parameters.make_final_params("detect_upup", 5, 4, 0)
@@ -202,10 +272,13 @@ class TestDetuningReport:
         # FinalLayerParams refuses exactly the points that solve to β = 0 or J = 0;
         # elsewhere detuning_report gives ratios whose smaller one-excitation value,
         # 2(r − |β|), keeps its digits where J is small beside β (γ = 1e-3,
-        # l = 100000, where r − |β| cancels to 0 in floats).
-        grid = itertools.product(
+        # l = 100000, where r − |β| cancels to 0 in floats; and γ = 1e3, l = 100000,
+        # s = 1, where J = 0.002 beside β = −1e5 and the direct 2(r − |β|) reads
+        # 2.9e-11 against 4.0e-11).
+        grid = itertools.chain(itertools.product(
             [(l, s) for l in (2, 5, 17) for s in range(-1, l + 2)] + [(100000, 0)],
-            (1.0, 0.5, 1e-3, 1e5), (0, 1), ("detect_upup", "detect_downdown"))
+            (1.0, 0.5, 1e-3, 1e5), (0, 1), ("detect_upup", "detect_downdown")),
+            itertools.product([(100000, 1)], [1e3], [1], ("detect_upup", "detect_downdown")))
         refused = 0
         for (l, s), gamma, parity, variant in grid:
             try:
@@ -229,8 +302,9 @@ class TestDetuningReport:
         assert refused >= 8
 
     def test_exc_delta_minus_keeps_its_digits(self):
-        # l one float above k = 1e8 gives J = √2 beside β = 1e8, where r − β cancels:
-        # |2β − 2r| read 2.98e-8, 49% off; 2J²/(r + β) reads this J and β's 2.0e-8.
+        # l one float above k = 1e8 gives J = sqrt((l − k)(l + k)) = 1.726 beside
+        # β = 1e8, where r − β cancels; 2J²/(r + β) reads this J and β's 2(l − k),
+        # 2.98e-8.  (sqrt(l² − k²) cancelled to J = √2, and this pin read 2.0e-8.)
         import mpmath  # a test dependency, for this reference only
 
         p = neurons.ExcNeuronParams(k=1e8, l=math.nextafter(1e8, 2e8), relaxed=True)
@@ -239,7 +313,7 @@ class TestDetuningReport:
         with mpmath.workdps(50):
             exact = float(2 * (mpmath.sqrt(j * j + b * b) - b))
         assert abs(ratios["delta_minus"] - exact) <= 1e-15 * exact
-        assert abs(exact - 2e-8) <= 1e-15
+        assert abs(exact - 2 * (p.l - p.k)) <= 1e-15 * exact
 
     @pytest.mark.parametrize("spec", [5, None, "phase", parameters.solve_phase(3, 82)],
                              ids=["int", "none", "str", "params"])
